@@ -1,10 +1,212 @@
 #include "apptier/cache_tier.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "telemetry/telemetry.h"
 #include "util/check.h"
 #include "util/log.h"
 
 namespace cloudprov {
+
+// --- CacheDirectory ---------------------------------------------------------
+
+std::uint32_t CacheDirectory::hash_of(std::uint64_t key) {
+  // Fibonacci hashing: the top bits of key * 2^64/phi spread sequential keys
+  // (the Zipf key space) evenly over a power-of-two table.
+  return static_cast<std::uint32_t>((key * 0x9e3779b97f4a7c15ULL) >> 32);
+}
+
+std::size_t CacheDirectory::find_bucket(std::uint64_t key,
+                                        std::uint32_t hash) const {
+  const std::size_t mask = buckets_.size() - 1;
+  std::size_t b = hash >> shift_;
+  for (;; b = (b + 1) & mask) {
+    const Bucket& bucket = buckets_[b];
+    if (bucket.entry == kNil) return b;
+    if (bucket.hash == hash && slab_[bucket.entry].key == key) return b;
+  }
+}
+
+void CacheDirectory::erase_bucket(std::size_t bucket) {
+  // Backward-shift deletion: pull every later member of the probe run whose
+  // home lies cyclically at or before the hole into it, so lookups never
+  // need tombstones.
+  const std::size_t mask = buckets_.size() - 1;
+  std::size_t hole = bucket;
+  for (std::size_t b = (bucket + 1) & mask; buckets_[b].entry != kNil;
+       b = (b + 1) & mask) {
+    const std::size_t home = buckets_[b].hash >> shift_;
+    if (((b - home) & mask) >= ((b - hole) & mask)) {
+      buckets_[hole] = buckets_[b];
+      hole = b;
+    }
+  }
+  buckets_[hole].entry = kNil;
+}
+
+void CacheDirectory::reserve_one() {
+  if ((size_ + 1) * 2 <= buckets_.size()) return;
+  const std::size_t count = buckets_.empty() ? 16 : buckets_.size() * 2;
+  ensure(count <= (std::size_t{1} << 32), "CacheDirectory: index overflow");
+  buckets_.assign(count, Bucket{});
+  shift_ = 32 - static_cast<unsigned>(std::countr_zero(count));
+  for (std::uint32_t i = head_; i != kNil; i = slab_[i].next) {
+    const std::uint32_t hash = hash_of(slab_[i].key);
+    buckets_[find_bucket(slab_[i].key, hash)] = Bucket{hash, i};
+  }
+}
+
+void CacheDirectory::unlink(std::uint32_t index) {
+  const Entry& entry = slab_[index];
+  if (entry.prev != kNil) {
+    slab_[entry.prev].next = entry.next;
+  } else {
+    head_ = entry.next;
+  }
+  if (entry.next != kNil) {
+    slab_[entry.next].prev = entry.prev;
+  } else {
+    tail_ = entry.prev;
+  }
+}
+
+void CacheDirectory::link_front(std::uint32_t index) {
+  Entry& entry = slab_[index];
+  entry.prev = kNil;
+  entry.next = head_;
+  if (head_ != kNil) {
+    slab_[head_].prev = index;
+  } else {
+    tail_ = index;
+  }
+  head_ = index;
+}
+
+void CacheDirectory::touch(std::uint32_t index) {
+  if (index == head_) return;
+  unlink(index);
+  link_front(index);
+}
+
+void CacheDirectory::erase(std::size_t bucket) {
+  const std::uint32_t index = buckets_[bucket].entry;
+  unlink(index);
+  slab_[index].next = free_;
+  free_ = index;
+  erase_bucket(bucket);
+  --size_;
+}
+
+std::size_t CacheDirectory::evict_to(std::size_t limit) {
+  std::size_t evicted = 0;
+  for (; size_ > limit; ++evicted) {
+    const std::uint64_t key = slab_[tail_].key;
+    erase(find_bucket(key, hash_of(key)));
+  }
+  return evicted;
+}
+
+CacheDirectory::Lookup CacheDirectory::lookup(std::uint64_t key, SimTime now,
+                                              std::size_t shards) {
+  if (size_ == 0) return Lookup::kAbsent;
+  const std::size_t bucket = find_bucket(key, hash_of(key));
+  const std::uint32_t index = buckets_[bucket].entry;
+  if (index == kNil) return Lookup::kAbsent;
+  const Entry& entry = slab_[index];
+  if (entry.expiry <= now) {
+    erase(bucket);
+    return Lookup::kExpired;
+  }
+  if (entry.slot != static_cast<std::uint32_t>(key % shards)) {
+    // Modulo-sharded slot moved (crash/resize): the resident copy is on the
+    // wrong cache VM now — a real fleet would miss here too.
+    erase(bucket);
+    return Lookup::kInvalidated;
+  }
+  touch(index);
+  return Lookup::kHit;
+}
+
+std::size_t CacheDirectory::fill(std::uint64_t key, SimTime expiry,
+                                 std::size_t shards, std::size_t capacity) {
+  const auto slot = static_cast<std::uint32_t>(key % shards);
+  const std::uint32_t hash = hash_of(key);
+  if (size_ > 0) {
+    if (const std::uint32_t index = buckets_[find_bucket(key, hash)].entry;
+        index != kNil) {
+      // Refill of a resident key: it moves to MRU, then the (possibly
+      // shrunk) capacity trims the LRU end.
+      slab_[index].expiry = expiry;
+      slab_[index].slot = slot;
+      touch(index);
+      return evict_to(capacity);
+    }
+  }
+  // A new key lands at MRU, so the entries it pushes out are exactly the
+  // LRU tail beyond capacity - 1: evict them first.
+  const std::size_t evicted = evict_to(capacity - 1);
+  reserve_one();
+  std::uint32_t index = free_;
+  if (index != kNil) {
+    free_ = slab_[index].next;
+  } else {
+    ensure(slab_.size() < kNil, "CacheDirectory: entry index overflow");
+    index = static_cast<std::uint32_t>(slab_.size());
+    slab_.emplace_back();
+  }
+  slab_[index].key = key;
+  slab_[index].expiry = expiry;
+  slab_[index].slot = slot;
+  link_front(index);
+  buckets_[find_bucket(key, hash)] = Bucket{hash, index};
+  ++size_;
+  return evicted;
+}
+
+std::size_t CacheDirectory::clear() {
+  const std::size_t dropped = size_;
+  slab_.clear();  // keeps its capacity: refills reuse it
+  std::fill(buckets_.begin(), buckets_.end(), Bucket{});
+  head_ = tail_ = free_ = kNil;
+  size_ = 0;
+  return dropped;
+}
+
+void CacheDirectory::capture(
+    std::vector<ApptierState::DirectoryEntry>& out) const {
+  out.clear();
+  out.reserve(size_);
+  for (std::uint32_t i = head_; i != kNil; i = slab_[i].next) {
+    out.push_back(
+        ApptierState::DirectoryEntry{slab_[i].key, slab_[i].expiry,
+                                     slab_[i].slot});
+  }
+}
+
+void CacheDirectory::restore(
+    const std::vector<ApptierState::DirectoryEntry>& entries) {
+  clear();
+  for (const ApptierState::DirectoryEntry& entry : entries) {
+    reserve_one();
+    const std::uint32_t hash = hash_of(entry.key);
+    const std::size_t bucket = find_bucket(entry.key, hash);
+    ensure_arg(buckets_[bucket].entry == kNil,
+               "CacheDirectory::restore: duplicate key in directory");
+    const auto index = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(Entry{entry.key, entry.expiry, entry.slot, tail_, kNil});
+    if (tail_ != kNil) {
+      slab_[tail_].next = index;
+    } else {
+      head_ = index;
+    }
+    tail_ = index;
+    buckets_[bucket] = Bucket{hash, index};
+    ++size_;
+  }
+}
+
+// --- CacheTier --------------------------------------------------------------
 
 CacheTier::CacheTier(Simulation& sim, const ApptierConfig& config,
                      QosTargets qos, ApplicationProvisioner& cache_pool,
@@ -65,39 +267,25 @@ std::size_t CacheTier::directory_capacity() const {
   return config_.cache_capacity_per_vm * cache_pool_.active_instances();
 }
 
-std::uint32_t CacheTier::slot_for(std::uint64_t key) const {
-  const std::size_t active = cache_pool_.active_instances();
-  return active > 0 ? static_cast<std::uint32_t>(key % active) : 0;
-}
-
-void CacheTier::erase_entry(std::uint64_t key) {
-  auto it = index_.find(key);
-  if (it == index_.end()) return;
-  lru_.erase(it->second);
-  index_.erase(it);
-}
-
 void CacheTier::on_request(const Request& request) {
   ++window_arrivals_;
   ++window_lookups_;
   const SimTime now = sim_.now();
   bool hit = false;
-  if (request.key != 0 && cache_pool_.active_instances() > 0) {
-    auto it = index_.find(request.key);
-    if (it != index_.end()) {
-      Entry& entry = *it->second;
-      if (entry.expiry <= now) {
-        ++expirations_;
-        erase_entry(request.key);
-      } else if (entry.slot != slot_for(request.key)) {
-        // Modulo-sharded slot moved (crash/resize): the resident copy is on
-        // the wrong cache VM now — a real fleet would miss here too.
-        ++invalidations_;
-        erase_entry(request.key);
-      } else {
+  const std::size_t shards = cache_pool_.active_instances();
+  if (request.key != 0 && shards > 0) {
+    switch (directory_.lookup(request.key, now, shards)) {
+      case CacheDirectory::Lookup::kHit:
         hit = true;
-        lru_.splice(lru_.begin(), lru_, it->second);  // LRU touch
-      }
+        break;
+      case CacheDirectory::Lookup::kExpired:
+        ++expirations_;
+        break;
+      case CacheDirectory::Lookup::kInvalidated:
+        ++invalidations_;
+        break;
+      case CacheDirectory::Lookup::kAbsent:
+        break;
     }
   }
   if (hit) {
@@ -169,17 +357,10 @@ void CacheTier::on_backend_complete(const Request& request,
   const std::size_t capacity = directory_capacity();
   if (capacity == 0) return;  // no active cache VMs: nothing to fill into
   const SimTime now = sim_.now();
-  erase_entry(request.key);
-  lru_.push_front(
-      Entry{request.key, now + config_.ttl, slot_for(request.key)});
-  index_[request.key] = lru_.begin();
+  evictions_ += directory_.fill(request.key, now + config_.ttl,
+                                cache_pool_.active_instances(), capacity);
   ++fills_;
   if (telemetry_ != nullptr) telemetry_->cache_fill(now, request.id);
-  while (lru_.size() > capacity) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++evictions_;
-  }
 }
 
 void CacheTier::record_completion(double response_time) {
@@ -191,9 +372,7 @@ void CacheTier::record_completion(double response_time) {
 
 void CacheTier::fire_flush(std::size_t index) {
   flush_events_[index] = kInvalidEventId;
-  const std::size_t dropped = lru_.size();
-  lru_.clear();
-  index_.clear();
+  const std::size_t dropped = directory_.clear();
   ++flushes_;
   if (telemetry_ != nullptr) {
     telemetry_->cache_flush(sim_.now(), dropped);
@@ -211,12 +390,7 @@ void CacheTier::fire_crash(std::size_t index) {
 }
 
 void CacheTier::capture(ApptierState& state) const {
-  state.directory.clear();
-  state.directory.reserve(lru_.size());
-  for (const Entry& entry : lru_) {
-    state.directory.push_back(
-        ApptierState::DirectoryEntry{entry.key, entry.expiry, entry.slot});
-  }
+  directory_.capture(state.directory);
   state.rng = rng_.state();
   state.hits = hits_;
   state.misses = misses_;
@@ -244,12 +418,10 @@ void CacheTier::capture(ApptierState& state) const {
 }
 
 void CacheTier::restore(const ApptierState& state) {
-  ensure(lru_.empty() && flush_events_.empty() && crash_events_.empty(),
+  ensure(directory_.size() == 0 && flush_events_.empty() &&
+             crash_events_.empty(),
          "CacheTier::restore: tier already started");
-  for (const ApptierState::DirectoryEntry& entry : state.directory) {
-    lru_.push_back(Entry{entry.key, entry.expiry, entry.slot});
-    index_[entry.key] = std::prev(lru_.end());
-  }
+  directory_.restore(state.directory);
   rng_.set_state(state.rng);
   hits_ = state.hits;
   misses_ = state.misses;

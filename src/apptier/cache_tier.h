@@ -8,12 +8,16 @@
 //   miss -> the request is forwarded unchanged to the backend sink; when the
 //           backend completes it, the key is filled with expiry now + TTL.
 //
-// The directory is an LRU list + index with lazy TTL expiry. Entries are
-// tagged with the modulo shard slot (key % active cache VMs) current at fill
-// time; a lookup whose recomputed slot disagrees counts as an invalidation —
-// so cache-VM crashes and resizes produce the realistic warmup transient of
-// a consistent-hashing-free memcached fleet. Total capacity scales with the
-// active cache pool (capacity_per_vm x active VMs).
+// The directory is an LRU list + key index with lazy TTL expiry, laid out
+// flat (CacheDirectory below): one grow-only slab of entries doubly linked
+// by 32-bit indices, with a free list, and an open-addressing key index.
+// Once the slab and the index have grown to the directory's capacity, no
+// lookup, fill, touch, expiry, invalidation, eviction or flush allocates.
+// Entries are tagged with the modulo shard slot (key % active cache VMs)
+// current at fill time; a lookup whose recomputed slot disagrees counts as
+// an invalidation — so cache-VM crashes and resizes produce the realistic
+// warmup transient of a consistent-hashing-free memcached fleet. Total
+// capacity scales with the active cache pool (capacity_per_vm x active VMs).
 //
 // The tier also owns the END-TO-END request accounting (response stats, tail
 // quantiles, QoS violations across both pools), since neither pool alone
@@ -21,9 +25,7 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "apptier/apptier_config.h"
@@ -95,6 +97,87 @@ struct ApptierState {
   std::vector<AdaptivePolicy::DecisionRecord> cache_decisions;
 };
 
+/// The tier's LRU/TTL directory. Entries live in one grow-only slab, linked
+/// MRU -> LRU by 32-bit prev/next indices, with freed slots chained on a
+/// free list. Keys are indexed by an open-addressing table of 8-byte buckets
+/// (32-bit Fibonacci hash + slab index; power-of-two size, linear probing,
+/// backward-shift deletion) kept at load factor <= 0.5. A fill evicts before
+/// it inserts, so neither ever holds more than `capacity` entries; both grow
+/// only while the directory is growing, and a directory at its capacity
+/// serves every operation without allocating.
+class CacheDirectory {
+ public:
+  /// What a lookup found.
+  enum class Lookup : std::uint8_t {
+    kAbsent,       ///< no entry for the key
+    kHit,          ///< live entry on the right slot; touched to MRU
+    kExpired,      ///< TTL lapsed at lookup; erased
+    kInvalidated,  ///< slot remapped since the fill; erased
+  };
+
+  /// Looks `key` up at `now` with `shards` active cache VMs (> 0): an entry
+  /// whose expiry is <= now is expired, else one whose fill-time slot is not
+  /// key % shards is invalidated; both are erased. A hit moves to MRU.
+  Lookup lookup(std::uint64_t key, SimTime now, std::size_t shards);
+
+  /// Puts `key` (replacing any resident entry) at the MRU end, tagged with
+  /// slot key % shards, evicting from the LRU end so that at most
+  /// `capacity` (> 0) entries remain. Returns the number evicted.
+  std::size_t fill(std::uint64_t key, SimTime expiry, std::size_t shards,
+                   std::size_t capacity);
+
+  /// Drops every entry (TTL storm); returns how many were dropped.
+  std::size_t clear();
+
+  std::size_t size() const { return size_; }
+
+  /// Replaces `out` with the entries in LRU order (front = most recently
+  /// used).
+  void capture(std::vector<ApptierState::DirectoryEntry>& out) const;
+  /// Replaces the contents with `entries` (front = most recently used).
+  /// Throws std::invalid_argument when a key repeats: one key has one entry.
+  void restore(const std::vector<ApptierState::DirectoryEntry>& entries);
+
+ private:
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+
+  struct Entry {
+    std::uint64_t key = 0;
+    SimTime expiry = 0.0;
+    std::uint32_t slot = 0;
+    std::uint32_t prev = kNil;  ///< towards MRU
+    std::uint32_t next = kNil;  ///< towards LRU; free-list link when free
+  };
+  struct Bucket {
+    std::uint32_t hash = 0;      ///< hash_of(key); its top bits are the home
+    std::uint32_t entry = kNil;  ///< slab index; kNil = empty bucket
+  };
+
+  static std::uint32_t hash_of(std::uint64_t key);
+  /// Bucket holding `key`, or the empty bucket that ends its probe run.
+  /// The index must be non-empty.
+  std::size_t find_bucket(std::uint64_t key, std::uint32_t hash) const;
+  void erase_bucket(std::size_t bucket);
+  /// Doubles the index (rehashing every entry) unless one more key fits at
+  /// load factor <= 0.5.
+  void reserve_one();
+  void unlink(std::uint32_t index);
+  void link_front(std::uint32_t index);
+  void touch(std::uint32_t index);
+  /// Unlinks the entry in `bucket`, frees its slot and empties the bucket.
+  void erase(std::size_t bucket);
+  /// Evicts LRU entries until at most `limit` remain; returns how many.
+  std::size_t evict_to(std::size_t limit);
+
+  std::vector<Entry> slab_;
+  std::vector<Bucket> buckets_;
+  std::uint32_t head_ = kNil;  ///< MRU
+  std::uint32_t tail_ = kNil;  ///< LRU
+  std::uint32_t free_ = kNil;
+  std::size_t size_ = 0;
+  unsigned shift_ = 32;  ///< 32 - log2(bucket count)
+};
+
 class CacheTier final : public RequestSink {
  public:
   /// `backend_sink` is where misses go (the resilience gateway when enabled,
@@ -129,7 +212,7 @@ class CacheTier final : public RequestSink {
   /// first closed window.
   double planning_hit_ratio() const;
   double last_window_hit_ratio() const { return last_window_hit_ratio_; }
-  std::size_t directory_size() const { return lru_.size(); }
+  std::size_t directory_size() const { return directory_.size(); }
   std::size_t directory_capacity() const;
 
   std::uint64_t hits() const { return hits_; }
@@ -167,14 +250,6 @@ class CacheTier final : public RequestSink {
   void restore(const ApptierState& state);
 
  private:
-  struct Entry {
-    std::uint64_t key = 0;
-    SimTime expiry = 0.0;
-    std::uint32_t slot = 0;
-  };
-
-  std::uint32_t slot_for(std::uint64_t key) const;
-  void erase_entry(std::uint64_t key);
   void on_cache_complete(const Request& request, double response_time);
   void on_backend_complete(const Request& request, double response_time);
   void record_completion(double response_time);
@@ -191,8 +266,7 @@ class CacheTier final : public RequestSink {
   Telemetry* telemetry_ = nullptr;
   ScaledUniformDistribution cache_demand_;
 
-  std::list<Entry> lru_;  ///< front = MRU
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+  CacheDirectory directory_;
 
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -1,5 +1,6 @@
 #include "lookahead/checkpoint.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -85,12 +86,18 @@ void put(std::ostream& out, const std::vector<T>& values) {
   for (const T& value : values) put(out, value);
 }
 
+// The length prefix is untrusted: reserve at most kMaxReserveBytes up front
+// and let a prefix larger than the stream run into the truncation check,
+// instead of a huge reserve escaping as std::length_error/std::bad_alloc.
+constexpr std::uint64_t kMaxReserveBytes = std::uint64_t{1} << 20;
+
 template <typename T>
 void get(std::istream& in, std::vector<T>& values) {
   std::uint64_t size = 0;
   get(in, size);
   values.clear();
-  values.reserve(size);
+  values.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(size, kMaxReserveBytes / sizeof(T))));
   for (std::uint64_t i = 0; i < size; ++i) {
     T value{};
     get(in, value);

@@ -1,7 +1,9 @@
 #include "workload/zipf_workload.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "util/check.h"
 
@@ -11,6 +13,8 @@ ZipfWorkload::ZipfWorkload(ZipfWorkloadConfig config)
     : config_(config),
       service_demand_(config.service_base, config.service_spread) {
   ensure_arg(config_.num_keys >= 1, "ZipfWorkload: need at least one key");
+  ensure_arg(config_.num_keys <= std::numeric_limits<std::uint32_t>::max(),
+             "ZipfWorkload: num_keys must be < 2^32 (32-bit rank index)");
   ensure_arg(config_.alpha >= 0.0, "ZipfWorkload: alpha must be >= 0");
   ensure_arg(config_.base_rate >= 0.0, "ZipfWorkload: base_rate must be >= 0");
   ensure_arg(config_.rate_interval > 0.0,
@@ -35,6 +39,20 @@ ZipfWorkload::ZipfWorkload(ZipfWorkloadConfig config)
   }
   for (double& c : cdf_) c /= harmonic;
   cdf_.back() = 1.0;  // guard against rounding
+
+  // Guide table, G ~ num_keys / 8 buckets (a power of two, so j / G and
+  // u * G are exact), filled in one pass over the CDF. cdf_.back() == 1
+  // bounds the scan.
+  const std::uint64_t buckets = std::bit_ceil(
+      std::max<std::uint64_t>(1, config_.num_keys / 8));
+  guide_scale_ = static_cast<double>(buckets);
+  guide_.resize(buckets + 1);
+  std::uint32_t rank = 0;
+  for (std::uint64_t j = 0; j <= buckets; ++j) {
+    const double threshold = static_cast<double>(j) / guide_scale_;
+    while (cdf_[rank] < threshold) ++rank;
+    guide_[j] = rank;
+  }
 }
 
 double ZipfWorkload::expected_rate(SimTime t) const {
@@ -55,10 +73,16 @@ std::uint64_t ZipfWorkload::key_for_rank(std::uint64_t rank, SimTime t) const {
   return (rank - 1 + offset) % config_.num_keys + 1;
 }
 
-std::uint64_t ZipfWorkload::sample_rank(Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::uint64_t>(it - cdf_.begin()) + 1;
+std::uint64_t ZipfWorkload::sample_rank(double u) const {
+  // u in [0, 1): bucket j satisfies j/G <= u < (j+1)/G, so the first rank
+  // with cdf >= u lies in [guide_[j], guide_[j+1]] — and is guide_[j+1]
+  // exactly when the search below runs off the end of its range.
+  const auto j = static_cast<std::size_t>(u * guide_scale_);
+  const auto first = cdf_.begin() + guide_[j];
+  const auto last = cdf_.begin() + guide_[j + 1];
+  return static_cast<std::uint64_t>(std::lower_bound(first, last, u) -
+                                    cdf_.begin()) +
+         1;
 }
 
 void ZipfWorkload::begin_interval(SimTime t, Rng& rng) {
@@ -103,7 +127,7 @@ std::optional<Arrival> ZipfWorkload::next(Rng& rng) {
     if (cursor_ >= config_.horizon) return std::nullopt;
     // Fixed draw order after the arrival time: service demand, then key.
     Arrival arrival{cursor_, service_demand_.sample(rng)};
-    arrival.key = key_for_rank(sample_rank(rng), cursor_);
+    arrival.key = key_for_rank(sample_rank(rng.uniform()), cursor_);
     return arrival;
   }
 }

@@ -16,6 +16,13 @@
 // Both are pure functions of the clock, so the generator's mutable state
 // stays the same 3 doubles as the web workload and snapshot/restore reuses
 // the identical encoding.
+//
+// Ranks are sampled by inversion of the precomputed popularity CDF through a
+// guide table (Chen & Asau's cutpoint method): with G = 2^k buckets,
+// guide[j] is the first rank whose CDF reaches j/G, so a uniform u only
+// needs a binary search within [guide[floor(u*G)], guide[floor(u*G) + 1]] —
+// a few cache-resident steps instead of a full search of the CDF, with the
+// identical result for every u.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +36,7 @@ namespace cloudprov {
 
 struct ZipfWorkloadConfig {
   /// Size of the key space; keys are 1-based (0 is the keyless sentinel).
+  /// At most 2^32 - 1: the sampler's guide table holds 32-bit rank indices.
   std::uint64_t num_keys = 20000;
   /// Zipf skew; 0 degenerates to uniform popularity.
   double alpha = 0.9;
@@ -79,17 +87,25 @@ class ZipfWorkload final : public RequestSource {
   /// shifts; exposed for tests.
   std::uint64_t key_for_rank(std::uint64_t rank, SimTime t) const;
 
+  /// Popularity rank (1-based) that a uniform variate u in [0, 1) inverts
+  /// to: the first rank r with P[rank <= r] >= u. Exposed for tests.
+  std::uint64_t sample_rank(double u) const;
+  /// Cumulative popularity by rank: cdf()[r-1] = P[rank <= r].
+  const std::vector<double>& cdf() const { return cdf_; }
+
   void save_state(std::vector<double>& out) const override;
   void load_state(const std::vector<double>& in) override;
 
  private:
   void begin_interval(SimTime t, Rng& rng);
-  std::uint64_t sample_rank(Rng& rng) const;
 
   ZipfWorkloadConfig config_;
   ScaledUniformDistribution service_demand_;
   /// Cumulative Zipf probabilities by rank (cdf_[r-1] = P[rank <= r]).
   std::vector<double> cdf_;
+  /// guide_[j] = first index i with cdf_[i] >= j / (guide_.size() - 1).
+  std::vector<std::uint32_t> guide_;
+  double guide_scale_ = 1.0;  ///< bucket count G, a power of two
   std::uint64_t shift_stride_ = 0;
   SimTime cursor_ = 0.0;
   SimTime interval_end_ = 0.0;

@@ -2,7 +2,10 @@
 //
 //   - ZipfWorkload: seeded determinism, Zipf(alpha) skew (alpha = 0
 //     degenerates to uniform), hot-key-shift rank rotation, flash-crowd
-//     rate multipliers,
+//     rate multipliers, the guide-table sampler against a full CDF search,
+//     and key-space bounds,
+//   - CacheDirectory against a node-based (std::list + std::unordered_map)
+//     reference under a seeded random operation mix,
 //   - CacheTier mechanics against hand-driven pools: look-aside
 //     miss -> backend -> fill -> hit, lazy TTL expiry, LRU eviction at
 //     directory capacity, modulo-slot invalidation on pool resize, TTL-storm
@@ -13,14 +16,21 @@
 //   - snapshot/restore bit-identity of tiered worlds (including a snapshot
 //     inside a TTL storm, with the pending chaos events re-armed),
 //   - disk checkpoints: the v3 codec round-trips the apptier section and
-//     rejects out-of-range versions.
+//     rejects out-of-range versions, inflated length prefixes, and
+//     directories that repeat a key.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <list>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "apptier/cache_tier.h"
@@ -191,6 +201,53 @@ TEST(ZipfWorkload, FlashCrowdMultipliesExpectedRate) {
   EXPECT_DOUBLE_EQ(workload.expected_rate(20.0), 50.0);  // end exclusive
   EXPECT_DOUBLE_EQ(workload.expected_rate(-1.0), 0.0);
   EXPECT_DOUBLE_EQ(workload.expected_rate(config.horizon), 0.0);
+}
+
+// The guide table only narrows the search range: for every u the sampler
+// must return exactly the full std::lower_bound rank, including u on and
+// next to every CDF value, on every power-of-two bucket boundary, and at
+// both ends of [0, 1).
+TEST(ZipfWorkload, GuideTableSamplerMatchesFullCdfSearch) {
+  for (const double alpha : {0.0, 0.9, 1.2}) {
+    for (const std::uint64_t num_keys : {1u, 3u, 20000u, 20001u}) {
+      ZipfWorkloadConfig config;
+      config.num_keys = num_keys;
+      config.alpha = alpha;
+      const ZipfWorkload workload(config);
+      const std::vector<double>& cdf = workload.cdf();
+      ASSERT_EQ(cdf.size(), num_keys);
+
+      std::vector<double> probes = {0.0, 1.0 - 0x1p-53};
+      for (const double c : cdf) {
+        for (const double u :
+             {std::nextafter(c, 0.0), c, std::nextafter(c, 2.0)}) {
+          if (u < 1.0) probes.push_back(u);
+        }
+      }
+      for (std::uint32_t j = 0; j < (1u << 16); ++j) {
+        const double boundary = std::ldexp(static_cast<double>(j), -16);
+        probes.push_back(boundary);
+        if (j > 0) probes.push_back(std::nextafter(boundary, 0.0));
+      }
+      for (const double u : probes) {
+        const auto full = static_cast<std::uint64_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin() + 1);
+        ASSERT_EQ(workload.sample_rank(u), full)
+            << "alpha " << alpha << " keys " << num_keys << " u "
+            << std::hexfloat << u;
+      }
+    }
+  }
+}
+
+// A key space beyond the sampler's 32-bit rank index is rejected up front
+// (e.g. --keys -1 wraps to 2^64 - 1) instead of attempting a multi-GB CDF.
+TEST(ZipfWorkload, RejectsKeySpaceBeyondRankIndexWidth) {
+  ZipfWorkloadConfig config;
+  config.num_keys = std::uint64_t{1} << 32;
+  EXPECT_THROW(ZipfWorkload workload(config), std::invalid_argument);
+  config.num_keys = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_THROW(ZipfWorkload workload(config), std::invalid_argument);
 }
 
 // --- CacheTier mechanics ---------------------------------------------------
@@ -384,6 +441,177 @@ TEST(CacheTier, WindowFoldDrivesPlanningEwma) {
   EXPECT_DOUBLE_EQ(f.tier.last_window_hit_ratio(), 1.0);
 }
 
+TEST(CacheTier, RestoreRejectsDuplicateDirectoryKeys) {
+  TierFixture f;
+  for (std::uint64_t key = 1; key <= 3; ++key) {
+    f.tier.on_request(f.request(key, key));
+    f.sim.run();
+  }
+  ApptierState state;
+  f.tier.capture(state);
+  ASSERT_EQ(state.directory.size(), 3u);
+  {
+    TierFixture clean;
+    clean.tier.restore(state);
+    EXPECT_EQ(clean.tier.directory_size(), 3u);
+  }
+
+  // The flat index holds one entry per key: a repeated key is malformed.
+  state.directory.push_back(state.directory.front());
+  TierFixture fresh;
+  EXPECT_THROW(fresh.tier.restore(state), std::invalid_argument);
+}
+
+// --- CacheDirectory vs a node-based reference -------------------------------
+
+// The std::list LRU + std::unordered_map index the flat directory replaced,
+// kept as the differential oracle: identical operations must yield identical
+// lookup outcomes, evictions, drops and LRU order.
+class ReferenceDirectory {
+ public:
+  using Entry = ApptierState::DirectoryEntry;
+  using Lookup = CacheDirectory::Lookup;
+
+  Lookup lookup(std::uint64_t key, SimTime now, std::size_t shards) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) return Lookup::kAbsent;
+    if (it->second->expiry <= now) {
+      erase(it);
+      return Lookup::kExpired;
+    }
+    if (it->second->slot != key % shards) {
+      erase(it);
+      return Lookup::kInvalidated;
+    }
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return Lookup::kHit;
+  }
+
+  std::size_t fill(std::uint64_t key, SimTime expiry, std::size_t shards,
+                   std::size_t capacity) {
+    if (const auto it = index_.find(key); it != index_.end()) erase(it);
+    lru_.push_front(
+        Entry{key, expiry, static_cast<std::uint32_t>(key % shards)});
+    index_[key] = lru_.begin();
+    std::size_t evicted = 0;
+    while (lru_.size() > capacity) {
+      index_.erase(lru_.back().key);
+      lru_.pop_back();
+      ++evicted;
+    }
+    return evicted;
+  }
+
+  std::size_t clear() {
+    const std::size_t dropped = lru_.size();
+    lru_.clear();
+    index_.clear();
+    return dropped;
+  }
+
+  std::size_t size() const { return lru_.size(); }
+  std::vector<Entry> capture() const { return {lru_.begin(), lru_.end()}; }
+
+  void restore(const std::vector<Entry>& entries) {
+    clear();
+    for (const Entry& entry : entries) {
+      lru_.push_back(entry);
+      index_[entry.key] = std::prev(lru_.end());
+    }
+  }
+
+ private:
+  using Index = std::unordered_map<std::uint64_t, std::list<Entry>::iterator>;
+  void erase(Index::const_iterator it) {
+    lru_.erase(it->second);
+    index_.erase(it);
+  }
+
+  std::list<Entry> lru_;
+  Index index_;
+};
+
+void expect_same_directory(const std::vector<ApptierState::DirectoryEntry>& a,
+                           const std::vector<ApptierState::DirectoryEntry>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].key, b[i].key) << "position " << i;
+    EXPECT_EQ(a[i].expiry, b[i].expiry) << "position " << i;
+    EXPECT_EQ(a[i].slot, b[i].slot) << "position " << i;
+  }
+}
+
+// Seeded random mix over the whole directory surface: skewed lookups (hits,
+// lazy TTL expiry, slot invalidations after pool resizes), fills (refills of
+// resident keys, LRU evictions, capacity shrinks), TTL-storm flushes, and
+// capture -> restore into a fresh directory mid-sequence. Half the keys are
+// sequential (the Zipf key space), half arbitrary 64-bit values, so probe
+// runs wrap the index and backward-shift deletes move entries across it.
+TEST(CacheDirectory, MatchesNodeBasedReferenceUnderRandomOperations) {
+  using Lookup = CacheDirectory::Lookup;
+  Rng rng(2024);
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t key = 1; key <= 96; ++key) keys.push_back(key);
+  for (int i = 0; i < 96; ++i) keys.push_back(rng.next() | 1u);
+  constexpr std::size_t kCapacityPerShard = 16;
+  constexpr SimTime kTtl = 40.0;
+
+  CacheDirectory flat;
+  ReferenceDirectory reference;
+  std::size_t shards = 2;
+  SimTime now = 0.0;
+  std::array<std::uint64_t, 4> outcomes{};  // indexed by Lookup
+  std::uint64_t evictions = 0;
+  std::uint64_t flushes = 0;
+  std::uint64_t restores = 0;
+  std::vector<ApptierState::DirectoryEntry> captured;
+  for (int step = 0; step < 200000; ++step) {
+    now += rng.uniform(0.0, 0.5);
+    const double u = rng.uniform();  // u^2: low key indices are hot
+    const double hot = u * u * static_cast<double>(keys.size());
+    const std::uint64_t key = keys[static_cast<std::size_t>(hot)];
+    const std::uint64_t op = rng.uniform_int(0, 999);
+    if (op < 550) {
+      const Lookup got = flat.lookup(key, now, shards);
+      ASSERT_EQ(got, reference.lookup(key, now, shards)) << "step " << step;
+      ++outcomes[static_cast<std::size_t>(got)];
+    } else if (op < 990) {
+      const std::size_t capacity = kCapacityPerShard * shards;
+      const std::size_t evicted = flat.fill(key, now + kTtl, shards, capacity);
+      ASSERT_EQ(evicted, reference.fill(key, now + kTtl, shards, capacity))
+          << "step " << step;
+      evictions += evicted;
+    } else if (op < 996) {
+      // Pool resize: remaps slots and, on a shrink, lowers the capacity the
+      // next fill evicts down to.
+      shards = static_cast<std::size_t>(rng.uniform_int(1, 6));
+    } else if (op < 998) {
+      ASSERT_EQ(flat.clear(), reference.clear()) << "step " << step;
+      ++flushes;
+    } else {
+      flat.capture(captured);
+      expect_same_directory(captured, reference.capture());
+      flat = CacheDirectory{};
+      flat.restore(captured);
+      reference.restore(captured);
+      ++restores;
+    }
+    ASSERT_EQ(flat.size(), reference.size()) << "step " << step;
+  }
+  flat.capture(captured);
+  expect_same_directory(captured, reference.capture());
+
+  // The mix reached every outcome and every structural operation.
+  for (const Lookup kind : {Lookup::kAbsent, Lookup::kHit, Lookup::kExpired,
+                            Lookup::kInvalidated}) {
+    EXPECT_GT(outcomes[static_cast<std::size_t>(kind)], 100u)
+        << static_cast<int>(kind);
+  }
+  EXPECT_GT(evictions, 1000u);
+  EXPECT_GT(flushes, 100u);
+  EXPECT_GT(restores, 100u);
+}
+
 // --- tiered end-to-end runs ------------------------------------------------
 
 // The lambda_miss = lambda * (1 - h) feedback: a tiered run absorbs the
@@ -523,6 +751,47 @@ TEST(TieredCheckpoint, UntieredOmitsApptierAndBadVersionsAreRejected) {
     in << patched;
     EXPECT_THROW(read_checkpoint(in), std::runtime_error)
         << "version " << bad_version;
+  }
+}
+
+// Length prefixes are untrusted input: inflating the directory's element
+// count in a valid tiered checkpoint must surface as the documented
+// std::runtime_error (the stream runs out), not as std::length_error or
+// std::bad_alloc from reserving the claimed size up front.
+TEST(TieredCheckpoint, InflatedDirectoryLengthPrefixIsRejected) {
+  const ScenarioConfig config = tiered_config();
+  World world(config, PolicySpec::adaptive(), 42, std::nullopt);
+  world.start();
+  world.run_to(3000.5);
+  const WorldState state = world.snapshot();
+  ASSERT_TRUE(state.apptier.has_value());
+  const std::vector<ApptierState::DirectoryEntry>& directory =
+      state.apptier->directory;
+  ASSERT_FALSE(directory.empty());
+
+  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+  write_checkpoint(buffer, state);
+  const std::string bytes = buffer.str();
+
+  // The prefix is the u64 count right before the first entry's key/expiry.
+  const std::uint64_t count = directory.size();
+  std::string needle(3 * sizeof(std::uint64_t), '\0');
+  std::memcpy(needle.data(), &count, sizeof(count));
+  std::memcpy(needle.data() + 8, &directory.front().key, sizeof(std::uint64_t));
+  std::memcpy(needle.data() + 16, &directory.front().expiry, sizeof(double));
+  const std::size_t at = bytes.find(needle);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(needle, at + 1), std::string::npos);
+
+  for (const std::uint64_t inflated :
+       {count + 1, std::uint64_t{1} << 32, std::uint64_t{1} << 62,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    std::string patched = bytes;
+    std::memcpy(patched.data() + at, &inflated, sizeof(inflated));
+    std::stringstream in(std::ios::in | std::ios::out | std::ios::binary);
+    in << patched;
+    EXPECT_THROW(read_checkpoint(in), std::runtime_error)
+        << "count " << inflated;
   }
 }
 

@@ -2,9 +2,10 @@
 //
 // Every literal below was captured from the pre-rewrite kernel (type-erased
 // std::function payloads in a binary std::priority_queue) running the same
-// two scenario smokes. The slab/typed-delegate kernel must reproduce them
-// bit-for-bit: integers with ==, doubles with exact equality via hexfloat
-// literals, and the full span CSV through an FNV-1a hash of the byte stream.
+// scenario smokes (the tiered Zipf smoke's provenance is noted at its test).
+// The slab/typed-delegate kernel must reproduce them bit-for-bit: integers
+// with ==, doubles with exact equality via hexfloat literals, and the full
+// span CSV through an FNV-1a hash of the byte stream.
 // A mismatch here means the kernel changed observable behavior — event
 // ordering, RNG draw sequence, or telemetry sampling — not just performance.
 #include <gtest/gtest.h>
@@ -263,6 +264,72 @@ TEST(KernelGolden, FaultAblationSmokeIsBitIdentical) {
   g.drift_windows=0; g.drift_response_mape=0x0p+0; g.drift_response_bias=0x0p+0; g.spans_traced=0;
   g.simulated_events=1387838;
   expect_bit_identical(out.metrics, g);
+}
+
+// Tiered Zipf smoke: the cache tier's LRU/TTL directory and the Zipf key
+// sampler on the request path, with a hot-key shift, a cache-VM crash (slot
+// remaps -> invalidations) and a TTL storm (flush), every request traced.
+// Pins the directory's hit/miss/eviction sequence and the key stream. The
+// literals were captured from the node-based directory (std::list LRU plus
+// std::unordered_map index) and the full-range std::lower_bound Zipf sampler;
+// the flat slab directory and the guide-table sampler reproduce them exactly.
+ScenarioConfig tiered_zipf_config() {
+  ScenarioConfig config = zipf_scenario(0.02);
+  config.horizon = 2.0 * 3600.0;
+  config.zipf.horizon = config.horizon;
+  config.zipf.hot_shift_at = {4000.0};
+  config.apptier.enabled = true;
+  config.apptier.cache_crash_at = {3000.0};
+  config.apptier.flush_at = {5000.0};
+  return config;
+}
+
+TEST(KernelGolden, TieredZipfSmokeIsBitIdentical) {
+  const ScenarioConfig config = tiered_zipf_config();
+  TelemetryOptions opts;
+  opts.span_sample_rate = 1.0;
+  const RunOutput out = run_scenario(config, PolicySpec::adaptive(), 42, opts);
+
+  GoldenMetrics g{};
+  g.generated=143096; g.accepted=142036; g.rejected=1060; g.completed=142034; g.qos_violations=0;
+  g.avg_response_time=0x1.d5e6aaec6708p-5; g.std_response_time=0x1.c17a10163e07dp-5;
+  g.p95_response_time=0x1.38985d2596646p-3; g.p99_response_time=0x1.8765a67b11eb4p-3;
+  g.min_instances=0x1p+1; g.max_instances=0x1.8p+1; g.avg_instances=0x1.0111111111111p+1;
+  g.vm_hours=0x1.0111111111111p+2; g.busy_vm_hours=0x1.d207f9d811c39p+0; g.utilization=0x1.d018f04f34be8p-2; g.rejection_rate=0x1.e57725e25117ap-8;
+  g.instance_failures=0; g.vm_crashes=0; g.host_crashes=0; g.boot_failures=0; g.boot_timeouts=0;
+  g.lost_requests=0; g.lost_to_vm_crashes=0; g.lost_to_host_crashes=0;
+  g.availability=0x1p+0; g.recoveries=0; g.mttr_mean=0x0p+0; g.mttr_max=0x0p+0;
+  g.reconciler_heals=0; g.reconciler_retries=0; g.reconciler_aborts=0; g.final_instances=2;
+  g.slo_response_alerts=0; g.slo_rejection_alerts=0; g.slo_worst_burn_rate=0x0p+0;
+  g.drift_windows=0; g.drift_response_mape=0x0p+0; g.drift_response_bias=0x0p+0; g.spans_traced=143096;
+  g.simulated_events=285252;
+  expect_bit_identical(out.metrics, g);
+
+  // Every cache-tier field: the directory's hit/miss/fill/eviction/expiry/
+  // invalidation sequence and both pools' accounting.
+  const RunMetrics& m = out.metrics;
+  EXPECT_EQ(m.cache_hits, 79612u);
+  EXPECT_EQ(m.cache_misses, 63484u);
+  EXPECT_EQ(m.cache_hit_ratio, 0x1.1cda66f60644dp-1);
+  EXPECT_EQ(m.cache_fills, 62423u);
+  EXPECT_EQ(m.cache_evictions, 33425u);
+  EXPECT_EQ(m.cache_expirations, 20548u);
+  EXPECT_EQ(m.cache_invalidations, 223u);
+  EXPECT_EQ(m.cache_flushes, 1u);
+  EXPECT_EQ(m.cache_vm_hours, 0x1.6aaaaaaaaaaabp+1);
+  EXPECT_EQ(m.cache_utilization, 0x1.4fac255fa1be2p-4);
+  EXPECT_EQ(m.cache_avg_instances, 0x1.6aaaaaaaaaaabp+0);
+  EXPECT_EQ(m.cache_final_instances, 1u);
+  EXPECT_EQ(m.lambda_miss_mean, 0x1.2b3ac445973a5p+3);
+  EXPECT_EQ(m.cache_avg_response_time, 0x1.65cffbb7462f7p-7);
+  EXPECT_EQ(m.backend_avg_response_time, 0x1.dd8d58a12efddp-4);
+
+  ASSERT_NE(out.telemetry, nullptr);
+  std::ostringstream csv;
+  write_span_csv(csv, *out.telemetry->spans());
+  const std::string bytes = csv.str();
+  EXPECT_EQ(bytes.size(), 12594705u);
+  EXPECT_EQ(fnv1a(bytes), 0x437982012dec1e7dULL);
 }
 
 }  // namespace

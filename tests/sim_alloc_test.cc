@@ -17,6 +17,8 @@
 
 #include "cloud/broker.h"
 #include "core/application_provisioner.h"
+#include "experiment/scenario.h"
+#include "experiment/world.h"
 #include "workload/poisson_source.h"
 
 namespace {
@@ -102,6 +104,46 @@ TEST(ServePathAllocation, SteadyStateServesWithZeroHeapAllocations) {
   // through the typed inline-delegate path only (no boxed closures at all:
   // arrivals, completions, and boots are method binds).
   EXPECT_EQ(sim.queue().boxed_pushed_count(), 0u);
+}
+
+// Tiered Zipf world (cache tier on, adaptive policy, telemetry off): every
+// request reads the LRU/TTL directory and about half fill it. Once the
+// directory has grown to its capacity, fills, touches, expiries and
+// evictions recycle slab slots and index buckets, so a further stretch of
+// traffic allocates only per analysis window (decision logs, the warmup
+// series, the planner) and never per request.
+TEST(ServePathAllocation, TieredZipfDirectoryAllocatesNothingPerRequest) {
+  ScenarioConfig config = zipf_scenario(0.02);
+  config.horizon = 6.0 * 3600.0;
+  config.zipf.horizon = config.horizon;
+  config.apptier.enabled = true;
+  World world(config, PolicySpec::adaptive(), 42);
+  world.start();
+
+  // Warmup: two hours fill the directory past capacity (evictions run).
+  world.run_to(2.0 * 3600.0);
+  const World::Counters before = world.counters();
+  ASSERT_GT(before.cache_hits + before.cache_misses, 100000u);
+
+  const std::uint64_t allocations_before =
+      g_allocations.load(std::memory_order_relaxed);
+  world.run_to(5.0 * 3600.0);
+  const std::uint64_t allocations_during =
+      g_allocations.load(std::memory_order_relaxed) - allocations_before;
+  const World::Counters after = world.counters();
+  const std::uint64_t lookups = (after.cache_hits + after.cache_misses) -
+                                (before.cache_hits + before.cache_misses);
+  const std::uint64_t misses = after.cache_misses - before.cache_misses;
+
+  // The stretch really served traffic through the directory...
+  EXPECT_GT(lookups, 200000u);
+  EXPECT_GT(misses, lookups / 4);
+  // ...and its allocations scale with the 180 analysis windows it spans
+  // (decision logs, the warmup series, the planners), not with the ~215k
+  // lookups and ~95k fills: a node-based directory allocates twice per fill.
+  constexpr std::uint64_t kWindows = 3 * 60;
+  EXPECT_LT(allocations_during, 32 * kWindows)
+      << allocations_during << " allocations over " << lookups << " lookups";
 }
 
 }  // namespace
