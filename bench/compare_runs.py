@@ -13,11 +13,14 @@ cloudprov-run-manifest/1). Two modes:
 
 The diff compares every metric: integer metrics must match exactly unless
 the runs differ in scenario/seed (then they are reported, not flagged);
-float metrics compare with a relative tolerance. Metrics where higher is
-worse (rejection_rate, qos_violations, avg_response_time, ...) flag a
-regression when the candidate exceeds the baseline beyond tolerance. The
-wall section compares total wall_seconds and per-category self time with a
-looser tolerance (wall time is machine-noisy).
+float metrics compare with a relative tolerance. The manifest's
+metric_directions block says which metrics regress when they rise
+(rejection_rate, avg_response_time, ...) or fall (completed, availability,
+...); such a metric flags a regression when it moves the wrong way beyond
+tolerance. Directions are read from whichever manifest carries them, so a
+manifest from before the block existed still diffs. The wall section
+compares total wall_seconds and per-category self time with a looser
+tolerance (wall time is machine-noisy).
 
 Exit codes: 0 ok, 1 regression found, 2 parse/validation error.
 """
@@ -28,35 +31,7 @@ import sys
 
 SCHEMA = "cloudprov-run-manifest/1"
 
-# Metrics where a higher candidate value is a regression. Everything else in
-# the metrics block is either neutral bookkeeping (counts that just changed
-# with the scenario) or better-when-higher (handled below).
-WORSE_WHEN_HIGHER = [
-    "rejected",
-    "qos_violations",
-    "avg_response_time",
-    "std_response_time",
-    "p95_response_time",
-    "p99_response_time",
-    "rejection_rate",
-    "lost_requests",
-    "slo_response_alerts",
-    "slo_rejection_alerts",
-    "drift_response_mape",
-    "billed_cost",
-    "client_failed",
-    "client_timeouts",
-    "retry_budget_denied",
-    "breaker_fast_fails",
-    "lambda_miss_mean",
-]
-WORSE_WHEN_LOWER = [
-    "completed",
-    "availability",
-    "utilization",
-    "client_succeeded",
-    "cache_hit_ratio",
-]
+DIRECTIONS = ("higher_is_worse", "lower_is_worse")
 
 # Wall categories that are waiting, not work: barrier self-time is worker
 # threads parked at the window sync (it legitimately appears/scales with
@@ -113,6 +88,12 @@ def validate(doc, path, min_coverage):
     for key in REQUIRED_METRICS:
         if key not in metrics:
             problems.append(f"missing metric {key!r}")
+    for key, direction in doc.get("metric_directions", {}).items():
+        if key not in metrics:
+            problems.append(f"metric_directions names {key!r}, which is "
+                            f"not in metrics")
+        if direction not in DIRECTIONS:
+            problems.append(f"metric_directions[{key!r}] = {direction!r}")
     if metrics.get("generated", 0) <= 0:
         problems.append("metrics.generated is not positive")
     accepted = metrics.get("accepted", 0)
@@ -190,6 +171,34 @@ def rel_delta(base, cand):
     return (cand - base) / denom
 
 
+def diff_metrics(base_m, cand_m, prefix, directions, tolerance,
+                 identical_inputs, regressions, notes):
+    """Diffs one metrics block; `prefix` names it in the report lines."""
+    for key in sorted(set(base_m) | set(cand_m)):
+        if key == "wall_seconds":
+            continue  # handled with the wall section
+        b, c = base_m.get(key), cand_m.get(key)
+        if b is None or c is None:
+            notes.append(f"metric {prefix}{key} present in only one "
+                         f"manifest")
+            continue
+        if b == c:
+            continue
+        delta = rel_delta(b, c)
+        line = f"  {prefix}{key}: {b} -> {c} ({delta:+.2%})"
+        direction = directions.get(key)
+        if direction == "higher_is_worse" and delta > tolerance:
+            regressions.append(line)
+        elif direction == "lower_is_worse" and delta < -tolerance:
+            regressions.append(line)
+        elif identical_inputs and isinstance(b, int) and isinstance(c, int):
+            # Same scenario + seed should be deterministic: any integer
+            # drift means behavior changed, which is worth failing loudly.
+            regressions.append(line + " [determinism]")
+        else:
+            notes.append(line)
+
+
 def diff(base_doc, cand_doc, base_path, cand_path, tolerance, wall_tolerance):
     regressions = []
     notes = []
@@ -201,28 +210,11 @@ def diff(base_doc, cand_doc, base_path, cand_path, tolerance, wall_tolerance):
         notes.append(f"commits: {base_doc['build'].get('git_commit')} -> "
                      f"{cand_doc['build'].get('git_commit')}")
 
+    directions = {**base_doc.get("metric_directions", {}),
+                  **cand_doc.get("metric_directions", {})}
     base_m, cand_m = base_doc["metrics"], cand_doc["metrics"]
-    for key in sorted(set(base_m) | set(cand_m)):
-        if key == "wall_seconds":
-            continue  # handled with the wall section
-        b, c = base_m.get(key), cand_m.get(key)
-        if b is None or c is None:
-            notes.append(f"metric {key} present in only one manifest")
-            continue
-        if b == c:
-            continue
-        delta = rel_delta(b, c)
-        line = f"  {key}: {b} -> {c} ({delta:+.2%})"
-        if key in WORSE_WHEN_HIGHER and delta > tolerance:
-            regressions.append(line)
-        elif key in WORSE_WHEN_LOWER and delta < -tolerance:
-            regressions.append(line)
-        elif identical_inputs and isinstance(b, int) and isinstance(c, int):
-            # Same scenario + seed should be deterministic: any integer
-            # drift means behavior changed, which is worth failing loudly.
-            regressions.append(line + " [determinism]")
-        else:
-            notes.append(line)
+    diff_metrics(base_m, cand_m, "", directions, tolerance, identical_inputs,
+                 regressions, notes)
 
     # Multi-tenant manifests additionally diff the arbiter history and every
     # per-tenant metrics block. Shard count is free to differ: sharding is
@@ -251,29 +243,10 @@ def diff(base_doc, cand_doc, base_path, cand_path, tolerance, wall_tolerance):
             if tid not in base_rows or tid not in cand_rows:
                 notes.append(f"tenant {tid} present in only one manifest")
                 continue
-            bm = base_rows[tid]["metrics"]
-            cm = cand_rows[tid]["metrics"]
-            for key in sorted(set(bm) | set(cm)):
-                if key == "wall_seconds":
-                    continue
-                b, c = bm.get(key), cm.get(key)
-                if b is None or c is None:
-                    notes.append(f"tenant[{tid}].{key} present in only "
-                                 f"one manifest")
-                    continue
-                if b == c:
-                    continue
-                delta = rel_delta(b, c)
-                line = f"  tenant[{tid}].{key}: {b} -> {c} ({delta:+.2%})"
-                if key in WORSE_WHEN_HIGHER and delta > tolerance:
-                    regressions.append(line)
-                elif key in WORSE_WHEN_LOWER and delta < -tolerance:
-                    regressions.append(line)
-                elif (identical_inputs and isinstance(b, int)
-                        and isinstance(c, int)):
-                    regressions.append(line + " [determinism]")
-                else:
-                    notes.append(line)
+            diff_metrics(base_rows[tid]["metrics"],
+                         cand_rows[tid]["metrics"], f"tenant[{tid}].",
+                         directions, tolerance, identical_inputs,
+                         regressions, notes)
     elif (base_mt is None) != (cand_mt is None):
         notes.append("only one manifest is multi-tenant")
 

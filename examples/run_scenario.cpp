@@ -117,7 +117,7 @@ void parse_retry_spec(const std::string& spec, RetryPolicyConfig* retry) {
     }
     if (parts.size() > 2) retry->base = std::stod(parts[2]);
     if (parts.size() > 3) retry->cap = std::stod(parts[3]);
-  } catch (const std::invalid_argument&) {
+  } catch (const std::logic_error&) {  // invalid_argument, out_of_range
     throw std::invalid_argument("bad --retry spec: " + spec);
   }
 }
@@ -128,7 +128,7 @@ void parse_budget_spec(const std::string& spec, RetryBudgetConfig* budget) {
     budget->enabled = true;
     budget->ratio = std::stod(parts.at(0));
     if (parts.size() > 1) budget->burst = std::stod(parts[1]);
-  } catch (const std::invalid_argument&) {
+  } catch (const std::logic_error&) {  // invalid_argument, out_of_range
     throw std::invalid_argument("bad --retry-budget spec: " + spec);
   }
 }
@@ -141,7 +141,7 @@ void parse_breaker_spec(const std::string& spec, CircuitBreakerConfig* breaker) 
     if (parts.size() > 1) breaker->window = std::stoul(parts[1]);
     if (parts.size() > 2) breaker->open_duration = std::stod(parts[2]);
     if (parts.size() > 3) breaker->half_open_probes = std::stoul(parts[3]);
-  } catch (const std::invalid_argument&) {
+  } catch (const std::logic_error&) {  // invalid_argument, out_of_range
     throw std::invalid_argument("bad --breaker spec: " + spec);
   }
 }
@@ -162,7 +162,7 @@ void parse_shed_spec(const std::string& spec, ShedConfig* shed) {
       } else {
         throw std::invalid_argument("mechanism must be deadline | brownout");
       }
-    } catch (const std::invalid_argument&) {
+    } catch (const std::logic_error&) {  // invalid_argument, out_of_range
       throw std::invalid_argument("bad --shed spec: " + spec);
     }
   }
@@ -197,9 +197,7 @@ RunOutput run_replication_zero(const ScenarioConfig& config,
   return world.finish();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+ArgParser make_args() {
   ArgParser args("Runs one provisioning scenario and reports the paper's metrics.");
   args.add_flag("workload", "web", "web | scientific | zipf", "<name>");
   args.add_flag("policy", "adaptive", "adaptive | static", "<name>");
@@ -432,7 +430,12 @@ int main(int argc, char** argv) {
   args.add_flag("log", "warn", "log level", "<level>");
   args.add_flag("log-file", "", "redirect log lines from stderr to this file",
                 "<path>");
-  if (!args.parse(argc, argv)) return 0;
+  return args;
+}
+
+/// Runs the parsed command line. Bad input throws; main() maps the
+/// exception to an exit status.
+int run(const ArgParser& args) {
   Logger::instance().set_level(Logger::parse_level(args.get_string("log")));
   if (const std::string path = args.get_string("log-file"); !path.empty()) {
     if (!Logger::instance().set_sink_file(path)) {
@@ -865,4 +868,27 @@ int main(int argc, char** argv) {
     std::cout << "run manifest written to " << manifest_path << '\n';
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  ArgParser args = make_args();
+  // A bad flag or value is a usage error (exit 2); anything else that stops
+  // the run, such as an unreadable checkpoint, is a runtime error (exit 1).
+  const auto usage_error = [&](const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n\n" << args.help();
+    return 2;
+  };
+  try {
+    if (!args.parse(argc, argv)) return 0;
+    return run(args);
+  } catch (const std::invalid_argument& error) {
+    return usage_error(error);
+  } catch (const std::out_of_range& error) {
+    return usage_error(error);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << '\n';
+    return 1;
+  }
 }

@@ -1,51 +1,17 @@
 #include "experiment/manifest.h"
 
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <sstream>
+#include <type_traits>
 
 #include "experiment/multi_tenant.h"
 #include "lookahead/world_state.h"
 #include "profile/build_info.h"
 #include "profile/wall_profiler.h"
+#include "util/json.h"
 
 namespace cloudprov {
 namespace {
-
-// Same JSON conventions as the other exporters (telemetry/export.cc,
-// profile/profile_export.cc — both file-local).
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "0";
-  std::ostringstream out;
-  out.precision(17);
-  out << value;
-  return out.str();
-}
-
-std::string json_string(const std::string& text) {
-  std::string escaped = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"': escaped += "\\\""; break;
-      case '\\': escaped += "\\\\"; break;
-      case '\n': escaped += "\\n"; break;
-      case '\t': escaped += "\\t"; break;
-      case '\r': escaped += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          escaped += buffer;
-        } else {
-          escaped += c;
-        }
-    }
-  }
-  escaped += '"';
-  return escaped;
-}
 
 /// Key/value emitter that handles the comma discipline within one object.
 class JsonObject {
@@ -63,102 +29,49 @@ class JsonObject {
   void uint(const char* key, std::uint64_t value) { field(key, std::to_string(value)); }
   void boolean(const char* key, bool value) { field(key, value ? "true" : "false"); }
 
+  /// Nested object one level deeper, filled by body(JsonObject&).
+  template <typename Body>
+  void object(const char* key, Body&& body) {
+    std::ostringstream nested;
+    nested << "{\n";
+    JsonObject inner(nested, indent_ + 2);
+    body(inner);
+    nested << '\n' << std::string(static_cast<std::size_t>(indent_), ' ')
+           << '}';
+    field(key, nested.str());
+  }
+
  private:
   std::ostream& out_;
   int indent_;
   bool first_ = true;
 };
 
-void write_metrics(std::ostream& out, const RunMetrics& m, int indent = 4) {
-  JsonObject obj(out, indent);
+void write_metrics(JsonObject& obj, const RunMetrics& m) {
   obj.str("policy", m.policy);
-  obj.uint("seed", m.seed);
-  obj.uint("generated", m.generated);
-  obj.uint("accepted", m.accepted);
-  obj.uint("rejected", m.rejected);
-  obj.uint("completed", m.completed);
-  obj.uint("qos_violations", m.qos_violations);
-  obj.num("avg_response_time", m.avg_response_time);
-  obj.num("std_response_time", m.std_response_time);
-  obj.num("p95_response_time", m.p95_response_time);
-  obj.num("p99_response_time", m.p99_response_time);
-  obj.num("min_instances", m.min_instances);
-  obj.num("max_instances", m.max_instances);
-  obj.num("avg_instances", m.avg_instances);
-  obj.num("vm_hours", m.vm_hours);
-  obj.num("busy_vm_hours", m.busy_vm_hours);
-  obj.num("utilization", m.utilization);
-  obj.num("rejection_rate", m.rejection_rate);
-  obj.uint("instance_failures", m.instance_failures);
-  obj.uint("vm_crashes", m.vm_crashes);
-  obj.uint("host_crashes", m.host_crashes);
-  obj.uint("boot_failures", m.boot_failures);
-  obj.uint("boot_timeouts", m.boot_timeouts);
-  obj.uint("lost_requests", m.lost_requests);
-  obj.uint("lost_to_vm_crashes", m.lost_to_vm_crashes);
-  obj.uint("lost_to_host_crashes", m.lost_to_host_crashes);
-  obj.num("availability", m.availability);
-  obj.uint("recoveries", m.recoveries);
-  obj.num("mttr_mean", m.mttr_mean);
-  obj.num("mttr_max", m.mttr_max);
-  obj.uint("reconciler_heals", m.reconciler_heals);
-  obj.uint("reconciler_retries", m.reconciler_retries);
-  obj.uint("reconciler_aborts", m.reconciler_aborts);
-  obj.uint("final_instances", m.final_instances);
-  obj.uint("slo_response_alerts", m.slo_response_alerts);
-  obj.uint("slo_rejection_alerts", m.slo_rejection_alerts);
-  obj.num("slo_worst_burn_rate", m.slo_worst_burn_rate);
-  obj.uint("drift_windows", m.drift_windows);
-  obj.num("drift_response_mape", m.drift_response_mape);
-  obj.num("drift_response_bias", m.drift_response_bias);
-  obj.uint("spans_traced", m.spans_traced);
-  obj.num("billed_cost", m.billed_cost);
-  obj.num("on_demand_cost", m.on_demand_cost);
-  obj.num("spot_cost", m.spot_cost);
-  obj.num("reserved_cost", m.reserved_cost);
-  obj.uint("on_demand_purchases", m.on_demand_purchases);
-  obj.uint("spot_purchases", m.spot_purchases);
-  obj.uint("reserved_purchases", m.reserved_purchases);
-  obj.uint("spot_revocations", m.spot_revocations);
-  obj.uint("revocation_kills", m.revocation_kills);
-  obj.uint("lost_to_revocations", m.lost_to_revocations);
-  obj.num("spot_price_mean", m.spot_price_mean);
-  obj.num("spot_price_max", m.spot_price_max);
-  obj.uint("client_requests", m.client_requests);
-  obj.uint("client_succeeded", m.client_succeeded);
-  obj.uint("client_failed", m.client_failed);
-  obj.uint("client_attempts", m.client_attempts);
-  obj.uint("client_retries", m.client_retries);
-  obj.uint("retry_budget_denied", m.retry_budget_denied);
-  obj.uint("client_timeouts", m.client_timeouts);
-  obj.uint("wasted_completions", m.wasted_completions);
-  obj.uint("breaker_opens", m.breaker_opens);
-  obj.uint("breaker_half_opens", m.breaker_half_opens);
-  obj.uint("breaker_closes", m.breaker_closes);
-  obj.uint("breaker_fast_fails", m.breaker_fast_fails);
-  obj.uint("shed_deadline", m.shed_deadline);
-  obj.uint("shed_brownout", m.shed_brownout);
-  obj.uint("cache_hits", m.cache_hits);
-  obj.uint("cache_misses", m.cache_misses);
-  obj.num("cache_hit_ratio", m.cache_hit_ratio);
-  obj.uint("cache_fills", m.cache_fills);
-  obj.uint("cache_evictions", m.cache_evictions);
-  obj.uint("cache_expirations", m.cache_expirations);
-  obj.uint("cache_invalidations", m.cache_invalidations);
-  obj.uint("cache_flushes", m.cache_flushes);
-  obj.num("cache_vm_hours", m.cache_vm_hours);
-  obj.num("cache_utilization", m.cache_utilization);
-  obj.num("cache_avg_instances", m.cache_avg_instances);
-  obj.uint("cache_final_instances", m.cache_final_instances);
-  obj.num("lambda_miss_mean", m.lambda_miss_mean);
-  obj.num("cache_avg_response_time", m.cache_avg_response_time);
-  obj.num("backend_avg_response_time", m.backend_avg_response_time);
-  obj.uint("simulated_events", m.simulated_events);
-  obj.num("wall_seconds", m.wall_seconds);
+  for_each_metric(m, [&](const char* name, const auto& value, MetricDirection) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>, double>) {
+      obj.num(name, value);
+    } else {
+      obj.uint(name, value);
+    }
+  });
 }
 
-void write_scenario(std::ostream& out, const ScenarioConfig& config) {
-  JsonObject obj(out, 4);
+/// The schema's regression directions, so bench/compare_runs.py needs no
+/// metric name lists of its own. Neutral metrics are omitted.
+void write_metric_directions(JsonObject& obj) {
+  for_each_metric(RunMetrics{}, [&](const char* name, const auto&,
+                                    MetricDirection direction) {
+    if (direction == MetricDirection::kHigherIsWorse) {
+      obj.str(name, "higher_is_worse");
+    } else if (direction == MetricDirection::kLowerIsWorse) {
+      obj.str(name, "lower_is_worse");
+    }
+  });
+}
+
+void write_scenario(JsonObject& obj, const ScenarioConfig& config) {
   obj.str("workload", to_string(config.workload));
   obj.num("scale", config.scale);
   obj.num("horizon", config.horizon);
@@ -196,9 +109,8 @@ void write_scenario(std::ostream& out, const ScenarioConfig& config) {
   }
 }
 
-void write_wall(std::ostream& out, const RunMetrics& metrics,
+void write_wall(JsonObject& obj, const RunMetrics& metrics,
                 const WallProfiler* profiler) {
-  JsonObject obj(out, 4);
   obj.num("wall_seconds", metrics.wall_seconds);
   if (profiler == nullptr) {
     obj.field("breakdown", "[]");
@@ -253,50 +165,50 @@ void write_wall(std::ostream& out, const RunMetrics& metrics,
   }
 }
 
-}  // namespace
-
-void write_run_manifest(std::ostream& out, const ScenarioConfig& config,
-                        const std::string& policy_label, std::uint64_t seed,
-                        std::size_t replications, const RunMetrics& metrics,
-                        const WallProfiler* profiler) {
+/// The header every manifest opens with: schema, timestamp, build.
+void write_header(JsonObject& root) {
   const auto now_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                           std::chrono::system_clock::now().time_since_epoch())
                           .count();
-  const SeedStreams streams = derive_streams(seed);
-
-  out << "{\n";
-  JsonObject root(out, 2);
   root.str("schema", "cloudprov-run-manifest/1");
   root.uint("generated_unix_ms", static_cast<std::uint64_t>(now_ms));
-
-  std::ostringstream build;
-  build << "{\n";
-  {
-    JsonObject obj(build, 4);
+  root.object("build", [](JsonObject& obj) {
     obj.str("git_commit", kBuildGitCommit);
     obj.str("compiler_id", kBuildCompilerId);
     obj.str("compiler_version", kBuildCompilerVersion);
     obj.str("build_type", kBuildType);
     obj.str("cxx_flags", kBuildCxxFlags);
     obj.str("system", kBuildSystem);
-  }
-  build << "\n  }";
-  root.field("build", build.str());
+  });
+}
 
-  std::ostringstream scenario;
-  scenario << "{\n";
-  write_scenario(scenario, config);
-  scenario << "\n  }";
-  root.field("scenario", scenario.str());
+/// The blocks every manifest closes with: metrics, their regression
+/// directions, and the wall-time breakdown.
+void write_results(JsonObject& root, const RunMetrics& metrics,
+                   const WallProfiler* profiler) {
+  root.object("metrics",
+              [&](JsonObject& obj) { write_metrics(obj, metrics); });
+  root.object("metric_directions", write_metric_directions);
+  root.object("wall",
+              [&](JsonObject& obj) { write_wall(obj, metrics, profiler); });
+}
 
+}  // namespace
+
+void write_run_manifest(std::ostream& out, const ScenarioConfig& config,
+                        const std::string& policy_label, std::uint64_t seed,
+                        std::size_t replications, const RunMetrics& metrics,
+                        const WallProfiler* profiler) {
+  const SeedStreams streams = derive_streams(seed);
+  out << "{\n";
+  JsonObject root(out, 2);
+  write_header(root);
+  root.object("scenario",
+              [&](JsonObject& obj) { write_scenario(obj, config); });
   root.str("policy", policy_label);
   root.uint("seed", seed);
   root.uint("replications", replications);
-
-  std::ostringstream seeds;
-  seeds << "{\n";
-  {
-    JsonObject obj(seeds, 4);
+  root.object("seed_streams", [&](JsonObject& obj) {
     obj.uint("workload", streams.workload);
     obj.uint("placement", streams.placement);
     obj.uint("fault", streams.fault);
@@ -304,22 +216,8 @@ void write_run_manifest(std::ostream& out, const ScenarioConfig& config,
     obj.uint("lookahead", streams.lookahead);
     obj.uint("resilience", streams.resilience);
     obj.uint("apptier", streams.apptier);
-  }
-  seeds << "\n  }";
-  root.field("seed_streams", seeds.str());
-
-  std::ostringstream metrics_json;
-  metrics_json << "{\n";
-  write_metrics(metrics_json, metrics);
-  metrics_json << "\n  }";
-  root.field("metrics", metrics_json.str());
-
-  std::ostringstream wall;
-  wall << "{\n";
-  write_wall(wall, metrics, profiler);
-  wall << "\n  }";
-  root.field("wall", wall.str());
-
+  });
+  write_results(root, metrics, profiler);
   out << "\n}\n";
 }
 
@@ -327,35 +225,13 @@ void write_multi_tenant_manifest(std::ostream& out,
                                  const MultiTenantConfig& config,
                                  const MultiTenantResult& result,
                                  const WallProfiler* profiler) {
-  const auto now_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          std::chrono::system_clock::now().time_since_epoch())
-                          .count();
   out << "{\n";
   JsonObject root(out, 2);
-  root.str("schema", "cloudprov-run-manifest/1");
-  root.uint("generated_unix_ms", static_cast<std::uint64_t>(now_ms));
-
-  std::ostringstream build;
-  build << "{\n";
-  {
-    JsonObject obj(build, 4);
-    obj.str("git_commit", kBuildGitCommit);
-    obj.str("compiler_id", kBuildCompilerId);
-    obj.str("compiler_version", kBuildCompilerVersion);
-    obj.str("build_type", kBuildType);
-    obj.str("cxx_flags", kBuildCxxFlags);
-    obj.str("system", kBuildSystem);
-  }
-  build << "\n  }";
-  root.field("build", build.str());
-
+  write_header(root);
   // The population IS the scenario: every per-tenant scenario derives from
   // these parameters plus the master seed, so this block is the full run
   // identity for compare_runs.py's same-input determinism check.
-  std::ostringstream scenario;
-  scenario << "{\n";
-  {
-    JsonObject obj(scenario, 4);
+  root.object("scenario", [&](JsonObject& obj) {
     obj.str("workload", "multi-tenant");
     obj.uint("tenants", config.tenants);
     obj.num("horizon", config.horizon);
@@ -369,18 +245,11 @@ void write_multi_tenant_manifest(std::ostream& out,
     obj.boolean("market_enabled", config.market_enabled);
     obj.num("spot_fraction", config.spot_fraction);
     obj.num("bid", config.bid);
-  }
-  scenario << "\n  }";
-  root.field("scenario", scenario.str());
-
+  });
   root.str("policy", result.aggregate.policy);
   root.uint("seed", config.seed);
   root.uint("replications", 1);
-
-  std::ostringstream mt;
-  mt << "{\n";
-  {
-    JsonObject obj(mt, 4);
+  root.object("multi_tenant", [&](JsonObject& obj) {
     obj.uint("tenants", result.tenants.size());
     obj.uint("shards", result.shards);
     obj.uint("windows", result.windows);
@@ -397,36 +266,17 @@ void write_multi_tenant_manifest(std::ostream& out,
       if (!first) tenants << ",\n";
       first = false;
       tenants << "      {\n";
-      {
-        JsonObject row(tenants, 8);
-        row.uint("id", tenant.id);
-        row.str("kind", to_string(tenant.kind));
-        std::ostringstream metrics_json;
-        metrics_json << "{\n";
-        write_metrics(metrics_json, tenant.metrics, 10);
-        metrics_json << "\n        }";
-        row.field("metrics", metrics_json.str());
-      }
+      JsonObject row(tenants, 8);
+      row.uint("id", tenant.id);
+      row.str("kind", to_string(tenant.kind));
+      row.object("metrics",
+                 [&](JsonObject& m) { write_metrics(m, tenant.metrics); });
       tenants << "\n      }";
     }
     tenants << "\n    ]";
     obj.field("tenant_metrics", tenants.str());
-  }
-  mt << "\n  }";
-  root.field("multi_tenant", mt.str());
-
-  std::ostringstream metrics_json;
-  metrics_json << "{\n";
-  write_metrics(metrics_json, result.aggregate);
-  metrics_json << "\n  }";
-  root.field("metrics", metrics_json.str());
-
-  std::ostringstream wall;
-  wall << "{\n";
-  write_wall(wall, result.aggregate, profiler);
-  wall << "\n  }";
-  root.field("wall", wall.str());
-
+  });
+  write_results(root, result.aggregate, profiler);
   out << "\n}\n";
 }
 

@@ -1,7 +1,8 @@
 // Run provenance manifest: a single JSON document that makes a result
 // reproducible and attributable — the build that produced it (git commit,
 // compiler, flags), the full run identity (scenario spec, policy label, base
-// seed and all six derived seed streams), the complete RunMetrics, and —
+// seed and all seven derived seed streams), the complete RunMetrics with
+// each metric's regression direction (both from for_each_metric), and —
 // when a profiler was attached — the wall-time breakdown and engine
 // internals. bench/compare_runs.py diffs two manifests and flags metric or
 // wall-breakdown regressions.

@@ -114,29 +114,6 @@ void print_fault_table(std::ostream& out, const std::vector<RunMetrics>& runs) {
   table.print(out);
 }
 
-void write_fault_csv(std::ostream& out, const std::vector<RunMetrics>& runs) {
-  CsvWriter csv(out);
-  csv.write_header({"policy", "seed", "instance_failures", "vm_crashes",
-                    "host_crashes", "boot_failures", "boot_timeouts",
-                    "lost_requests", "lost_to_vm_crashes",
-                    "lost_to_host_crashes", "availability", "recoveries",
-                    "mttr_mean", "mttr_max", "reconciler_heals",
-                    "reconciler_retries", "reconciler_aborts",
-                    "final_instances", "rejection_rate"});
-  for (const RunMetrics& r : runs) {
-    csv.write_row({r.policy, fmt_u64(r.seed), fmt_u64(r.instance_failures),
-                   fmt_u64(r.vm_crashes), fmt_u64(r.host_crashes),
-                   fmt_u64(r.boot_failures), fmt_u64(r.boot_timeouts),
-                   fmt_u64(r.lost_requests), fmt_u64(r.lost_to_vm_crashes),
-                   fmt_u64(r.lost_to_host_crashes),
-                   CsvWriter::format(r.availability), fmt_u64(r.recoveries),
-                   CsvWriter::format(r.mttr_mean), CsvWriter::format(r.mttr_max),
-                   fmt_u64(r.reconciler_heals), fmt_u64(r.reconciler_retries),
-                   fmt_u64(r.reconciler_aborts), fmt_u64(r.final_instances),
-                   CsvWriter::format(r.rejection_rate)});
-  }
-}
-
 void print_market_table(std::ostream& out, const std::vector<RunMetrics>& runs) {
   TextTable table({"policy", "cost", "od_cost", "spot_cost", "rsv_cost",
                    "buys_od", "buys_spot", "revoked", "kills", "lost",
@@ -151,31 +128,6 @@ void print_market_table(std::ostream& out, const std::vector<RunMetrics>& runs) 
                    fmt(r.rejection_rate, 4)});
   }
   table.print(out);
-}
-
-void write_market_metrics_csv(std::ostream& out,
-                              const std::vector<RunMetrics>& runs) {
-  CsvWriter csv(out);
-  csv.write_header({"policy", "seed", "billed_cost", "on_demand_cost",
-                    "spot_cost", "reserved_cost", "on_demand_purchases",
-                    "spot_purchases", "reserved_purchases", "spot_revocations",
-                    "revocation_kills", "lost_to_revocations",
-                    "spot_price_mean", "spot_price_max", "qos_violations",
-                    "rejection_rate", "avg_response_time"});
-  for (const RunMetrics& r : runs) {
-    csv.write_row({r.policy, fmt_u64(r.seed), CsvWriter::format(r.billed_cost),
-                   CsvWriter::format(r.on_demand_cost),
-                   CsvWriter::format(r.spot_cost),
-                   CsvWriter::format(r.reserved_cost),
-                   fmt_u64(r.on_demand_purchases), fmt_u64(r.spot_purchases),
-                   fmt_u64(r.reserved_purchases), fmt_u64(r.spot_revocations),
-                   fmt_u64(r.revocation_kills), fmt_u64(r.lost_to_revocations),
-                   CsvWriter::format(r.spot_price_mean),
-                   CsvWriter::format(r.spot_price_max),
-                   fmt_u64(r.qos_violations),
-                   CsvWriter::format(r.rejection_rate),
-                   CsvWriter::format(r.avg_response_time)});
-  }
 }
 
 void print_claim(std::ostream& out, const std::string& claim, double paper_value,

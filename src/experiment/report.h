@@ -42,9 +42,6 @@ void write_policy_csv(std::ostream& out,
 /// and the final pool size (shows permanent loss for unhealed static pools).
 void print_fault_table(std::ostream& out, const std::vector<RunMetrics>& runs);
 
-/// Writes the same fault comparison as CSV.
-void write_fault_csv(std::ostream& out, const std::vector<RunMetrics>& runs);
-
 /// One "paper vs measured" line for EXPERIMENTS.md-style reporting.
 void print_claim(std::ostream& out, const std::string& claim, double paper_value,
                  double measured_value, int precision = 2);
@@ -53,10 +50,6 @@ void print_claim(std::ostream& out, const std::string& claim, double paper_value
 /// purchase kind, purchase/revocation counts, requests lost to revocation
 /// kills, realized spot-price statistics, and QoS outcomes.
 void print_market_table(std::ostream& out, const std::vector<RunMetrics>& runs);
-
-/// Writes the same market comparison as CSV.
-void write_market_metrics_csv(std::ostream& out,
-                              const std::vector<RunMetrics>& runs);
 
 /// Prints the request-path resilience comparison: one row per run with
 /// logical-request goodput (succeeded/failed), attempt/retry volume, budget

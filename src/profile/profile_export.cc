@@ -2,51 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <iomanip>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "util/csv.h"
+#include "util/json.h"
 
 namespace cloudprov {
 namespace {
-
-// Same JSON conventions as telemetry/export.cc (file-local there): numbers
-// round-trip at precision 17 and non-finite values become 0.
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "0";
-  std::ostringstream out;
-  out.precision(17);
-  out << value;
-  return out.str();
-}
-
-std::string json_string(const std::string& text) {
-  std::string escaped = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"': escaped += "\\\""; break;
-      case '\\': escaped += "\\\\"; break;
-      case '\n': escaped += "\\n"; break;
-      case '\t': escaped += "\\t"; break;
-      case '\r': escaped += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          escaped += buffer;
-        } else {
-          escaped += c;
-        }
-    }
-  }
-  escaped += '"';
-  return escaped;
-}
 
 std::string folded_path(const std::vector<ProfileCategory>& path) {
   std::string joined;

@@ -1,49 +1,13 @@
 #include "telemetry/export.h"
 
-#include <cmath>
-#include <cstdio>
 #include <ostream>
-#include <sstream>
 
 #include "telemetry/telemetry.h"
 #include "util/csv.h"
+#include "util/json.h"
 
 namespace cloudprov {
 namespace {
-
-// Plain JSON number with round-trip precision; JSON has no inf/nan, so
-// non-finite values (which no instrumented site should produce) become 0.
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "0";
-  std::ostringstream out;
-  out.precision(17);
-  out << value;
-  return out.str();
-}
-
-std::string json_string(const std::string& text) {
-  std::string escaped = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"': escaped += "\\\""; break;
-      case '\\': escaped += "\\\\"; break;
-      case '\n': escaped += "\\n"; break;
-      case '\t': escaped += "\\t"; break;
-      case '\r': escaped += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          escaped += buffer;
-        } else {
-          escaped += c;
-        }
-    }
-  }
-  escaped += '"';
-  return escaped;
-}
 
 void write_metadata_event(std::ostream& out, const char* kind,
                           std::uint32_t tid, const std::string& label,

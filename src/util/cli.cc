@@ -36,8 +36,11 @@ bool ArgParser::parse(int argc, const char* const* argv) {
       token.erase(eq);
       has_value = true;
     }
+    // `--no-<flag>` negates only a registered <flag>; anything else unknown
+    // is reported under the name the user typed.
     bool negated = false;
-    if (!flags_.contains(token) && token.rfind("no-", 0) == 0) {
+    if (!flags_.contains(token) && token.rfind("no-", 0) == 0 &&
+        flags_.contains(token.substr(3))) {
       negated = true;
       token.erase(0, 3);
     }

@@ -39,52 +39,12 @@
 #include "experiment/world.h"
 #include "lookahead/checkpoint.h"
 #include "lookahead/world_state.h"
+#include "metrics_equality.h"
 #include "util/rng.h"
 #include "workload/zipf_workload.h"
 
 namespace cloudprov {
 namespace {
-
-// Deterministic RunMetrics fields a tiered run exercises, compared exactly.
-// The backend headline fields plus every cache_* field — a restored tier
-// that drifts in any counter (or in the RNG-driven response stats) fails.
-#define EXPECT_SAME(field) EXPECT_EQ(a.field, b.field) << #field
-void expect_identical_tiered(const RunMetrics& a, const RunMetrics& b) {
-  EXPECT_SAME(generated);
-  EXPECT_SAME(accepted);
-  EXPECT_SAME(rejected);
-  EXPECT_SAME(completed);
-  EXPECT_SAME(qos_violations);
-  EXPECT_SAME(avg_response_time);
-  EXPECT_SAME(std_response_time);
-  EXPECT_SAME(p95_response_time);
-  EXPECT_SAME(p99_response_time);
-  EXPECT_SAME(min_instances);
-  EXPECT_SAME(max_instances);
-  EXPECT_SAME(avg_instances);
-  EXPECT_SAME(vm_hours);
-  EXPECT_SAME(busy_vm_hours);
-  EXPECT_SAME(utilization);
-  EXPECT_SAME(rejection_rate);
-  EXPECT_SAME(final_instances);
-  EXPECT_SAME(cache_hits);
-  EXPECT_SAME(cache_misses);
-  EXPECT_SAME(cache_hit_ratio);
-  EXPECT_SAME(cache_fills);
-  EXPECT_SAME(cache_evictions);
-  EXPECT_SAME(cache_expirations);
-  EXPECT_SAME(cache_invalidations);
-  EXPECT_SAME(cache_flushes);
-  EXPECT_SAME(cache_vm_hours);
-  EXPECT_SAME(cache_utilization);
-  EXPECT_SAME(cache_avg_instances);
-  EXPECT_SAME(cache_final_instances);
-  EXPECT_SAME(lambda_miss_mean);
-  EXPECT_SAME(cache_avg_response_time);
-  EXPECT_SAME(backend_avg_response_time);
-  EXPECT_SAME(simulated_events);
-}
-#undef EXPECT_SAME
 
 // Tiered Zipf smoke: the AB14 sizing section's literals at a 4 h horizon.
 ScenarioConfig tiered_config(double scale = 0.02) {
@@ -672,7 +632,7 @@ TEST(TieredClone, SnapshotRestoreIsBitIdenticalIncludingMidTtlStorm) {
   for (const SimTime snapshot_time : {3601.7, 7300.9}) {
     const RunOutput resumed =
         clone_continue(config, PolicySpec::adaptive(), 42, snapshot_time);
-    expect_identical_tiered(resumed.metrics, full.metrics);
+    expect_same_metrics(resumed.metrics, full.metrics, {"wall_seconds"});
     ASSERT_EQ(resumed.apptier_series.size(), full.apptier_series.size())
         << "snapshot at " << snapshot_time;
     for (std::size_t i = 0; i < full.apptier_series.size(); ++i) {
@@ -717,7 +677,7 @@ TEST(TieredCheckpoint, DiskRoundtripContinuesBitIdentical) {
 
   World resumed(config, PolicySpec::adaptive(), 42, loaded);
   resumed.run_to(config.horizon);
-  expect_identical_tiered(resumed.finish().metrics, full.metrics);
+  expect_same_metrics(resumed.finish().metrics, full.metrics, {"wall_seconds"});
 }
 
 // Single-tier worlds never carry the section, and the codec rejects

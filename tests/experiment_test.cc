@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <string>
 
 #include "experiment/metrics.h"
 #include "experiment/report.h"
 #include "experiment/runner.h"
 #include "experiment/scenario.h"
+#include "metrics_equality.h"
 #include "util/csv.h"
 
 namespace cloudprov {
@@ -67,16 +70,23 @@ TEST(Runner, StaticScientificRunProducesPaperRejection) {
   EXPECT_EQ(agg.qos_violations.mean, 0.0);
 }
 
+// Every numeric RunMetrics member is 8 bytes and `policy` is the only
+// other one, so a member missing from for_each_metric breaks the size sum.
+TEST(RunMetricsSchema, VisitorCoversEveryMember) {
+  std::set<std::string> names;
+  for_each_metric(RunMetrics{}, [&](const char* name, const auto& value,
+                                    MetricDirection) {
+    static_assert(sizeof(value) == 8);
+    EXPECT_TRUE(names.insert(name).second) << "duplicate " << name;
+  });
+  EXPECT_EQ(sizeof(RunMetrics), sizeof(std::string) + 8 * names.size());
+}
+
 TEST(Runner, SameSeedSameResult) {
   const ScenarioConfig config = scientific_scenario(1.0);
   const RunOutput a = run_scenario(config, PolicySpec::adaptive(), 99);
   const RunOutput b = run_scenario(config, PolicySpec::adaptive(), 99);
-  EXPECT_EQ(a.metrics.generated, b.metrics.generated);
-  EXPECT_EQ(a.metrics.accepted, b.metrics.accepted);
-  EXPECT_EQ(a.metrics.rejected, b.metrics.rejected);
-  EXPECT_EQ(a.metrics.avg_response_time, b.metrics.avg_response_time);
-  EXPECT_EQ(a.metrics.vm_hours, b.metrics.vm_hours);
-  EXPECT_EQ(a.metrics.simulated_events, b.metrics.simulated_events);
+  expect_same_metrics(a.metrics, b.metrics, {"wall_seconds"});
   EXPECT_EQ(a.decisions.size(), b.decisions.size());
 }
 

@@ -10,6 +10,7 @@
 #include "experiment/runner.h"
 #include "fault/fault_injector.h"
 #include "fault/reconciler.h"
+#include "metrics_equality.h"
 
 namespace cloudprov {
 namespace {
@@ -479,48 +480,19 @@ ScenarioConfig faulted_scenario() {
   return config;
 }
 
-void expect_identical_metrics(const RunMetrics& a, const RunMetrics& b) {
-  EXPECT_EQ(a.generated, b.generated);
-  EXPECT_EQ(a.accepted, b.accepted);
-  EXPECT_EQ(a.rejected, b.rejected);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.qos_violations, b.qos_violations);
-  EXPECT_EQ(a.avg_response_time, b.avg_response_time);
-  EXPECT_EQ(a.std_response_time, b.std_response_time);
-  EXPECT_EQ(a.min_instances, b.min_instances);
-  EXPECT_EQ(a.max_instances, b.max_instances);
-  EXPECT_EQ(a.avg_instances, b.avg_instances);
-  EXPECT_EQ(a.vm_hours, b.vm_hours);
-  EXPECT_EQ(a.utilization, b.utilization);
-  EXPECT_EQ(a.instance_failures, b.instance_failures);
-  EXPECT_EQ(a.vm_crashes, b.vm_crashes);
-  EXPECT_EQ(a.host_crashes, b.host_crashes);
-  EXPECT_EQ(a.boot_failures, b.boot_failures);
-  EXPECT_EQ(a.boot_timeouts, b.boot_timeouts);
-  EXPECT_EQ(a.lost_requests, b.lost_requests);
-  EXPECT_EQ(a.availability, b.availability);
-  EXPECT_EQ(a.recoveries, b.recoveries);
-  EXPECT_EQ(a.mttr_mean, b.mttr_mean);
-  EXPECT_EQ(a.reconciler_heals, b.reconciler_heals);
-  EXPECT_EQ(a.reconciler_retries, b.reconciler_retries);
-  EXPECT_EQ(a.reconciler_aborts, b.reconciler_aborts);
-  EXPECT_EQ(a.final_instances, b.final_instances);
-  EXPECT_EQ(a.simulated_events, b.simulated_events);
-}
-
 TEST(FaultDeterminism, SameSeedSameMetricsAndTelemetryIsObservational) {
   const ScenarioConfig config = faulted_scenario();
   const RunMetrics first =
       run_scenario(config, PolicySpec::adaptive(), 4242).metrics;
   const RunMetrics repeat =
       run_scenario(config, PolicySpec::adaptive(), 4242).metrics;
-  expect_identical_metrics(first, repeat);
+  expect_same_metrics(first, repeat, {"wall_seconds"});
 
   TelemetryOptions opts;
   opts.trace_capacity = 1 << 14;
   const RunMetrics traced =
       run_scenario(config, PolicySpec::adaptive(), 4242, opts).metrics;
-  expect_identical_metrics(first, traced);
+  expect_same_metrics(first, traced, {"wall_seconds"});
 
   // The plan actually exercised the fault machinery.
   EXPECT_GT(first.instance_failures, 0u);

@@ -9,13 +9,15 @@
 //     live spot market,
 //   - snapshot fuzz at arbitrary (window-unaligned) times plus a chained
 //     snapshot-of-a-restored-world,
-//   - disk checkpoint roundtrip through the binary codec,
+//   - disk checkpoint roundtrip through the binary codec, and loading the
+//     v1/v2/v3 files older builds wrote (tests/data),
 //   - LookaheadPolicy: the disabled search (K = 1, no bids) is bit-identical
 //     to AdaptivePolicy, and an enabled search only ever commits candidates
 //     that do not degrade QoS versus Algorithm 1's own choice.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -23,6 +25,7 @@
 #include "experiment/world.h"
 #include "lookahead/checkpoint.h"
 #include "lookahead/world_state.h"
+#include "metrics_equality.h"
 #include "telemetry/export.h"
 #include "util/rng.h"
 
@@ -37,95 +40,6 @@ std::uint64_t fnv1a(const std::string& bytes) {
   }
   return hash;
 }
-
-// Every deterministic RunMetrics field, compared exactly (doubles with ==).
-// wall_seconds is the only exclusion: it measures the host, not the
-// simulation. `policy` is compared by the caller when labels should match.
-#define EXPECT_SAME(field) EXPECT_EQ(a.field, b.field) << #field
-void expect_identical_metrics(const RunMetrics& a, const RunMetrics& b) {
-  EXPECT_SAME(generated);
-  EXPECT_SAME(accepted);
-  EXPECT_SAME(rejected);
-  EXPECT_SAME(completed);
-  EXPECT_SAME(qos_violations);
-  EXPECT_SAME(avg_response_time);
-  EXPECT_SAME(std_response_time);
-  EXPECT_SAME(p95_response_time);
-  EXPECT_SAME(p99_response_time);
-  EXPECT_SAME(min_instances);
-  EXPECT_SAME(max_instances);
-  EXPECT_SAME(avg_instances);
-  EXPECT_SAME(vm_hours);
-  EXPECT_SAME(busy_vm_hours);
-  EXPECT_SAME(utilization);
-  EXPECT_SAME(rejection_rate);
-  EXPECT_SAME(instance_failures);
-  EXPECT_SAME(vm_crashes);
-  EXPECT_SAME(host_crashes);
-  EXPECT_SAME(boot_failures);
-  EXPECT_SAME(boot_timeouts);
-  EXPECT_SAME(lost_requests);
-  EXPECT_SAME(lost_to_vm_crashes);
-  EXPECT_SAME(lost_to_host_crashes);
-  EXPECT_SAME(availability);
-  EXPECT_SAME(recoveries);
-  EXPECT_SAME(mttr_mean);
-  EXPECT_SAME(mttr_max);
-  EXPECT_SAME(reconciler_heals);
-  EXPECT_SAME(reconciler_retries);
-  EXPECT_SAME(reconciler_aborts);
-  EXPECT_SAME(final_instances);
-  EXPECT_SAME(slo_response_alerts);
-  EXPECT_SAME(slo_rejection_alerts);
-  EXPECT_SAME(slo_worst_burn_rate);
-  EXPECT_SAME(drift_windows);
-  EXPECT_SAME(drift_response_mape);
-  EXPECT_SAME(drift_response_bias);
-  EXPECT_SAME(spans_traced);
-  EXPECT_SAME(billed_cost);
-  EXPECT_SAME(on_demand_cost);
-  EXPECT_SAME(spot_cost);
-  EXPECT_SAME(reserved_cost);
-  EXPECT_SAME(on_demand_purchases);
-  EXPECT_SAME(spot_purchases);
-  EXPECT_SAME(reserved_purchases);
-  EXPECT_SAME(spot_revocations);
-  EXPECT_SAME(revocation_kills);
-  EXPECT_SAME(lost_to_revocations);
-  EXPECT_SAME(spot_price_mean);
-  EXPECT_SAME(spot_price_max);
-  EXPECT_SAME(client_requests);
-  EXPECT_SAME(client_succeeded);
-  EXPECT_SAME(client_failed);
-  EXPECT_SAME(client_attempts);
-  EXPECT_SAME(client_retries);
-  EXPECT_SAME(retry_budget_denied);
-  EXPECT_SAME(client_timeouts);
-  EXPECT_SAME(wasted_completions);
-  EXPECT_SAME(breaker_opens);
-  EXPECT_SAME(breaker_half_opens);
-  EXPECT_SAME(breaker_closes);
-  EXPECT_SAME(breaker_fast_fails);
-  EXPECT_SAME(shed_deadline);
-  EXPECT_SAME(shed_brownout);
-  EXPECT_SAME(cache_hits);
-  EXPECT_SAME(cache_misses);
-  EXPECT_SAME(cache_hit_ratio);
-  EXPECT_SAME(cache_fills);
-  EXPECT_SAME(cache_evictions);
-  EXPECT_SAME(cache_expirations);
-  EXPECT_SAME(cache_invalidations);
-  EXPECT_SAME(cache_flushes);
-  EXPECT_SAME(cache_vm_hours);
-  EXPECT_SAME(cache_utilization);
-  EXPECT_SAME(cache_avg_instances);
-  EXPECT_SAME(cache_final_instances);
-  EXPECT_SAME(lambda_miss_mean);
-  EXPECT_SAME(cache_avg_response_time);
-  EXPECT_SAME(backend_avg_response_time);
-  EXPECT_SAME(simulated_events);
-}
-#undef EXPECT_SAME
 
 // Figure 5 smoke (same literals the kernel golden test pins): web workload
 // at scale 0.01, one day, adaptive, seed 42, every request traced.
@@ -275,8 +189,7 @@ TEST(WorldClone, Fig5GoldenCloneContinueIsBitIdentical) {
   const RunOutput resumed = clone_continue(config, PolicySpec::adaptive(), 42,
                                            telemetry, /*snapshot_time=*/40323.7);
 
-  expect_identical_metrics(resumed.metrics, full.metrics);
-  EXPECT_EQ(resumed.metrics.policy, full.metrics.policy);
+  expect_same_metrics(resumed.metrics, full.metrics, {"wall_seconds"});
   // Anchor against the historical goldens, not just the sibling run.
   EXPECT_EQ(resumed.metrics.generated, 707184u);
   EXPECT_EQ(resumed.metrics.simulated_events, 1385227u);
@@ -299,7 +212,7 @@ TEST(WorldClone, FaultSmokeCloneContinueIsBitIdentical) {
   const RunOutput resumed = clone_continue(config, PolicySpec::adaptive(), 7,
                                            std::nullopt,
                                            /*snapshot_time=*/50411.3);
-  expect_identical_metrics(resumed.metrics, full.metrics);
+  expect_same_metrics(resumed.metrics, full.metrics, {"wall_seconds"});
   EXPECT_EQ(resumed.metrics.simulated_events, 1387838u);
   EXPECT_GT(resumed.metrics.instance_failures, 0u);
 }
@@ -313,7 +226,7 @@ TEST(WorldClone, SpotMarketCloneContinueIsBitIdentical) {
   const RunOutput resumed = clone_continue(config, PolicySpec::adaptive(), 42,
                                            std::nullopt,
                                            /*snapshot_time=*/9013.9);
-  expect_identical_metrics(resumed.metrics, full.metrics);
+  expect_same_metrics(resumed.metrics, full.metrics, {"wall_seconds"});
   EXPECT_GT(resumed.metrics.billed_cost, 0.0);
   EXPECT_GT(resumed.metrics.spot_purchases, 0u);
 }
@@ -331,7 +244,7 @@ TEST(WorldClone, RetryStormCloneContinueIsBitIdentical) {
   // Mid-outage: the breaker has tripped and retries/timeouts are in flight.
   const RunOutput resumed = clone_continue(config, PolicySpec::adaptive(), 42,
                                            telemetry, /*snapshot_time=*/901.3);
-  expect_identical_metrics(resumed.metrics, full.metrics);
+  expect_same_metrics(resumed.metrics, full.metrics, {"wall_seconds"});
   // The storm actually stormed (otherwise this pins nothing).
   EXPECT_GT(full.metrics.client_retries, 0u);
   EXPECT_GT(full.metrics.client_timeouts, 0u);
@@ -364,7 +277,7 @@ TEST(WorldClone, SnapshotFuzzAtArbitraryTimes) {
     const SimTime snap_time = fuzz.uniform(60.0, config.horizon - 60.0);
     const RunOutput resumed = clone_continue(
         config, PolicySpec::adaptive(), 11, std::nullopt, snap_time);
-    expect_identical_metrics(resumed.metrics, full.metrics);
+    expect_same_metrics(resumed.metrics, full.metrics, {"wall_seconds"});
   }
 
   // Chained: snapshot at t1, restore, run to t2, snapshot again, restore.
@@ -377,7 +290,7 @@ TEST(WorldClone, SnapshotFuzzAtArbitraryTimes) {
   const WorldState second = middle.snapshot();
   World last(config, PolicySpec::adaptive(), 11, second);
   last.run_to(config.horizon);
-  expect_identical_metrics(last.finish().metrics, full.metrics);
+  expect_same_metrics(last.finish().metrics, full.metrics, {"wall_seconds"});
 }
 
 // --- satellite: disk checkpoint roundtrip ---------------------------------
@@ -405,7 +318,7 @@ TEST(Checkpoint, DiskRoundtripContinuesBitIdentical) {
 
   World resumed(config, PolicySpec::adaptive(), 42, loaded);
   resumed.run_to(config.horizon);
-  expect_identical_metrics(resumed.finish().metrics, full.metrics);
+  expect_same_metrics(resumed.finish().metrics, full.metrics, {"wall_seconds"});
 }
 
 // Satellite: the disk codec (v2) serializes the optional resilience section;
@@ -431,8 +344,69 @@ TEST(Checkpoint, DiskRoundtripMidRetryStormIsBitIdentical) {
 
   World resumed(config, PolicySpec::adaptive(), 42, loaded);
   resumed.run_to(config.horizon);
-  expect_identical_metrics(resumed.finish().metrics, full.metrics);
+  expect_same_metrics(resumed.finish().metrics, full.metrics, {"wall_seconds"});
   EXPECT_GT(full.metrics.client_retries, 0u);
+}
+
+// --- checkpoint fixtures (tests/data/README.md records each command) -------
+
+std::string fixture_path(const std::string& name) {
+  return std::string(CLOUDPROV_TEST_DATA_DIR) + "/" + name;
+}
+
+/// Restores a fixture written at t = 600 s of a `--seed 42` web day and
+/// requires the continuation to equal an uninterrupted run of the same
+/// config. run_scenario runs replication 0 under the first seed that
+/// replication_seeds derives from --seed.
+WorldState expect_fixture_continues(const std::string& name,
+                                    const ScenarioConfig& config) {
+  WorldState state = read_checkpoint_file(fixture_path(name));
+  EXPECT_EQ(state.now, 600.0);
+  const std::uint64_t seed = replication_seeds(1, 42).front();
+  const RunOutput full = run_scenario(config, PolicySpec::adaptive(), seed);
+  World resumed(config, PolicySpec::adaptive(), seed, state);
+  resumed.run_to(config.horizon);
+  expect_same_metrics(resumed.finish().metrics, full.metrics, {"wall_seconds"});
+  return state;
+}
+
+TEST(CheckpointFixture, Version1ContinuesBitIdentical) {
+  const WorldState state =
+      expect_fixture_continues("checkpoint_v1.bin", fig5_config());
+  EXPECT_FALSE(state.resilience.has_value());
+  EXPECT_FALSE(state.apptier.has_value());
+}
+
+TEST(CheckpointFixture, Version2ContinuesBitIdentical) {
+  ScenarioConfig config = fig5_config();
+  config.resilience.enabled = true;
+  config.resilience.retry.max_attempts = 3;
+  config.resilience.attempt_timeout = 0.5;
+  const WorldState state =
+      expect_fixture_continues("checkpoint_v2.bin", config);
+  ASSERT_TRUE(state.resilience.has_value());
+  EXPECT_GT(state.resilience->gateway.client_retries, 0u);
+  EXPECT_FALSE(state.apptier.has_value());
+}
+
+TEST(CheckpointFixture, Version3DecodesAndReencodesByteForByte) {
+  std::ifstream file(fixture_path("checkpoint_v3.bin"), std::ios::binary);
+  ASSERT_TRUE(file.good());
+  std::stringstream in(std::ios::in | std::ios::out | std::ios::binary);
+  in << file.rdbuf();
+  const std::string bytes = in.str();
+  const WorldState state = read_checkpoint(in);
+  ASSERT_TRUE(state.apptier.has_value());
+  EXPECT_FALSE(state.apptier->directory.empty());
+  ASSERT_EQ(state.apptier->flush_events.size(), 1u);
+  EXPECT_FALSE(state.apptier->flush_events[0].has_value());  // fired at 60 s
+  ASSERT_EQ(state.apptier->crash_events.size(), 1u);
+  EXPECT_TRUE(state.apptier->crash_events[0].has_value());  // due at 600 s
+
+  std::stringstream out(std::ios::in | std::ios::out | std::ios::binary);
+  write_checkpoint(out, state);
+  EXPECT_EQ(out.str().size(), bytes.size());
+  EXPECT_TRUE(out.str() == bytes) << "re-encoded v3 fixture differs";
 }
 
 TEST(Checkpoint, RejectsGarbageAndTruncation) {
@@ -468,7 +442,8 @@ TEST(LookaheadPolicy, DisabledSearchIsBitIdenticalToAdaptive) {
   const RunOutput lookahead =
       run_scenario(config, PolicySpec::lookahead_spec(1, 1), 42);
 
-  expect_identical_metrics(lookahead.metrics, adaptive.metrics);
+  expect_same_metrics(lookahead.metrics, adaptive.metrics,
+                      {"policy", "wall_seconds"});
   ASSERT_EQ(lookahead.decisions.size(), adaptive.decisions.size());
   for (std::size_t i = 0; i < adaptive.decisions.size(); ++i) {
     EXPECT_EQ(lookahead.decisions[i].target_instances,
@@ -487,7 +462,8 @@ TEST(LookaheadPolicy, DisabledSearchMatchesAdaptiveWithResilienceOn) {
   const RunOutput adaptive = run_scenario(config, PolicySpec::adaptive(), 42);
   const RunOutput lookahead =
       run_scenario(config, PolicySpec::lookahead_spec(1, 1), 42);
-  expect_identical_metrics(lookahead.metrics, adaptive.metrics);
+  expect_same_metrics(lookahead.metrics, adaptive.metrics,
+                      {"policy", "wall_seconds"});
   EXPECT_GT(adaptive.metrics.client_retries, 0u);
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "experiment/multi_tenant.h"
+#include "metrics_equality.h"
 #include "profile/wall_profiler.h"
 #include "sim/shard_executor.h"
 #include "telemetry/export.h"
@@ -33,65 +34,6 @@ std::uint64_t double_bits(double value) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &value, sizeof(bits));
   return bits;
-}
-
-/// Field-by-field bit-identity between two runs of the same tenant.
-/// wall_seconds is the one honest difference; everything else must match
-/// to the last bit (doubles are compared as bit patterns).
-void expect_bit_identical(const RunMetrics& a, const RunMetrics& b) {
-#define CLOUDPROV_EQ_INT(field) EXPECT_EQ(a.field, b.field) << #field
-#define CLOUDPROV_EQ_DBL(field)                              \
-  EXPECT_EQ(double_bits(a.field), double_bits(b.field))      \
-      << #field << ": " << a.field << " vs " << b.field
-  CLOUDPROV_EQ_INT(policy);
-  CLOUDPROV_EQ_INT(seed);
-  CLOUDPROV_EQ_INT(generated);
-  CLOUDPROV_EQ_INT(accepted);
-  CLOUDPROV_EQ_INT(rejected);
-  CLOUDPROV_EQ_INT(completed);
-  CLOUDPROV_EQ_INT(qos_violations);
-  CLOUDPROV_EQ_DBL(avg_response_time);
-  CLOUDPROV_EQ_DBL(std_response_time);
-  CLOUDPROV_EQ_DBL(p95_response_time);
-  CLOUDPROV_EQ_DBL(p99_response_time);
-  CLOUDPROV_EQ_DBL(min_instances);
-  CLOUDPROV_EQ_DBL(max_instances);
-  CLOUDPROV_EQ_DBL(avg_instances);
-  CLOUDPROV_EQ_DBL(vm_hours);
-  CLOUDPROV_EQ_DBL(busy_vm_hours);
-  CLOUDPROV_EQ_DBL(utilization);
-  CLOUDPROV_EQ_DBL(rejection_rate);
-  CLOUDPROV_EQ_INT(instance_failures);
-  CLOUDPROV_EQ_INT(vm_crashes);
-  CLOUDPROV_EQ_INT(host_crashes);
-  CLOUDPROV_EQ_INT(boot_failures);
-  CLOUDPROV_EQ_INT(boot_timeouts);
-  CLOUDPROV_EQ_INT(lost_requests);
-  CLOUDPROV_EQ_DBL(availability);
-  CLOUDPROV_EQ_INT(recoveries);
-  CLOUDPROV_EQ_DBL(mttr_mean);
-  CLOUDPROV_EQ_DBL(mttr_max);
-  CLOUDPROV_EQ_INT(reconciler_heals);
-  CLOUDPROV_EQ_INT(final_instances);
-  CLOUDPROV_EQ_INT(slo_response_alerts);
-  CLOUDPROV_EQ_INT(slo_rejection_alerts);
-  CLOUDPROV_EQ_INT(drift_windows);
-  CLOUDPROV_EQ_INT(spans_traced);
-  CLOUDPROV_EQ_DBL(billed_cost);
-  CLOUDPROV_EQ_DBL(on_demand_cost);
-  CLOUDPROV_EQ_DBL(spot_cost);
-  CLOUDPROV_EQ_INT(on_demand_purchases);
-  CLOUDPROV_EQ_INT(spot_purchases);
-  CLOUDPROV_EQ_INT(spot_revocations);
-  CLOUDPROV_EQ_INT(revocation_kills);
-  CLOUDPROV_EQ_INT(lost_to_revocations);
-  CLOUDPROV_EQ_DBL(spot_price_mean);
-  CLOUDPROV_EQ_DBL(spot_price_max);
-  CLOUDPROV_EQ_INT(capacity_clips);
-  CLOUDPROV_EQ_INT(capacity_denied);
-  CLOUDPROV_EQ_INT(simulated_events);
-#undef CLOUDPROV_EQ_INT
-#undef CLOUDPROV_EQ_DBL
 }
 
 std::uint64_t span_csv_hash(const TenantResult& tenant) {
@@ -269,8 +211,8 @@ TEST(MultiTenantGolden, ShardedMatchesSequentialBitIdentically) {
     for (std::size_t i = 0; i < base.tenants.size(); ++i) {
       SCOPED_TRACE("tenant " + std::to_string(i) + " shards " +
                    std::to_string(shards));
-      expect_bit_identical(base.tenants[i].metrics,
-                           sharded.tenants[i].metrics);
+      expect_same_metrics(base.tenants[i].metrics, sharded.tenants[i].metrics,
+                          {"wall_seconds"});
     }
     for (std::size_t i = 0; i < sequential.traced_tenants; ++i) {
       EXPECT_EQ(span_csv_hash(sharded.tenants[i]), base_span_hashes[i])
@@ -284,9 +226,7 @@ TEST(MultiTenantGolden, ShardedMatchesSequentialBitIdentically) {
     EXPECT_EQ(sharded.instances_denied, base.instances_denied);
     EXPECT_EQ(sharded.peak_granted, base.peak_granted);
     EXPECT_EQ(sharded.simulated_events, base.simulated_events);
-    EXPECT_EQ(sharded.aggregate.generated, base.aggregate.generated);
-    EXPECT_EQ(double_bits(sharded.aggregate.vm_hours),
-              double_bits(base.aggregate.vm_hours));
+    expect_same_metrics(sharded.aggregate, base.aggregate, {"wall_seconds"});
   }
 }
 
@@ -309,7 +249,8 @@ TEST(MultiTenantGolden, SharedMarketRunMatchesAcrossShardCounts) {
   const MultiTenantResult sharded = run_multi_tenant(config, threaded);
   for (std::size_t i = 0; i < base.tenants.size(); ++i) {
     SCOPED_TRACE("tenant " + std::to_string(i));
-    expect_bit_identical(base.tenants[i].metrics, sharded.tenants[i].metrics);
+    expect_same_metrics(base.tenants[i].metrics, sharded.tenants[i].metrics,
+                        {"wall_seconds"});
   }
 }
 
@@ -357,8 +298,8 @@ TEST(MultiTenant, ProfiledShardedRunIsNeutralAndAttributed) {
   // Profiling is output-only even in sharded mode.
   for (std::size_t i = 0; i < base.tenants.size(); ++i) {
     SCOPED_TRACE("tenant " + std::to_string(i));
-    expect_bit_identical(base.tenants[i].metrics,
-                         observed.tenants[i].metrics);
+    expect_same_metrics(base.tenants[i].metrics, observed.tenants[i].metrics,
+                        {"wall_seconds"});
   }
 
   // The shard workers' private profilers were drained into the run-level
@@ -460,13 +401,8 @@ TEST(MultiTenantGolden, TieredZipfTenantsMatchAcrossShardCounts) {
   const MultiTenantResult sharded = run_multi_tenant(config, threaded);
   for (std::size_t i = 0; i < base.tenants.size(); ++i) {
     SCOPED_TRACE("tenant " + std::to_string(i));
-    expect_bit_identical(base.tenants[i].metrics, sharded.tenants[i].metrics);
-    EXPECT_EQ(base.tenants[i].metrics.cache_hits,
-              sharded.tenants[i].metrics.cache_hits);
-    EXPECT_EQ(base.tenants[i].metrics.cache_misses,
-              sharded.tenants[i].metrics.cache_misses);
-    EXPECT_EQ(double_bits(base.tenants[i].metrics.cache_vm_hours),
-              double_bits(sharded.tenants[i].metrics.cache_vm_hours));
+    expect_same_metrics(base.tenants[i].metrics, sharded.tenants[i].metrics,
+                        {"wall_seconds"});
   }
 }
 

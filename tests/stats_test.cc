@@ -101,6 +101,10 @@ struct P2Case {
   std::function<double()> truth;
 };
 
+// Without this, gtest prints the case as raw bytes, and the name pointer's
+// address-randomised bytes leak into the discovered ctest test names.
+void PrintTo(const P2Case& c, std::ostream* os) { *os << "q=" << c.quantile; }
+
 class P2QuantileTest : public ::testing::TestWithParam<P2Case> {};
 
 TEST_P(P2QuantileTest, ConvergesToTrueQuantile) {
