@@ -98,14 +98,23 @@ def validate(doc, path, min_coverage):
         problems.append("metrics.generated is not positive")
     accepted = metrics.get("accepted", 0)
     rejected = metrics.get("rejected", 0)
-    # Admission counts are per attempt: with the retry gateway on, each
-    # logical request can hit admission several times, so the conservation
-    # law is against client_attempts, not broker arrivals.
-    attempts = metrics.get("client_attempts", 0)
-    expected = attempts if attempts > 0 else metrics.get("generated", -1)
+    # Admission counts are per attempt. With the retry gateway on, each
+    # logical request can reach admission several times, a breaker fast-fail
+    # never does, and a cache hit is admitted by the cache pool without
+    # passing the gateway.
+    gateway = doc.get("scenario", {}).get(
+        "resilience_enabled", metrics.get("client_attempts", 0) > 0)
+    if gateway:
+        expected = (metrics.get("cache_hits", 0)
+                    + metrics.get("client_attempts", 0)
+                    - metrics.get("breaker_fast_fails", 0))
+        law = "cache_hits + client_attempts - breaker_fast_fails"
+    else:
+        expected = metrics.get("generated", -1)
+        law = "generated"
     if accepted + rejected != expected:
         problems.append(f"accepted + rejected = {accepted + rejected} != "
-                        f"{expected} (attempts or generated)")
+                        f"{law} = {expected}")
     wall = doc.get("wall", {})
     if wall.get("wall_seconds", -1.0) < 0.0:
         problems.append("wall.wall_seconds is negative")

@@ -1,7 +1,6 @@
 #include "apptier/cache_tier.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "telemetry/telemetry.h"
 #include "util/check.h"
@@ -10,52 +9,6 @@
 namespace cloudprov {
 
 // --- CacheDirectory ---------------------------------------------------------
-
-std::uint32_t CacheDirectory::hash_of(std::uint64_t key) {
-  // Fibonacci hashing: the top bits of key * 2^64/phi spread sequential keys
-  // (the Zipf key space) evenly over a power-of-two table.
-  return static_cast<std::uint32_t>((key * 0x9e3779b97f4a7c15ULL) >> 32);
-}
-
-std::size_t CacheDirectory::find_bucket(std::uint64_t key,
-                                        std::uint32_t hash) const {
-  const std::size_t mask = buckets_.size() - 1;
-  std::size_t b = hash >> shift_;
-  for (;; b = (b + 1) & mask) {
-    const Bucket& bucket = buckets_[b];
-    if (bucket.entry == kNil) return b;
-    if (bucket.hash == hash && slab_[bucket.entry].key == key) return b;
-  }
-}
-
-void CacheDirectory::erase_bucket(std::size_t bucket) {
-  // Backward-shift deletion: pull every later member of the probe run whose
-  // home lies cyclically at or before the hole into it, so lookups never
-  // need tombstones.
-  const std::size_t mask = buckets_.size() - 1;
-  std::size_t hole = bucket;
-  for (std::size_t b = (bucket + 1) & mask; buckets_[b].entry != kNil;
-       b = (b + 1) & mask) {
-    const std::size_t home = buckets_[b].hash >> shift_;
-    if (((b - home) & mask) >= ((b - hole) & mask)) {
-      buckets_[hole] = buckets_[b];
-      hole = b;
-    }
-  }
-  buckets_[hole].entry = kNil;
-}
-
-void CacheDirectory::reserve_one() {
-  if ((size_ + 1) * 2 <= buckets_.size()) return;
-  const std::size_t count = buckets_.empty() ? 16 : buckets_.size() * 2;
-  ensure(count <= (std::size_t{1} << 32), "CacheDirectory: index overflow");
-  buckets_.assign(count, Bucket{});
-  shift_ = 32 - static_cast<unsigned>(std::countr_zero(count));
-  for (std::uint32_t i = head_; i != kNil; i = slab_[i].next) {
-    const std::uint32_t hash = hash_of(slab_[i].key);
-    buckets_[find_bucket(slab_[i].key, hash)] = Bucket{hash, i};
-  }
-}
 
 void CacheDirectory::unlink(std::uint32_t index) {
   const Entry& entry = slab_[index];
@@ -90,28 +43,26 @@ void CacheDirectory::touch(std::uint32_t index) {
 }
 
 void CacheDirectory::erase(std::size_t bucket) {
-  const std::uint32_t index = buckets_[bucket].entry;
+  const std::uint32_t index = index_.at(bucket);
   unlink(index);
   slab_[index].next = free_;
   free_ = index;
-  erase_bucket(bucket);
-  --size_;
+  index_.erase_at(bucket);
 }
 
 std::size_t CacheDirectory::evict_to(std::size_t limit) {
   std::size_t evicted = 0;
-  for (; size_ > limit; ++evicted) {
-    const std::uint64_t key = slab_[tail_].key;
-    erase(find_bucket(key, hash_of(key)));
+  for (; size() > limit; ++evicted) {
+    erase(index_.bucket_of(slab_[tail_].key, key_of()));
   }
   return evicted;
 }
 
 CacheDirectory::Lookup CacheDirectory::lookup(std::uint64_t key, SimTime now,
                                               std::size_t shards) {
-  if (size_ == 0) return Lookup::kAbsent;
-  const std::size_t bucket = find_bucket(key, hash_of(key));
-  const std::uint32_t index = buckets_[bucket].entry;
+  if (size() == 0) return Lookup::kAbsent;
+  const std::size_t bucket = index_.bucket_of(key, key_of());
+  const std::uint32_t index = index_.at(bucket);
   if (index == kNil) return Lookup::kAbsent;
   const Entry& entry = slab_[index];
   if (entry.expiry <= now) {
@@ -131,22 +82,17 @@ CacheDirectory::Lookup CacheDirectory::lookup(std::uint64_t key, SimTime now,
 std::size_t CacheDirectory::fill(std::uint64_t key, SimTime expiry,
                                  std::size_t shards, std::size_t capacity) {
   const auto slot = static_cast<std::uint32_t>(key % shards);
-  const std::uint32_t hash = hash_of(key);
-  if (size_ > 0) {
-    if (const std::uint32_t index = buckets_[find_bucket(key, hash)].entry;
-        index != kNil) {
-      // Refill of a resident key: it moves to MRU, then the (possibly
-      // shrunk) capacity trims the LRU end.
-      slab_[index].expiry = expiry;
-      slab_[index].slot = slot;
-      touch(index);
-      return evict_to(capacity);
-    }
+  if (const std::uint32_t index = index_.find(key, key_of()); index != kNil) {
+    // Refill of a resident key: it moves to MRU, then the (possibly shrunk)
+    // capacity trims the LRU end.
+    slab_[index].expiry = expiry;
+    slab_[index].slot = slot;
+    touch(index);
+    return evict_to(capacity);
   }
   // A new key lands at MRU, so the entries it pushes out are exactly the
   // LRU tail beyond capacity - 1: evict them first.
   const std::size_t evicted = evict_to(capacity - 1);
-  reserve_one();
   std::uint32_t index = free_;
   if (index != kNil) {
     free_ = slab_[index].next;
@@ -159,24 +105,22 @@ std::size_t CacheDirectory::fill(std::uint64_t key, SimTime expiry,
   slab_[index].expiry = expiry;
   slab_[index].slot = slot;
   link_front(index);
-  buckets_[find_bucket(key, hash)] = Bucket{hash, index};
-  ++size_;
+  index_.insert(key, index, key_of());
   return evicted;
 }
 
 std::size_t CacheDirectory::clear() {
-  const std::size_t dropped = size_;
+  const std::size_t dropped = size();
   slab_.clear();  // keeps its capacity: refills reuse it
-  std::fill(buckets_.begin(), buckets_.end(), Bucket{});
+  index_.clear();
   head_ = tail_ = free_ = kNil;
-  size_ = 0;
   return dropped;
 }
 
 void CacheDirectory::capture(
     std::vector<ApptierState::DirectoryEntry>& out) const {
   out.clear();
-  out.reserve(size_);
+  out.reserve(size());
   for (std::uint32_t i = head_; i != kNil; i = slab_[i].next) {
     out.push_back(
         ApptierState::DirectoryEntry{slab_[i].key, slab_[i].expiry,
@@ -188,21 +132,16 @@ void CacheDirectory::restore(
     const std::vector<ApptierState::DirectoryEntry>& entries) {
   clear();
   for (const ApptierState::DirectoryEntry& entry : entries) {
-    reserve_one();
-    const std::uint32_t hash = hash_of(entry.key);
-    const std::size_t bucket = find_bucket(entry.key, hash);
-    ensure_arg(buckets_[bucket].entry == kNil,
-               "CacheDirectory::restore: duplicate key in directory");
     const auto index = static_cast<std::uint32_t>(slab_.size());
     slab_.push_back(Entry{entry.key, entry.expiry, entry.slot, tail_, kNil});
+    ensure_arg(index_.insert(entry.key, index, key_of()),
+               "CacheDirectory::restore: duplicate key in directory");
     if (tail_ != kNil) {
       slab_[tail_].next = index;
     } else {
       head_ = index;
     }
     tail_ = index;
-    buckets_[bucket] = Bucket{hash, index};
-    ++size_;
   }
 }
 

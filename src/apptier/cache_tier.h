@@ -35,6 +35,7 @@
 #include "stats/quantile.h"
 #include "stats/running_stats.h"
 #include "util/distributions.h"
+#include "util/flat_index.h"
 #include "util/rng.h"
 
 namespace cloudprov {
@@ -99,9 +100,7 @@ struct ApptierState {
 
 /// The tier's LRU/TTL directory. Entries live in one grow-only slab, linked
 /// MRU -> LRU by 32-bit prev/next indices, with freed slots chained on a
-/// free list. Keys are indexed by an open-addressing table of 8-byte buckets
-/// (32-bit Fibonacci hash + slab index; power-of-two size, linear probing,
-/// backward-shift deletion) kept at load factor <= 0.5. A fill evicts before
+/// free list, and are found by key through a FlatIndex. A fill evicts before
 /// it inserts, so neither ever holds more than `capacity` entries; both grow
 /// only while the directory is growing, and a directory at its capacity
 /// serves every operation without allocating.
@@ -129,7 +128,7 @@ class CacheDirectory {
   /// Drops every entry (TTL storm); returns how many were dropped.
   std::size_t clear();
 
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return index_.size(); }
 
   /// Replaces `out` with the entries in LRU order (front = most recently
   /// used).
@@ -139,7 +138,7 @@ class CacheDirectory {
   void restore(const std::vector<ApptierState::DirectoryEntry>& entries);
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
+  static constexpr std::uint32_t kNil = FlatIndex::kNil;
 
   struct Entry {
     std::uint64_t key = 0;
@@ -148,34 +147,24 @@ class CacheDirectory {
     std::uint32_t prev = kNil;  ///< towards MRU
     std::uint32_t next = kNil;  ///< towards LRU; free-list link when free
   };
-  struct Bucket {
-    std::uint32_t hash = 0;      ///< hash_of(key); its top bits are the home
-    std::uint32_t entry = kNil;  ///< slab index; kNil = empty bucket
-  };
 
-  static std::uint32_t hash_of(std::uint64_t key);
-  /// Bucket holding `key`, or the empty bucket that ends its probe run.
-  /// The index must be non-empty.
-  std::size_t find_bucket(std::uint64_t key, std::uint32_t hash) const;
-  void erase_bucket(std::size_t bucket);
-  /// Doubles the index (rehashing every entry) unless one more key fits at
-  /// load factor <= 0.5.
-  void reserve_one();
+  auto key_of() const {
+    return [this](std::uint32_t index) { return slab_[index].key; };
+  }
   void unlink(std::uint32_t index);
   void link_front(std::uint32_t index);
   void touch(std::uint32_t index);
-  /// Unlinks the entry in `bucket`, frees its slot and empties the bucket.
+  /// Unlinks the entry in index bucket `bucket`, frees its slot and empties
+  /// the bucket.
   void erase(std::size_t bucket);
   /// Evicts LRU entries until at most `limit` remain; returns how many.
   std::size_t evict_to(std::size_t limit);
 
   std::vector<Entry> slab_;
-  std::vector<Bucket> buckets_;
+  FlatIndex index_;
   std::uint32_t head_ = kNil;  ///< MRU
   std::uint32_t tail_ = kNil;  ///< LRU
   std::uint32_t free_ = kNil;
-  std::size_t size_ = 0;
-  unsigned shift_ = 32;  ///< 32 - log2(bucket count)
 };
 
 class CacheTier final : public RequestSink {

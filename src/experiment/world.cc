@@ -6,6 +6,7 @@
 
 #include "core/admission.h"
 #include "core/provisioning_policy.h"
+#include "lookahead/checkpoint.h"
 #include "predict/ar_model.h"
 #include "predict/ewma.h"
 #include "predict/moving_average.h"
@@ -424,6 +425,7 @@ WorldState World::snapshot(const SnapshotOptions& options) const {
   if (options.include_telemetry && telemetry_ != nullptr) {
     state.telemetry = telemetry_->clone();
   }
+  clear_padding(state);
   return state;
 }
 

@@ -1,7 +1,9 @@
 #include "lookahead/checkpoint.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -418,7 +420,107 @@ void Reader::raw(T& value) {
   if (!in_) throw std::runtime_error("checkpoint: truncated stream");
 }
 
+// --- padding ----------------------------------------------------------------
+//
+// The Writer copies raw leaves byte for byte, padding included, so a decoded
+// file re-encodes unchanged. Padding of a freshly taken snapshot holds
+// whatever the stack held; clear_padding() zeroes it at snapshot time.
+
+/// Zeroes the bytes of `value` that none of `Members` covers. The members
+/// must be all of T's. The mask of covered bytes is built once per type.
+template <auto... Members, typename T>
+void zero_padding(T& value) {
+  static const auto mask = [] {
+    std::array<unsigned char, sizeof(T)> covered{};
+    const T probe{};
+    const auto* base = reinterpret_cast<const unsigned char*>(&probe);
+    const auto cover = [&](const auto& member) {
+      const auto* at = reinterpret_cast<const unsigned char*>(&member);
+      std::fill_n(covered.begin() + (at - base), sizeof(member), 0xff);
+    };
+    (cover(probe.*Members), ...);
+    return covered;
+  }();
+  unsigned char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  for (std::size_t i = 0; i < sizeof(T); ++i) bytes[i] &= mask[i];
+  std::memcpy(static_cast<void*>(&value), bytes, sizeof(T));
+}
+
+// One overload per raw leaf that has padding; every other leaf is a no-op.
+// Checkpoint.SameStateEncodesToSameBytes catches a padded leaf missing here.
+template <typename T>
+void clear_leaf(T&) {}
+void clear_leaf(VmSpec& v) {
+  zero_padding<&VmSpec::cores, &VmSpec::ram_gb, &VmSpec::speed>(v);
+}
+void clear_leaf(Rng::State& v) {
+  using S = Rng::State;
+  zero_padding<&S::s, &S::cached_normal, &S::has_cached_normal>(v);
+}
+void clear_leaf(Host::Snapshot& v) {
+  using S = Host::Snapshot;
+  zero_padding<&S::used_cores, &S::used_ram_gb, &S::vm_count,
+               &S::powered_seconds, &S::powered_since, &S::powered,
+               &S::failed>(v);
+}
+void clear_leaf(WorkloadAnalyzer::State& v) {
+  using S = WorkloadAnalyzer::State;
+  zero_padding<&S::last_prediction, &S::running, &S::tick>(v);
+}
+void clear_leaf(MarketBroker::Snapshot::EntrySnap& v) {
+  using S = MarketBroker::Snapshot::EntrySnap;
+  zero_padding<&S::vm_id, &S::class_index, &S::kind, &S::purchase_time,
+               &S::revoked, &S::hard_killed>(v);
+}
+void clear_leaf(FaultInjector::Snapshot::Timed& v) {
+  zero_padding<&ScriptedFault::kind, &ScriptedFault::time,
+               &ScriptedFault::target>(v.script);
+  using S = FaultInjector::Snapshot::Timed;
+  zero_padding<&S::kind, &S::stamp, &S::script, &S::vm_id,
+               &S::original_speed>(v);
+}
+void clear_leaf(ApptierState::DirectoryEntry& v) {
+  using S = ApptierState::DirectoryEntry;
+  zero_padding<&S::key, &S::expiry, &S::slot>(v);
+}
+/// A raw optional: the bytes after the engaged flag, and the whole payload
+/// when disengaged.
+void clear_leaf(std::optional<EventStamp>& v) {
+  alignas(std::optional<EventStamp>) unsigned char image[sizeof(v)] = {};
+  std::optional<EventStamp> clean;
+  std::memcpy(static_cast<void*>(&clean), image, sizeof(v));  // disengaged
+  if (v.has_value()) clean.emplace(*v);
+  std::memcpy(static_cast<void*>(&v), &clean, sizeof(v));
+}
+
+/// Walks the field lists like the Writer and clears every raw leaf.
+class PaddingClearer {
+ public:
+  std::uint32_t version() const { return kVersion; }
+  template <typename T>
+  void operator()(T& value) {
+    if constexpr (HasFieldList<PaddingClearer, T>) {
+      fields(*this, value);
+    } else if constexpr (kIs<T, std::vector>) {
+      for (auto& element : value) {
+        if constexpr (kIs<typename T::value_type, std::optional>) {
+          clear_leaf(element);  // written raw, see Writer
+        } else {
+          (*this)(element);
+        }
+      }
+    } else if constexpr (kIs<T, std::optional>) {
+      if (value.has_value()) (*this)(*value);
+    } else {
+      clear_leaf(value);
+    }
+  }
+};
+
 }  // namespace
+
+void clear_padding(WorldState& state) { PaddingClearer()(state); }
 
 void write_checkpoint(std::ostream& out, const WorldState& state) {
   Writer writer(out);

@@ -23,6 +23,12 @@ namespace cloudprov {
 void write_checkpoint(std::ostream& out, const WorldState& state);
 WorldState read_checkpoint(std::istream& in);
 
+/// Zeroes the padding inside `state`'s raw leaves, and the payload of its
+/// disengaged raw optionals, so that equal states encode to equal bytes.
+/// World::snapshot() calls it. The codec never does: a decoded file keeps
+/// its padding and re-encodes byte for byte.
+void clear_padding(WorldState& state);
+
 /// File wrappers; throw std::runtime_error when the path cannot be opened.
 void write_checkpoint_file(const std::string& path, const WorldState& state);
 WorldState read_checkpoint_file(const std::string& path);

@@ -92,16 +92,51 @@ void RetryGateway::dispatch_attempt(const Request& request,
     return;
   }
   if (config_.attempt_timeout > 0.0) {
-    const std::uint64_t attempt_id = forwarded.id;
-    const EventId timeout = sim_.schedule_at(
-        now + config_.attempt_timeout,
-        [this, attempt_id] { fire_timeout(attempt_id); });
-    in_flight_.emplace(attempt_id,
-                       InFlight{request, attempt, prev_delay, probe, timeout});
+    const std::uint32_t index =
+        acquire(Stage::kInFlight, request, attempt, prev_delay);
+    track_in_flight(index, forwarded.id, probe,
+                    sim_.schedule_fifo(now + config_.attempt_timeout,
+                                       [this, index] { fire_timeout(index); }));
   } else {
     // No client timeout: admission is the whole outcome.
     breaker_outcome(true, probe);
   }
+}
+
+std::uint32_t RetryGateway::acquire(Stage stage, const Request& request,
+                                    std::uint64_t attempt,
+                                    SimTime prev_delay) {
+  std::uint32_t index = free_;
+  if (index != kNil) {
+    free_ = records_[index].next_free;
+  } else {
+    ensure(records_.size() < kNil, "RetryGateway: record slab exhausted");
+    index = static_cast<std::uint32_t>(records_.size());
+    records_.emplace_back();
+  }
+  Record& record = records_[index];
+  record.request = request;
+  record.attempt = attempt;
+  record.prev_delay = prev_delay;
+  record.stage = stage;
+  return index;
+}
+
+void RetryGateway::release(std::uint32_t index) {
+  records_[index].stage = Stage::kFree;
+  records_[index].next_free = free_;
+  free_ = index;
+}
+
+void RetryGateway::track_in_flight(std::uint32_t index,
+                                   std::uint64_t attempt_id, bool probe,
+                                   EventId timeout) {
+  Record& record = records_[index];
+  record.attempt_id = attempt_id;
+  record.probe = probe;
+  record.event = timeout;
+  ensure_arg(in_flight_.insert(attempt_id, index, key_of()),
+             "RetryGateway: attempt id already in flight");
 }
 
 void RetryGateway::on_completion(const Request& request) {
@@ -109,29 +144,29 @@ void RetryGateway::on_completion(const Request& request) {
     ++client_succeeded_;
     return;
   }
-  auto it = in_flight_.find(request.id);
-  if (it == in_flight_.end()) {
+  const std::uint32_t index = in_flight_.erase(request.id, key_of());
+  if (index == kNil) {
     // The client abandoned this attempt at its timeout; the server finished
     // it anyway. Capacity burned for nothing.
     ++wasted_completions_;
     return;
   }
-  sim_.cancel(it->second.timeout_event);
-  breaker_outcome(true, it->second.probe);
+  sim_.cancel(records_[index].event);
+  breaker_outcome(true, records_[index].probe);
   ++client_succeeded_;
-  in_flight_.erase(it);
+  release(index);
 }
 
-void RetryGateway::fire_timeout(std::uint64_t attempt_id) {
+void RetryGateway::fire_timeout(std::uint32_t index) {
   // Cold paths only: per-request forwarding (on_request/dispatch_attempt)
   // stays unscoped — two clock reads per request would not be low-overhead.
   ProfileScope profile(sim_.profiler(), ProfileCategory::kResilienceHook);
-  auto it = in_flight_.find(attempt_id);
-  if (it == in_flight_.end()) return;  // stale (cancelled) timeout
-  const InFlight record = it->second;
-  in_flight_.erase(it);
+  // A completed attempt cancelled its timeout, so the record is in flight.
+  const Record record = records_[index];
+  in_flight_.erase(record.attempt_id, key_of());
+  release(index);
   ++client_timeouts_;
-  if (telemetry_) telemetry_->client_timeout(sim_.now(), attempt_id);
+  if (telemetry_) telemetry_->client_timeout(sim_.now(), record.attempt_id);
   breaker_outcome(false, record.probe);
   handle_attempt_failure(record.request, record.attempt, record.prev_delay);
 }
@@ -163,18 +198,16 @@ void RetryGateway::handle_attempt_failure(const Request& request,
   if (telemetry_) {
     telemetry_->retry_scheduled(sim_.now(), request.id, attempt + 1, delay);
   }
-  const std::uint64_t token = next_retry_token_++;
-  const EventId event =
-      sim_.schedule_at(fire_at, [this, token] { fire_retry(token); });
-  pending_retries_.emplace(token, Waiting{request, attempt + 1, delay, event});
+  const std::uint32_t index =
+      acquire(Stage::kWaiting, request, attempt + 1, delay);
+  records_[index].event =
+      sim_.schedule_at(fire_at, [this, index] { fire_retry(index); });
 }
 
-void RetryGateway::fire_retry(std::uint64_t token) {
+void RetryGateway::fire_retry(std::uint32_t index) {
   ProfileScope profile(sim_.profiler(), ProfileCategory::kResilienceHook);
-  auto it = pending_retries_.find(token);
-  if (it == pending_retries_.end()) return;
-  const Waiting record = it->second;
-  pending_retries_.erase(it);
+  const Record record = records_[index];
+  release(index);
   dispatch_attempt(record.request, record.attempt, record.prev_delay);
 }
 
@@ -277,25 +310,23 @@ RetryGateway::Snapshot RetryGateway::checkpoint() const {
   snap.breaker_half_opens = breaker_half_opens_;
   snap.breaker_closes = breaker_closes_;
   snap.breaker_fast_fails = breaker_fast_fails_;
-  snap.in_flight.reserve(in_flight_.size());
-  for (const auto& [attempt_id, record] : in_flight_) {
-    const auto stamp = sim_.stamp(record.timeout_event);
-    ensure(stamp.has_value(), "RetryGateway: in-flight timeout has no stamp");
-    snap.in_flight.push_back(InFlightEntry{attempt_id, record.request,
-                                           record.attempt, record.prev_delay,
-                                           record.probe, *stamp});
+  for (const Record& record : records_) {
+    if (record.stage == Stage::kFree) continue;
+    const auto stamp = sim_.stamp(record.event);
+    ensure(stamp.has_value(), "RetryGateway: open attempt has no stamp");
+    if (record.stage == Stage::kInFlight) {
+      snap.in_flight.push_back(InFlightEntry{record.attempt_id, record.request,
+                                             record.attempt, record.prev_delay,
+                                             record.probe, *stamp});
+    } else {
+      snap.retries.push_back(PendingRetry{record.request, record.attempt,
+                                          record.prev_delay, *stamp});
+    }
   }
   std::sort(snap.in_flight.begin(), snap.in_flight.end(),
             [](const InFlightEntry& a, const InFlightEntry& b) {
               return a.attempt_id < b.attempt_id;
             });
-  snap.retries.reserve(pending_retries_.size());
-  for (const auto& [token, record] : pending_retries_) {
-    const auto stamp = sim_.stamp(record.event);
-    ensure(stamp.has_value(), "RetryGateway: pending retry has no stamp");
-    snap.retries.push_back(
-        PendingRetry{record.request, record.attempt, record.prev_delay, *stamp});
-  }
   std::sort(snap.retries.begin(), snap.retries.end(),
             [](const PendingRetry& a, const PendingRetry& b) {
               return a.event.seq < b.event.seq;
@@ -327,23 +358,24 @@ void RetryGateway::restore(const Snapshot& snap) {
   breaker_half_opens_ = snap.breaker_half_opens;
   breaker_closes_ = snap.breaker_closes;
   breaker_fast_fails_ = snap.breaker_fast_fails;
+  records_.clear();
+  free_ = kNil;
   in_flight_.clear();
   for (const InFlightEntry& entry : snap.in_flight) {
-    const std::uint64_t attempt_id = entry.attempt_id;
-    const EventId timeout = sim_.schedule_stamped(
-        entry.timeout_event, [this, attempt_id] { fire_timeout(attempt_id); });
-    in_flight_.emplace(attempt_id, InFlight{entry.request, entry.attempt,
-                                            entry.prev_delay, entry.probe,
-                                            timeout});
+    const std::uint32_t index =
+        acquire(Stage::kInFlight, entry.request, entry.attempt,
+                entry.prev_delay);
+    track_in_flight(index, entry.attempt_id, entry.probe,
+                    sim_.schedule_fifo_stamped(
+                        entry.timeout_event,
+                        [this, index] { fire_timeout(index); }));
   }
-  pending_retries_.clear();
-  next_retry_token_ = 0;
   for (const PendingRetry& entry : snap.retries) {
-    const std::uint64_t token = next_retry_token_++;
-    const EventId event = sim_.schedule_stamped(
-        entry.event, [this, token] { fire_retry(token); });
-    pending_retries_.emplace(
-        token, Waiting{entry.request, entry.attempt, entry.prev_delay, event});
+    const std::uint32_t index =
+        acquire(Stage::kWaiting, entry.request, entry.attempt,
+                entry.prev_delay);
+    records_[index].event = sim_.schedule_stamped(
+        entry.event, [this, index] { fire_retry(index); });
   }
 }
 

@@ -17,16 +17,24 @@
 // subsystem's stream. All breaker/budget state is counters — no clocks, no
 // wall time — and everything (including pending retry/timeout events, under
 // their original (time, seq) stamps) is captured by checkpoint()/restore().
+//
+// Layout: every attempt in flight and every retry waiting out its backoff is
+// one record in a grow-only slab with a free list. In-flight records are
+// found by forwarded id through a FlatIndex; their timeout and retry events
+// carry the slab position. Attempt timeouts share one constant delay, so
+// they go on the event queue's FIFO lane (Simulation::schedule_fifo), where
+// the cancelled ones never enter the heap. Once the slab and the index have
+// grown to the peak number of open attempts, no request allocates.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "cloud/broker.h"
 #include "resilience/resilience_config.h"
 #include "sim/simulation.h"
+#include "util/flat_index.h"
 #include "util/rng.h"
 
 namespace cloudprov {
@@ -78,7 +86,7 @@ class RetryGateway final : public RequestSink {
   // --- checkpoint/restore (src/lookahead) -------------------------------
   /// An attempt sitting in the provisioner with a live client-timeout event.
   struct InFlightEntry {
-    std::uint64_t attempt_id = 0;  ///< forwarded request id (map key)
+    std::uint64_t attempt_id = 0;  ///< forwarded request id
     Request request;               ///< logical request (original id/deadline)
     std::uint64_t attempt = 1;
     SimTime prev_delay = 0.0;
@@ -126,27 +134,39 @@ class RetryGateway final : public RequestSink {
   void restore(const Snapshot& snap);
 
  private:
-  struct InFlight {
-    Request request;
-    std::uint64_t attempt = 1;
+  static constexpr std::uint32_t kNil = FlatIndex::kNil;
+
+  enum class Stage : std::uint8_t { kFree, kInFlight, kWaiting };
+  /// One open attempt: in flight with its timeout armed, or waiting out a
+  /// backoff with its retry armed.
+  struct Record {
+    Request request;  ///< logical request (original id/deadline)
+    std::uint64_t attempt_id = 0;  ///< forwarded id while in flight
+    std::uint64_t attempt = 1;     ///< attempt number (the retry's, waiting)
     SimTime prev_delay = 0.0;
+    EventId event = kInvalidEventId;  ///< the armed timeout or retry
+    std::uint32_t next_free = kNil;   ///< free-list link when free
+    Stage stage = Stage::kFree;
     bool probe = false;
-    EventId timeout_event = kInvalidEventId;
   };
-  struct Waiting {
-    Request request;
-    std::uint64_t attempt = 1;
-    SimTime prev_delay = 0.0;
-    EventId event = kInvalidEventId;
-  };
+
+  auto key_of() const {
+    return [this](std::uint32_t index) { return records_[index].attempt_id; };
+  }
+  std::uint32_t acquire(Stage stage, const Request& request,
+                        std::uint64_t attempt, SimTime prev_delay);
+  void release(std::uint32_t index);
+  /// Arms the client timeout of the in-flight record `index`.
+  void track_in_flight(std::uint32_t index, std::uint64_t attempt_id,
+                       bool probe, EventId timeout);
 
   void dispatch_attempt(const Request& request, std::uint64_t attempt,
                         SimTime prev_delay);
   void handle_attempt_failure(const Request& request, std::uint64_t attempt,
                               SimTime prev_delay);
   void on_completion(const Request& request);
-  void fire_timeout(std::uint64_t attempt_id);
-  void fire_retry(std::uint64_t token);
+  void fire_timeout(std::uint32_t index);
+  void fire_retry(std::uint32_t index);
   SimTime next_backoff(SimTime prev_delay);
 
   // Breaker internals.
@@ -171,9 +191,9 @@ class RetryGateway final : public RequestSink {
   std::size_t probe_successes_ = 0;
 
   std::uint64_t next_retry_seq_ = 0;
-  std::uint64_t next_retry_token_ = 0;
-  std::unordered_map<std::uint64_t, InFlight> in_flight_;
-  std::unordered_map<std::uint64_t, Waiting> pending_retries_;
+  std::vector<Record> records_;
+  std::uint32_t free_ = kNil;
+  FlatIndex in_flight_;  ///< forwarded id -> record
 
   std::uint64_t client_requests_ = 0;
   std::uint64_t client_succeeded_ = 0;

@@ -17,8 +17,21 @@
 //    nothing is ever inserted or leaked — and size() counts live events
 //    exactly.
 //
-// Steady state allocates nothing per event: the slab and heap reuse their
-// capacity, and inline EventActions carry their captures in-place.
+//  - A FIFO lane beside the heap takes events that arrive in time order,
+//    such as the constant-delay client timeouts that the retry gateway arms
+//    for every admitted attempt and cancels for all but a few. A lane push
+//    is an O(1) append to a ring, and its cancelled records drop off the
+//    ring's head instead of sitting in the heap. A lane event whose time
+//    would sort before the lane's tail goes to the heap instead, so callers
+//    with different delays may share one lane. Lane events draw their seq
+//    from the same push counter, pop() merges the lane head with the heap
+//    top in (time, seq) order, and stamp()/cancel()/clear() treat both
+//    alike: the pop order and every stamp are the same as if every event
+//    had gone to the heap. The ring is allocated on the first lane push;
+//    without one, popping costs one more predictable test.
+//
+// Steady state allocates nothing per event: the slab, heap and lane reuse
+// their capacity, and inline EventActions carry their captures in-place.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +41,7 @@
 #include <vector>
 
 #include "sim/event.h"
+#include "util/ring_buffer.h"
 
 namespace cloudprov {
 
@@ -54,6 +68,16 @@ class EventQueue {
     requires(!std::is_same_v<std::remove_cvref_t<F>, EventAction>)
   EventId push(SimTime time, F&& f) {
     return push(time, EventAction::make(std::forward<F>(f)));
+  }
+
+  /// Schedules `action` at `time` on the FIFO lane (see the file comment):
+  /// same handle, seq and pop order as push(), for events whose times mostly
+  /// arrive in non-decreasing order.
+  EventId push_fifo(SimTime time, EventAction action);
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, EventAction>)
+  EventId push_fifo(SimTime time, F&& f) {
+    return push_fifo(time, EventAction::make(std::forward<F>(f)));
   }
 
   /// Removes the event with the earliest (time, push order) and returns it.
@@ -94,6 +118,10 @@ class EventQueue {
   /// not advance the push counter; call set_push_counter() once after all
   /// components re-pushed their pending events.
   EventId push_stamped(const EventStamp& stamp, EventAction action);
+  /// push_stamped() onto the FIFO lane, for events first pushed with
+  /// push_fifo(). Stamps may come in any order; one that would sort before
+  /// the lane's tail goes to the heap.
+  EventId push_fifo_stamped(const EventStamp& stamp, EventAction action);
 
   /// Restores the monotone push counter so events scheduled after a restore
   /// continue the original seq sequence.
@@ -105,8 +133,8 @@ class EventQueue {
 
   // --- kernel internals surfaced for the wall-clock profiler -------------
 
-  /// Current heap entries, including stale records of cancelled events
-  /// (>= size(); the gap is the lazily-dropped cancel backlog).
+  /// Current heap entries, including stale records of cancelled events.
+  /// Lane records are not counted.
   std::size_t heap_depth() const { return heap_.size(); }
 
   /// Largest heap entry count ever reached.
@@ -116,7 +144,8 @@ class EventQueue {
   /// occupancy high-water mark (peak simultaneously-stored event bodies).
   std::size_t slab_high_water() const { return slots_.size(); }
 
-  /// Stale heap records discarded so far (lazy top drops + compactions).
+  /// Stale records discarded so far (lazy heap top and lane head drops,
+  /// plus compactions).
   std::uint64_t stale_drops() const { return stale_drops_; }
 
   void clear();
@@ -151,12 +180,34 @@ class EventQueue {
   }
 
   std::uint32_t acquire_slot();
+  /// acquire_slot() with the free list empty. Kept out of line so the four
+  /// push forms inline only the free-list pop.
+  [[gnu::noinline]] std::uint32_t grow_slab();
   /// Bumps the slot's generation (invalidating outstanding handles and heap
   /// entries) and returns it to the free list. The action must already be
   /// moved out or reset.
   void release_slot(std::uint32_t slot);
+  bool stale(const HeapEntry& entry) const {
+    return slots_[entry.slot].gen != entry.gen;
+  }
+  /// Moves `action` into a slab slot and returns the record that orders it.
+  HeapEntry store(SimTime time, std::uint64_t seq, EventAction&& action);
+  void push_heap(const HeapEntry& entry);
+  /// Appends to the lane, or pushes to the heap when `entry` sorts before
+  /// the lane's tail.
+  EventId push_lane(const HeapEntry& entry);
+  /// Moves a popped record's action out and releases its slot.
+  void take(const HeapEntry& entry, SimTime& time_out,
+            EventAction& action_out);
   /// Removes stale heap entries (generation mismatch) from the top.
   void drop_dead_tops();
+  /// Drops stale records off the lane head, then says whether the lane
+  /// holds the earliest live event. Call after drop_dead_tops().
+  bool lane_first();
+  /// pop_due() once the lane holds records: merges its head with the heap
+  /// top. Out of line, so the lane-free path stays as short as before.
+  bool pop_due_merged(SimTime until, SimTime& time_out,
+                      EventAction& action_out);
   void compact();
   void pop_top();
   void sift_up(std::size_t index);
@@ -170,6 +221,8 @@ class EventQueue {
   std::uint64_t boxed_pushed_ = 0;
   std::size_t heap_high_water_ = 0;
   std::uint64_t stale_drops_ = 0;
+  /// FIFO lane, sorted by (time, seq); empty until the first lane push.
+  RingBuffer<HeapEntry> lane_;
 };
 
 }  // namespace cloudprov

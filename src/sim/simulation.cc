@@ -13,6 +13,11 @@ EventId Simulation::schedule_at(SimTime time, EventAction action) {
   return queue_.push(time, std::move(action));
 }
 
+EventId Simulation::schedule_fifo(SimTime time, EventAction action) {
+  ensure_arg(time >= now_, "schedule_fifo: cannot schedule in the past");
+  return queue_.push_fifo(time, std::move(action));
+}
+
 EventId Simulation::schedule_in(SimTime delay, EventAction action) {
   ensure_arg(delay >= 0.0, "schedule_in: negative delay");
   return queue_.push(now_ + delay, std::move(action));

@@ -51,6 +51,16 @@ class Simulation {
     return schedule_in(delay, EventAction::make(std::forward<F>(f)));
   }
 
+  /// Schedules `action` at absolute time `time` (>= now()) on the event
+  /// queue's FIFO lane: for events scheduled a constant delay ahead, such as
+  /// client timeouts. Pop order is exactly as with schedule_at().
+  EventId schedule_fifo(SimTime time, EventAction action);
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, EventAction>)
+  EventId schedule_fifo(SimTime time, F&& f) {
+    return schedule_fifo(time, EventAction::make(std::forward<F>(f)));
+  }
+
   void cancel(EventId id) { queue_.cancel(id); }
 
   /// Runs until the event queue drains or the clock passes `until`.
@@ -83,6 +93,13 @@ class Simulation {
   EventId schedule_stamped(const EventStamp& stamp, F&& f) {
     return queue_.push_stamped(stamp, EventAction::make(std::forward<F>(f)));
   }
+  /// schedule_stamped() for an event first scheduled with schedule_fifo().
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, EventAction>)
+  EventId schedule_fifo_stamped(const EventStamp& stamp, F&& f) {
+    return queue_.push_fifo_stamped(stamp,
+                                    EventAction::make(std::forward<F>(f)));
+  }
 
   std::uint64_t event_push_counter() const { return queue_.pushed_count(); }
 
@@ -113,13 +130,13 @@ class Simulation {
   WallProfiler* profiler() const { return profiler_; }
 
  private:
-  EventQueue queue_;
   SimTime now_ = 0.0;
   std::uint64_t executed_ = 0;
   bool stop_requested_ = false;
   Telemetry* telemetry_ = nullptr;
   std::uint64_t sample_stride_ = 1024;
   WallProfiler* profiler_ = nullptr;
+  EventQueue queue_;  ///< last: the clock sits at a short offset
 };
 
 /// Repeating action helper (monitor ticks, provisioning cycles, rate

@@ -6,38 +6,30 @@
 #include "util/check.h"
 
 namespace cloudprov {
-namespace {
-
-const MetricsRegistry::CounterView* find_counter(
-    const MetricsRegistry::Snapshot& snapshot, const char* name) {
-  for (const auto& counter : snapshot.counters) {
-    if (counter.name == name) return &counter;
-  }
-  return nullptr;
-}
-
-const MetricsRegistry::HistogramView* find_histogram(
-    const MetricsRegistry::Snapshot& snapshot, const char* name) {
-  for (const auto& histogram : snapshot.histograms) {
-    if (histogram.name == name) return &histogram;
-  }
-  return nullptr;
-}
-
-std::uint64_t counter_value(const MetricsRegistry::Snapshot& snapshot,
-                            const char* name) {
-  const auto* counter = find_counter(snapshot, name);
-  return counter == nullptr ? 0 : counter->value;
-}
-
-}  // namespace
 
 DriftMonitor::DriftMonitor(const MetricsRegistry& metrics, TraceBuffer& trace,
                            Config config)
-    : metrics_(&metrics), trace_(&trace), config_(config) {
+    : arrived_(metrics.find_counter("requests_arrived")),
+      completed_(metrics.find_counter("requests_completed")),
+      rejected_(metrics.find_counter("requests_rejected")),
+      response_(metrics.find_histogram("response_time_seconds")),
+      trace_(&trace),
+      config_(config) {
   ensure_arg(config_.qos_max_response_time > 0.0,
              "DriftMonitor: Ts must be > 0");
   ensure_arg(config_.max_windows >= 1, "DriftMonitor: need >= 1 window");
+}
+
+DriftMonitor::Observed DriftMonitor::observe() const {
+  Observed observed;
+  if (arrived_ != nullptr) observed.arrived = arrived_->value();
+  if (completed_ != nullptr) observed.completed = completed_->value();
+  if (rejected_ != nullptr) observed.rejected = rejected_->value();
+  if (response_ != nullptr) {
+    observed.responses = response_->count();
+    observed.response_sum = response_->sum();
+  }
+  return observed;
 }
 
 void DriftMonitor::on_decision(SimTime t, const Prediction& pred,
@@ -46,7 +38,7 @@ void DriftMonitor::on_decision(SimTime t, const Prediction& pred,
   window_open_ = true;
   window_start_ = t;
   pending_ = pred;
-  window_base_ = metrics_->snapshot();
+  window_base_ = observe();
   base_vm_hours_ = vm_hours;
   base_busy_vm_hours_ = busy_vm_hours;
 }
@@ -62,20 +54,19 @@ void DriftMonitor::close_window(SimTime t, double vm_hours,
   // Zero-length windows (two decisions at the same instant) observe nothing.
   if (t <= window_start_) return;
 
-  const MetricsRegistry::Snapshot delta =
-      metrics_->snapshot().diff(window_base_);
-
+  const Observed now = observe();
   WindowRecord record;
   record.start = window_start_;
   record.end = t;
   record.predicted = pending_;
-  record.arrivals = counter_value(delta, "requests_arrived");
-  record.completed = counter_value(delta, "requests_completed");
-  record.rejected = counter_value(delta, "requests_rejected");
-  if (const auto* response = find_histogram(delta, "response_time_seconds");
-      response != nullptr && response->count > 0) {
+  record.arrivals = now.arrived - window_base_.arrived;
+  record.completed = now.completed - window_base_.completed;
+  record.rejected = now.rejected - window_base_.rejected;
+  if (const std::uint64_t responses = now.responses - window_base_.responses;
+      responses > 0) {
     record.observed_response_time =
-        response->sum / static_cast<double>(response->count);
+        (now.response_sum - window_base_.response_sum) /
+        static_cast<double>(responses);
   }
   if (record.arrivals > 0) {
     record.observed_rejection = static_cast<double>(record.rejected) /

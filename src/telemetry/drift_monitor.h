@@ -4,15 +4,20 @@
 // probability, and utilization for the upcoming analysis window. This
 // monitor pairs each prediction with what the simulation actually did over
 // that window — observed values are recovered as deltas of the cumulative
-// metrics registry (Snapshot::diff) plus the data center's cumulative
-// VM-hour accounting — and maintains windowed error statistics: signed bias
-// (predicted - observed), MAPE, and coverage of the k = floor(Ts/Tr) bound
-// (the fraction of windows whose observed mean response time stayed within
-// Ts, which is exactly what the queue bound is supposed to guarantee).
+// metrics registry's request counters and response histogram plus the data
+// center's cumulative VM-hour accounting — and maintains windowed error
+// statistics: signed bias (predicted - observed), MAPE, and coverage of the
+// k = floor(Ts/Tr) bound (the fraction of windows whose observed mean
+// response time stayed within Ts, which is exactly what the queue bound is
+// supposed to guarantee).
 //
 // The monitor is fed by AdaptivePolicy at every modeler decision; each
 // decision closes the previous window and opens the next. It is purely
 // observational: it never schedules events and never changes decisions.
+// It reads the four instruments it differences (arrived, completed and
+// rejected counters, the response-time histogram's count and sum) through
+// pointers resolved once at construction, so a window costs a few loads
+// rather than a copy of the registry.
 #pragma once
 
 #include <cstddef>
@@ -81,8 +86,9 @@ class DriftMonitor {
   };
 
   /// `metrics` must outlive the monitor and be the registry the request
-  /// hooks write into; `trace` receives one drift counter-lane sample per
-  /// closed window.
+  /// hooks write into, with their instruments already registered (an
+  /// instrument it lacks reads as zero); `trace` receives one drift
+  /// counter-lane sample per closed window.
   DriftMonitor(const MetricsRegistry& metrics, TraceBuffer& trace,
                Config config);
 
@@ -113,16 +119,28 @@ class DriftMonitor {
   void restore_from(const DriftMonitor& other);
 
  private:
+  /// Cumulative values of the instruments a window differences.
+  struct Observed {
+    std::uint64_t arrived = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t rejected = 0;
+    std::uint64_t responses = 0;
+    double response_sum = 0.0;
+  };
+  Observed observe() const;
   void close_window(SimTime t, double vm_hours, double busy_vm_hours);
 
-  const MetricsRegistry* metrics_;
+  const Counter* arrived_;
+  const Counter* completed_;
+  const Counter* rejected_;
+  const Histogram* response_;
   TraceBuffer* trace_;
   Config config_;
 
   bool window_open_ = false;
   SimTime window_start_ = 0.0;
   Prediction pending_;
-  MetricsRegistry::Snapshot window_base_;
+  Observed window_base_;
   double base_vm_hours_ = 0.0;
   double base_busy_vm_hours_ = 0.0;
 

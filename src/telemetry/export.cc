@@ -100,7 +100,9 @@ void write_chrome_trace(std::ostream& out, const TraceBuffer& trace,
     write_trace_event(out, event, first);
   }
   if (spans != nullptr) {
-    for (const SpanTracer::RequestTrace& req : spans->finished()) {
+    const RingBuffer<SpanTracer::RequestTrace>& finished = spans->finished();
+    for (std::size_t i = 0; i < finished.size(); ++i) {
+      const SpanTracer::RequestTrace& req = finished[i];
       // Admission decision: a point-like slice at arrival.
       write_request_span(out, "admission", req.arrival, 0.0, req, first);
       if (req.outcome == SpanTracer::Outcome::kRejected) continue;
@@ -214,7 +216,9 @@ void write_span_csv(std::ostream& out, const SpanTracer& spans) {
     }
     csv.write_row(cells);
   };
-  for (const SpanTracer::RequestTrace& trace : spans.finished()) {
+  const RingBuffer<SpanTracer::RequestTrace>& finished = spans.finished();
+  for (std::size_t i = 0; i < finished.size(); ++i) {
+    const SpanTracer::RequestTrace& trace = finished[i];
     row(trace, "admission", trace.arrival, trace.arrival);
     if (trace.outcome == SpanTracer::Outcome::kRejected) continue;
     const SimTime wait_end =

@@ -74,6 +74,21 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return histograms_.back().second;
 }
 
+const Counter* MetricsRegistry::find_counter(const std::string& name) const {
+  const auto it = by_name_.find(name);
+  if (it == by_name_.end() || it->second.kind != Kind::kCounter) return nullptr;
+  return &counters_[it->second.index].second;
+}
+
+const Histogram* MetricsRegistry::find_histogram(
+    const std::string& name) const {
+  const auto it = by_name_.find(name);
+  if (it == by_name_.end() || it->second.kind != Kind::kHistogram) {
+    return nullptr;
+  }
+  return &histograms_[it->second.index].second;
+}
+
 void Histogram::restore(const std::vector<std::uint64_t>& counts,
                         std::uint64_t count, double sum) {
   ensure_arg(counts.size() == counts_.size(),

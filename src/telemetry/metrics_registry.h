@@ -88,6 +88,10 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name,
                        std::vector<double> upper_bounds);
 
+  /// The instrument registered under `name`, or null; never creates one.
+  const Counter* find_counter(const std::string& name) const;
+  const Histogram* find_histogram(const std::string& name) const;
+
   struct CounterView {
     std::string name;
     std::uint64_t value = 0;
@@ -111,9 +115,7 @@ class MetricsRegistry {
 
     /// Windowed view of two cumulative snapshots: counter and histogram
     /// values of *this minus `earlier` (gauges keep this snapshot's value);
-    /// instruments absent from `earlier` are returned as-is. The windowed
-    /// monitors (drift observatory, SLO burn rates) consume this instead of
-    /// hand-differencing fields.
+    /// instruments absent from `earlier` are returned as-is.
     Snapshot diff(const Snapshot& earlier) const;
   };
   Snapshot snapshot() const;

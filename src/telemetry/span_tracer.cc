@@ -28,6 +28,7 @@ const char* to_string(SpanTracer::Outcome outcome) {
 
 SpanTracer::SpanTracer(Options options) : options_(options) {
   ensure_arg(options_.capacity >= 1, "SpanTracer: capacity must be >= 1");
+  finished_.reserve(options_.capacity);
 }
 
 bool SpanTracer::sampled(std::uint64_t request_id) const {
@@ -39,22 +40,34 @@ bool SpanTracer::sampled(std::uint64_t request_id) const {
   return u < options_.sample_rate;
 }
 
+SpanTracer::RequestTrace* SpanTracer::pending(std::uint64_t request_id) {
+  if (!sampled(request_id)) return nullptr;  // cheap pre-filter before the probe
+  const std::uint32_t slot = index_.find(request_id, key_of());
+  return slot == FlatIndex::kNil ? nullptr : &pending_[slot];
+}
+
 void SpanTracer::on_arrival(SimTime t, std::uint64_t request_id) {
   if (!sampled(request_id)) return;
   ++traced_;
+  const auto slot = static_cast<std::uint32_t>(
+      free_.empty() ? pending_.size() : free_.back());
+  // An id already in flight keeps its first trace.
+  if (!index_.insert(request_id, slot, key_of())) return;
   RequestTrace trace;
   trace.trace_id = request_id;
   trace.arrival = t;
-  pending_.emplace(request_id, trace);
+  if (free_.empty()) {
+    pending_.push_back(trace);
+  } else {
+    pending_[slot] = trace;
+    free_.pop_back();
+  }
 }
 
 void SpanTracer::on_admit(SimTime t, std::uint64_t request_id,
                           std::uint64_t vm_id) {
   (void)t;
-  if (!sampled(request_id)) return;  // cheap pre-filter before the map probe
-  const auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;
-  it->second.vm_id = vm_id;
+  if (RequestTrace* trace = pending(request_id)) trace->vm_id = vm_id;
 }
 
 void SpanTracer::on_reject(SimTime t, std::uint64_t request_id) {
@@ -63,11 +76,10 @@ void SpanTracer::on_reject(SimTime t, std::uint64_t request_id) {
 
 void SpanTracer::on_service_start(SimTime t, std::uint64_t request_id,
                                   std::uint64_t vm_id) {
-  if (!sampled(request_id)) return;  // cheap pre-filter before the map probe
-  const auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;
-  it->second.service_start = t;
-  it->second.vm_id = vm_id;
+  if (RequestTrace* trace = pending(request_id)) {
+    trace->service_start = t;
+    trace->vm_id = vm_id;
+  }
 }
 
 void SpanTracer::on_complete(SimTime t, std::uint64_t request_id,
@@ -80,20 +92,19 @@ void SpanTracer::on_lost(SimTime t, std::uint64_t request_id) {
 }
 
 void SpanTracer::on_tier(std::uint64_t request_id, std::uint8_t tier) {
-  if (!sampled(request_id)) return;  // cheap pre-filter before the map probe
-  const auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;
-  it->second.tier = tier;
-  has_tiers_ = true;
+  if (RequestTrace* trace = pending(request_id)) {
+    trace->tier = tier;
+    has_tiers_ = true;
+  }
 }
 
 void SpanTracer::finish(SimTime t, std::uint64_t request_id, Outcome outcome,
                         bool qos_violation) {
-  if (!sampled(request_id)) return;  // cheap pre-filter before the map probe
-  const auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;
-  RequestTrace trace = it->second;
-  pending_.erase(it);
+  if (!sampled(request_id)) return;  // cheap pre-filter before the probe
+  const std::uint32_t slot = index_.erase(request_id, key_of());
+  if (slot == FlatIndex::kNil) return;
+  free_.push_back(slot);
+  RequestTrace trace = pending_[slot];
   trace.finish = t;
   trace.outcome = outcome;
   trace.qos_violation = qos_violation;

@@ -9,17 +9,23 @@
 // simulation RNG stream, and consistent across the arrival/service/finish
 // hooks without any per-request handshake.
 //
-// Finished traces are retained in a bounded deque (oldest evicted first,
-// with an explicit drop counter) so paper-scale runs stay bounded at any
-// sample rate. Exporters (telemetry/export.h) turn the retained traces into
-// Chrome-trace spans + flow events and a long-form per-span CSV.
+// Traces in flight live in a grow-only slab, found by request id through a
+// FlatIndex. Finished traces are retained in a bounded ring (oldest evicted
+// first, with an explicit drop counter), so paper-scale runs stay bounded at
+// any sample rate. The ring is reserved at its capacity up front and its
+// memory is touched only as it fills; growing it by doubling instead left
+// the freed halves resident across replications. Tracing allocates nothing
+// per request once the slab and the index have grown. Exporters
+// (telemetry/export.h) turn the retained traces into Chrome-trace spans +
+// flow events and a long-form per-span CSV.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <vector>
 
+#include "util/flat_index.h"
+#include "util/ring_buffer.h"
 #include "util/units.h"
 
 namespace cloudprov {
@@ -83,24 +89,30 @@ class SpanTracer {
   void on_tier(std::uint64_t request_id, std::uint8_t tier);
 
   /// Finished traces, oldest first (completion order — deterministic).
-  const std::deque<RequestTrace>& finished() const { return finished_; }
+  const RingBuffer<RequestTrace>& finished() const { return finished_; }
   /// Requests the sampler selected so far.
   std::uint64_t traced() const { return traced_; }
-  /// Finished traces evicted because the deque was full.
+  /// Finished traces evicted because the ring was full.
   std::uint64_t dropped() const { return dropped_; }
   /// Sampled requests still in flight (bounded by pool occupancy).
-  std::size_t in_flight() const { return pending_.size(); }
+  std::size_t in_flight() const { return index_.size(); }
   /// True once any trace was tier-tagged; gates the span CSV tier column.
   bool has_tiers() const { return has_tiers_; }
 
  private:
+  auto key_of() const {
+    return [this](std::uint32_t slot) { return pending_[slot].trace_id; };
+  }
+  /// The in-flight trace of a sampled request, or null.
+  RequestTrace* pending(std::uint64_t request_id);
   void finish(SimTime t, std::uint64_t request_id, Outcome outcome,
               bool qos_violation);
 
   Options options_;
-  std::uint64_t sample_threshold_ = 0;  ///< hash < threshold => sampled
-  std::unordered_map<std::uint64_t, RequestTrace> pending_;
-  std::deque<RequestTrace> finished_;
+  std::vector<RequestTrace> pending_;  ///< slab of in-flight traces
+  std::vector<std::uint32_t> free_;    ///< free slab slots
+  FlatIndex index_;                    ///< request id -> pending_ slot
+  RingBuffer<RequestTrace> finished_;
   std::uint64_t traced_ = 0;
   std::uint64_t dropped_ = 0;
   bool has_tiers_ = false;

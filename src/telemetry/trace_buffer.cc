@@ -18,13 +18,6 @@ TraceBuffer::TraceBuffer(std::size_t capacity) {
   ring_.resize(capacity);
 }
 
-void TraceBuffer::record(const TraceEvent& event) {
-  ring_[head_] = event;
-  head_ = (head_ + 1) % ring_.size();
-  if (size_ < ring_.size()) ++size_;
-  ++recorded_;
-}
-
 std::vector<TraceEvent> TraceBuffer::events() const {
   std::vector<TraceEvent> ordered;
   ordered.reserve(size_);

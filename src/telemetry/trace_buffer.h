@@ -63,7 +63,12 @@ class TraceBuffer {
   explicit TraceBuffer(std::size_t capacity);
 
   /// Records one event; overwrites the oldest and bumps dropped() when full.
-  void record(const TraceEvent& event);
+  void record(const TraceEvent& event) {
+    ring_[head_] = event;
+    if (++head_ == ring_.size()) head_ = 0;
+    if (size_ < ring_.size()) ++size_;
+    ++recorded_;
+  }
 
   std::size_t capacity() const { return ring_.size(); }
   /// Events currently held (<= capacity).

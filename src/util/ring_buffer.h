@@ -4,7 +4,9 @@
 // across block boundaries, which puts one allocation every few requests on
 // the simulator's steady-state serve path (VM waiting lines). RingBuffer
 // grows geometrically like vector but never releases capacity, so after
-// warm-up a push/pop cycle touches no allocator at all.
+// warm-up a push/pop cycle touches no allocator at all. Like vector, it
+// constructs a slot only when it first fills it, so the untouched half of a
+// freshly doubled ring costs no resident memory.
 //
 // Supports the three waiting-line operations the VM needs: push_back
 // (FIFO), pop_front, and insert-at-index (non-preemptive priority order,
@@ -12,6 +14,7 @@
 // element to pop.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -35,11 +38,23 @@ class RingBuffer {
 
   T& front() { return (*this)[0]; }
   const T& front() const { return (*this)[0]; }
+  T& back() { return (*this)[size_ - 1]; }
+  const T& back() const { return (*this)[size_ - 1]; }
 
   void push_back(T value) {
-    reserve_for_one();
-    storage_[wrap(head_ + size_)] = std::move(value);
+    const std::size_t slot = wrap(head_ + size_);
+    if (size_ == capacity_ || slot == storage_.size()) {
+      push_back_slow(std::move(value));
+      return;
+    }
+    storage_[slot] = std::move(value);
     ++size_;
+  }
+
+  /// Allocates room for at least `count` elements (rounded up to a power of
+  /// two) without touching it: slots are constructed as they first fill.
+  void reserve(std::size_t count) {
+    if (count > capacity_) grow(std::bit_ceil(count));
   }
 
   void pop_front() {
@@ -52,12 +67,12 @@ class RingBuffer {
   /// size() = push_back). Shifts the tail right; O(size - index).
   void insert(std::size_t index, T value) {
     ensure_arg(index <= size_, "RingBuffer::insert: index out of range");
-    reserve_for_one();
-    for (std::size_t i = size_; i > index; --i) {
-      storage_[wrap(head_ + i)] = std::move(storage_[wrap(head_ + i - 1)]);
+    push_back(std::move(value));
+    T inserted = std::move(back());
+    for (std::size_t i = size_ - 1; i > index; --i) {
+      (*this)[i] = std::move((*this)[i - 1]);
     }
-    storage_[wrap(head_ + index)] = std::move(value);
-    ++size_;
+    (*this)[index] = std::move(inserted);
   }
 
   void clear() {
@@ -68,21 +83,37 @@ class RingBuffer {
  private:
   std::size_t wrap(std::size_t index) const {
     // Capacity is a power of two, so wrapping is a mask.
-    return index & (storage_.size() - 1);
+    return index & (capacity_ - 1);
   }
 
-  void reserve_for_one() {
-    if (size_ < storage_.size()) return;
-    const std::size_t capacity = storage_.empty() ? 8 : storage_.size() * 2;
-    std::vector<T> grown(capacity);
+  /// push_back() into a full ring, which grows first, or into a slot the
+  /// ring has not filled yet: slots below storage_.size() hold elements,
+  /// and the first lap around a freshly grown ring appends to the reserved
+  /// capacity. Kept out of line so the common push_back inlines.
+  [[gnu::noinline]] void push_back_slow(T value) {
+    if (size_ == capacity_) grow(capacity_ == 0 ? 8 : capacity_ * 2);
+    const std::size_t slot = wrap(head_ + size_);
+    if (slot == storage_.size()) {
+      storage_.push_back(std::move(value));
+    } else {
+      storage_[slot] = std::move(value);
+    }
+    ++size_;
+  }
+
+  void grow(std::size_t capacity) {
+    std::vector<T> grown;
+    grown.reserve(capacity);
     for (std::size_t i = 0; i < size_; ++i) {
-      grown[i] = std::move((*this)[i]);
+      grown.push_back(std::move((*this)[i]));
     }
     storage_ = std::move(grown);
+    capacity_ = capacity;
     head_ = 0;
   }
 
   std::vector<T> storage_;
+  std::size_t capacity_ = 0;  ///< slots; a power of two once grown
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };

@@ -10,12 +10,20 @@
 // ordering, RNG draw sequence, or telemetry sampling — not just performance.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "experiment/runner.h"
 #include "experiment/scenario.h"
+#include "experiment/world.h"
+#include "layered_web.h"
+#include "lookahead/checkpoint.h"
 #include "profile/wall_profiler.h"
 #include "telemetry/export.h"
 
@@ -330,6 +338,165 @@ TEST(KernelGolden, TieredZipfSmokeIsBitIdentical) {
   const std::string bytes = csv.str();
   EXPECT_EQ(bytes.size(), 12594705u);
   EXPECT_EQ(fnv1a(bytes), 0x437982012dec1e7dULL);
+}
+
+// Layered web day (tests/layered_web.h) at scale 0.01, seed 42. Unlike the
+// neutral-gateway golden above, every admitted attempt here arms a client
+// timeout. The literals were captured before the event queue gained its
+// FIFO lane and before the gateway, the span tracer and the drift monitor
+// moved to flat tables.
+/// One pinned RunMetrics field: an integer, or a double held as its bits.
+struct PinnedField {
+  template <typename T>
+  constexpr PinnedField(const char* field, T value)
+      : name(field),
+        real(std::is_floating_point_v<T>),
+        bits(std::is_floating_point_v<T>
+                 ? std::bit_cast<std::uint64_t>(static_cast<double>(value))
+                 : static_cast<std::uint64_t>(value)) {}
+  const char* name;
+  bool real;
+  std::uint64_t bits;
+};
+
+/// Every field for_each_metric visits except wall_seconds, in visit order.
+void expect_pinned(const RunMetrics& m, std::span<const PinnedField> golden) {
+  std::size_t i = 0;
+  for_each_metric(m, [&](const char* name, const auto& value,
+                         MetricDirection) {
+    if (std::string_view(name) == "wall_seconds") return;
+    ASSERT_LT(i, golden.size()) << name << " is not pinned";
+    const PinnedField& g = golden[i++];
+    ASSERT_EQ(std::string_view(name), g.name);
+    using T = std::remove_cvref_t<decltype(value)>;
+    EXPECT_EQ(std::is_floating_point_v<T>, g.real) << name;
+    const PinnedField actual(name, value);
+    if constexpr (std::is_floating_point_v<T>) {
+      char text[64];
+      std::snprintf(text, sizeof(text), "%a", value);
+      EXPECT_EQ(actual.bits, g.bits) << name << " = " << text;
+    } else {
+      EXPECT_EQ(actual.bits, g.bits) << name << " = " << value;
+    }
+  });
+  EXPECT_EQ(i, golden.size());
+}
+
+TEST(KernelGolden, LayeredWebIsBitIdentical) {
+  const ScenarioConfig config = layered_web_config(0.01);
+  World world(config, PolicySpec::adaptive(), 42,
+              layered_web_telemetry(config, 42));
+  world.start();
+  world.run_to(config.horizon / 2.0);
+  std::ostringstream checkpoint;
+  write_checkpoint(checkpoint, world.snapshot());
+  world.run_to(config.horizon);
+  const RunOutput out = world.finish();
+  ASSERT_NE(out.telemetry, nullptr);
+
+  static constexpr PinnedField kGolden[] = {
+      {"seed", 42u},
+      {"generated", 707184u},
+      {"accepted", 686224u},
+      {"rejected", 42170u},
+      {"completed", 686200u},
+      {"qos_violations", 0u},
+      {"avg_response_time", 0x1.ef1a65e091f2cp-4},
+      {"std_response_time", 0x1.d3558df05b9a2p-6},
+      {"p95_response_time", 0x1.8bd9ae9c2c383p-3},
+      {"p99_response_time", 0x1.aa107d8862f45p-3},
+      {"min_instances", 0x0p+0},
+      {"max_instances", 0x1p+1},
+      {"avg_instances", 0x1.c924816a0cb4bp+0},
+      {"vm_hours", 0x1.56db610f89879p+5},
+      {"busy_vm_hours", 0x1.403bd334988dap+4},
+      {"utilization", 0x1.de37463900709p-2},
+      {"rejection_rate", 0x1.da458c45f5009p-5},
+      {"instance_failures", 29u},
+      {"vm_crashes", 29u},
+      {"host_crashes", 0u},
+      {"boot_failures", 0u},
+      {"boot_timeouts", 0u},
+      {"lost_requests", 24u},
+      {"lost_to_vm_crashes", 24u},
+      {"lost_to_host_crashes", 0u},
+      {"availability", 0x1.fc98a7ce690e8p-1},
+      {"recoveries", 29u},
+      {"mttr_mean", 0x1.3ce52d9f08a9fp+4},
+      {"mttr_max", 0x1.473b1cd00fp+4},
+      {"reconciler_heals", 0u},
+      {"reconciler_retries", 0u},
+      {"reconciler_aborts", 0u},
+      {"final_instances", 2u},
+      {"slo_response_alerts", 0u},
+      {"slo_rejection_alerts", 1u},
+      {"slo_worst_burn_rate", 0x1.df8674fc33a7fp+4},
+      {"drift_windows", 1440u},
+      {"drift_response_mape", 0x1.ef78332ef249bp+3},
+      {"drift_response_bias", 0x1.2bc17da89a3d7p-6},
+      {"spans_traced", 73033u},
+      {"billed_cost", 0x1.ed8baff1ea2dap+4},
+      {"on_demand_cost", 0x1.7fd3a06d3a06cp+4},
+      {"spot_cost", 0x1.b6e03e12c09b8p+2},
+      {"reserved_cost", 0x0p+0},
+      {"on_demand_purchases", 28u},
+      {"spot_purchases", 3u},
+      {"reserved_purchases", 0u},
+      {"spot_revocations", 0u},
+      {"revocation_kills", 0u},
+      {"lost_to_revocations", 0u},
+      {"spot_price_mean", 0x1.630a0d34e6c12p-2},
+      {"spot_price_max", 0x1.5a8ebc9091474p-1},
+      {"client_requests", 707184u},
+      {"client_succeeded", 686200u},
+      {"client_failed", 20984u},
+      {"client_attempts", 734845u},
+      {"client_retries", 27661u},
+      {"retry_budget_denied", 20364u},
+      {"client_timeouts", 24u},
+      {"wasted_completions", 0u},
+      {"breaker_opens", 141u},
+      {"breaker_half_opens", 141u},
+      {"breaker_closes", 52u},
+      {"breaker_fast_fails", 6451u},
+      {"shed_deadline", 0u},
+      {"shed_brownout", 0u},
+      {"capacity_clips", 0u},
+      {"capacity_denied", 0u},
+      {"cache_hits", 0u},
+      {"cache_misses", 0u},
+      {"cache_hit_ratio", 0x0p+0},
+      {"cache_fills", 0u},
+      {"cache_evictions", 0u},
+      {"cache_expirations", 0u},
+      {"cache_invalidations", 0u},
+      {"cache_flushes", 0u},
+      {"cache_vm_hours", 0x0p+0},
+      {"cache_utilization", 0x0p+0},
+      {"cache_avg_instances", 0x0p+0},
+      {"cache_final_instances", 0u},
+      {"lambda_miss_mean", 0x0p+0},
+      {"cache_avg_response_time", 0x0p+0},
+      {"backend_avg_response_time", 0x0p+0},
+      {"simulated_events", 1425418u},
+  };
+  expect_pinned(out.metrics, kGolden);
+
+  std::ostringstream spans;
+  write_span_csv(spans, *out.telemetry->spans());
+  std::ostringstream trace;
+  write_chrome_trace(trace, out.telemetry->trace(), "cloudprov",
+                     out.telemetry->spans());
+  std::ostringstream drift;
+  write_drift_csv(drift, *out.telemetry->drift());
+  EXPECT_EQ(checkpoint.str().size(), 117279u);
+  EXPECT_EQ(fnv1a(checkpoint.str()), 0x40b7b30b473c273dULL);
+  EXPECT_EQ(spans.str().size(), 14910487u);
+  EXPECT_EQ(fnv1a(spans.str()), 0xf538c49b6752354aULL);
+  EXPECT_EQ(trace.str().size(), 57821871u);
+  EXPECT_EQ(fnv1a(trace.str()), 0xbd7ea841bf415323ULL);
+  EXPECT_EQ(drift.str().size(), 350531u);
+  EXPECT_EQ(fnv1a(drift.str()), 0x9497b2d22fccbaceULL);
 }
 
 }  // namespace

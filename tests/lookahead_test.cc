@@ -409,6 +409,52 @@ TEST(CheckpointFixture, Version3DecodesAndReencodesByteForByte) {
   EXPECT_TRUE(out.str() == bytes) << "re-encoded v3 fixture differs";
 }
 
+std::string encode_checkpoint(const WorldState& state) {
+  std::stringstream out(std::ios::in | std::ios::out | std::ios::binary);
+  write_checkpoint(out, state);
+  return out.str();
+}
+
+/// Runs two worlds built the same way side by side (so their heaps and
+/// stacks differ) and requires their snapshots at `at` to encode to the same
+/// bytes: no raw leaf may carry uninitialised padding into a checkpoint.
+void expect_same_checkpoint_bytes(const ScenarioConfig& config, SimTime at) {
+  World first(config, PolicySpec::adaptive(), 42, std::nullopt);
+  World second(config, PolicySpec::adaptive(), 42, std::nullopt);
+  first.start();
+  second.start();
+  first.run_to(at);
+  second.run_to(at);
+  const std::string a = encode_checkpoint(first.snapshot());
+  const std::string b = encode_checkpoint(second.snapshot());
+  ASSERT_EQ(a.size(), b.size());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) differing += a[i] != b[i];
+  EXPECT_EQ(differing, 0u) << "bytes differ out of " << a.size();
+}
+
+TEST(Checkpoint, SameStateEncodesToSameBytes) {
+  expect_same_checkpoint_bytes(web_scenario(0.02), 43200.0);
+
+  // Every raw leaf with padding: hosts, VM specs, RNG streams, the analyzer,
+  // market entries, fault timers, the cache directory, and the tier's raw
+  // chaos stamps (one fired, so disengaged, and one pending).
+  ScenarioConfig layered = zipf_scenario(0.01);
+  layered.apptier.enabled = true;
+  layered.apptier.flush_at = {600.0};
+  layered.apptier.cache_crash_at = {5000.0};
+  layered.market.enabled = true;
+  layered.market.acquisition.spot_fraction = 0.5;
+  layered.market.acquisition.bid = 0.7;
+  layered.fault.degraded_mtbf = 1800.0;
+  layered.fault.scripted.push_back(
+      {ScriptedFault::Kind::kHostCrash, 5000.0, 0});
+  layered.resilience.enabled = true;
+  layered.resilience.attempt_timeout = 0.5;
+  layered.resilience.retry.max_attempts = 3;
+  expect_same_checkpoint_bytes(layered, 3600.0);
+}
+
 TEST(Checkpoint, RejectsGarbageAndTruncation) {
   std::stringstream garbage(std::ios::in | std::ios::out | std::ios::binary);
   garbage << "not a checkpoint";

@@ -19,6 +19,7 @@
 #include "core/application_provisioner.h"
 #include "experiment/scenario.h"
 #include "experiment/world.h"
+#include "layered_web.h"
 #include "workload/poisson_source.h"
 
 namespace {
@@ -46,6 +47,20 @@ void* operator new(std::size_t size, std::align_val_t align) {
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
   return counted_aligned_alloc(size, static_cast<std::size_t>(align));
+}
+// The nothrow forms too (std::stable_sort's temporary buffer uses them), so
+// that every allocation is counted and is released by the free() below.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -144,6 +159,42 @@ TEST(ServePathAllocation, TieredZipfDirectoryAllocatesNothingPerRequest) {
   constexpr std::uint64_t kWindows = 3 * 60;
   EXPECT_LT(allocations_during, 32 * kWindows)
       << allocations_during << " allocations over " << lookups << " lookups";
+}
+
+// The benchmark's web_layers world (tests/layered_web.h at scale 0.02):
+// telemetry with spans and monitors, an active retry gateway, a spot market,
+// VM faults and the reconciler. Every admitted attempt arms a client timeout
+// on the event queue's FIFO lane and takes a gateway record; every sampled
+// request takes a span slot. Once the tables have grown, a further stretch
+// allocates only per analysis window (decision logs, drift windows, market
+// and fault bookkeeping), never per request.
+TEST(ServePathAllocation, LayeredWebAllocatesNothingPerRequest) {
+  const ScenarioConfig config = layered_web_config(0.02);
+  World world(config, PolicySpec::adaptive(), 42,
+              layered_web_telemetry(config, 42));
+  world.start();
+
+  // Warmup: two hours grow the slabs, indexes, rings and the span trace ring.
+  world.run_to(2.0 * 3600.0);
+  const std::uint64_t generated_before = world.counters().generated;
+  const std::uint64_t allocations_before =
+      g_allocations.load(std::memory_order_relaxed);
+  world.run_to(5.0 * 3600.0);
+  const std::uint64_t allocations_during =
+      g_allocations.load(std::memory_order_relaxed) - allocations_before;
+  const std::uint64_t requests =
+      world.counters().generated - generated_before;
+
+  // The stretch served real traffic through every layer...
+  EXPECT_GT(requests, 50000u);
+  ASSERT_NE(world.gateway(), nullptr);
+  EXPECT_GT(world.gateway()->client_attempts(), requests);
+  // ...and allocated per analysis window only: a node-based in-flight table
+  // allocates once per attempt.
+  constexpr std::uint64_t kWindows = 3 * 60;
+  EXPECT_LT(allocations_during, 32 * kWindows)
+      << allocations_during << " allocations over " << requests
+      << " requests";
 }
 
 }  // namespace
