@@ -181,7 +181,7 @@ RunOutput run_replication_zero(const ScenarioConfig& config,
     const WorldState state = read_checkpoint_file(restore_path);
     std::cerr << "restored " << restore_path << " at t=" << fmt(state.now, 1)
               << " s (" << state.executed_events << " events executed)\n";
-    World world(config, policy, seed, state, World::Overrides{}, profiler);
+    World world(config, policy, seed, state, profiler);
     world.run_to(config.horizon);
     return world.finish();
   }

@@ -47,12 +47,13 @@ void TieredProvisioner::attach(ApplicationProvisioner& backend,
       [this](SimTime t, double rate) { on_rate_alert(t, rate); });
 }
 
-AdaptivePolicy::State TieredProvisioner::checkpoint() const {
+AdaptivePolicy::State TieredProvisioner::checkpoint(
+    bool include_decisions) const {
   ensure(analyzer_.has_value(), "TieredProvisioner::checkpoint: not attached");
   AdaptivePolicy::State state;
   state.analyzer = analyzer_->checkpoint();
   predictor_->save_state(state.predictor);
-  state.decisions = decisions_;
+  if (include_decisions) state.decisions = decisions_;
   return state;
 }
 

@@ -50,7 +50,7 @@ class TieredProvisioner {
               CacheTier& tier);
 
   /// Backend-half checkpoint, shape-compatible with AdaptivePolicy::State.
-  AdaptivePolicy::State checkpoint() const;
+  AdaptivePolicy::State checkpoint(bool include_decisions) const;
   /// Restore counterpart of attach(): no initial sizing, analyzer re-armed
   /// under its snapshot stamp.
   void restore_attach(ApplicationProvisioner& backend,

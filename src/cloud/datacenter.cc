@@ -17,7 +17,7 @@ Datacenter::Datacenter(Simulation& sim, DatacenterConfig config,
   ensure_arg(placement_ != nullptr, "Datacenter: null placement policy");
   hosts_.reserve(config_.host_count);
   for (std::size_t i = 0; i < config_.host_count; ++i) {
-    hosts_.push_back(std::make_unique<Host>(i, config_.host_spec));
+    hosts_.emplace_back(i, config_.host_spec);
   }
 }
 
@@ -100,7 +100,7 @@ std::size_t Datacenter::fail_vm(Vm& vm, FaultCause cause) {
 
 std::size_t Datacenter::fail_host(std::size_t host_index) {
   ensure_arg(host_index < hosts_.size(), "fail_host: host index out of range");
-  Host& host = *hosts_[host_index];
+  Host& host = hosts_[host_index];
   if (host.failed()) return 0;
   host.fail(now());
   ++failed_hosts_;
@@ -127,11 +127,11 @@ void Datacenter::set_allocation_suspended(bool suspended) {
 
 std::size_t Datacenter::remaining_capacity(const VmSpec& spec) const {
   std::size_t total = 0;
-  for (const auto& host : hosts_) {
-    if (host->failed()) continue;
-    const auto by_cores = host->free_cores() / spec.cores;
+  for (const Host& host : hosts_) {
+    if (host.failed()) continue;
+    const auto by_cores = host.free_cores() / spec.cores;
     const auto by_ram = spec.ram_gb > 0.0
-                            ? static_cast<std::size_t>(host->free_ram_gb() /
+                            ? static_cast<std::size_t>(host.free_ram_gb() /
                                                        spec.ram_gb)
                             : static_cast<std::size_t>(by_cores);
     total += std::min<std::size_t>(by_cores, by_ram);
@@ -160,14 +160,14 @@ std::vector<SimTime> Datacenter::vm_lifetimes() const {
 
 double Datacenter::host_powered_hours() const {
   double seconds = 0.0;
-  for (const auto& host : hosts_) seconds += host->powered_seconds(now());
+  for (const Host& host : hosts_) seconds += host.powered_seconds(now());
   return seconds / duration::kHour;
 }
 
 Datacenter::Snapshot Datacenter::snapshot() const {
   Snapshot s;
   s.hosts.reserve(hosts_.size());
-  for (const auto& host : hosts_) s.hosts.push_back(host->snapshot());
+  for (const Host& host : hosts_) s.hosts.push_back(host.snapshot());
   s.vms.reserve(vms_.size());
   for (const auto& vm : vms_) s.vms.push_back(vm->snapshot());
   s.vm_host.reserve(vm_host_.size());
@@ -190,16 +190,20 @@ void Datacenter::restore(const Snapshot& s) {
          "Datacenter::restore: vm/vm_host size mismatch");
   ensure(vms_.empty(), "Datacenter::restore: data center already populated");
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    hosts_[i]->restore(s.hosts[i]);
+    hosts_[i].restore(s.hosts[i]);
   }
   vms_.reserve(s.vms.size());
   vm_host_.reserve(s.vm_host.size());
   for (std::size_t i = 0; i < s.vms.size(); ++i) {
     vms_.push_back(std::make_unique<Vm>(sim(), s.vms[i]));
     if (telemetry_ != nullptr) vms_.back()->set_telemetry(telemetry_);
-    vm_host_.push_back(s.vm_host[i] == Snapshot::kNoHost
-                           ? nullptr
-                           : hosts_[s.vm_host[i]].get());
+    Host* host = nullptr;
+    if (s.vm_host[i] != Snapshot::kNoHost) {
+      ensure(s.vm_host[i] < hosts_.size(),
+             "Datacenter::restore: host index out of range");
+      host = &hosts_[s.vm_host[i]];
+    }
+    vm_host_.push_back(host);
   }
   live_vms_ = s.live_vms;
   failed_hosts_ = s.failed_hosts;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -109,7 +110,7 @@ class Datacenter final : public Entity {
   /// Sum over hosts of powered-on time (hours); input to the energy model.
   double host_powered_hours() const;
 
-  const std::vector<std::unique_ptr<Host>>& hosts() const { return hosts_; }
+  std::span<const Host> hosts() const { return hosts_; }
 
   /// Looks up a VM by id (1-based creation order); nullptr when unknown.
   /// Restore paths use this to rebind snapshot vm ids to live objects.
@@ -145,7 +146,9 @@ class Datacenter final : public Entity {
 
   DatacenterConfig config_;
   std::unique_ptr<PlacementPolicy> placement_;
-  std::vector<std::unique_ptr<Host>> hosts_;
+  // Sized once in the constructor and never grown, so the Host pointers in
+  // vm_host_ stay valid for the data center's lifetime.
+  std::vector<Host> hosts_;
   std::vector<std::unique_ptr<Vm>> vms_;  // full history, including destroyed
   // Parallel to vms_: placement record; nulled once the slot's resources are
   // released (destroy or crash), which is what makes release idempotent.

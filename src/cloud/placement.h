@@ -7,9 +7,8 @@
 // alternatives for sensitivity experiments.
 #pragma once
 
-#include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "cloud/host.h"
 #include "util/rng.h"
@@ -21,8 +20,7 @@ class PlacementPolicy {
   virtual ~PlacementPolicy() = default;
 
   /// Picks a host able to fit `vm`, or nullptr when the data center is full.
-  virtual Host* select(std::vector<std::unique_ptr<Host>>& hosts,
-                       const VmSpec& vm) = 0;
+  virtual Host* select(std::span<Host> hosts, const VmSpec& vm) = 0;
 
   virtual std::string name() const = 0;
 };
@@ -30,14 +28,14 @@ class PlacementPolicy {
 /// Paper default: host with the fewest resident VMs that still fits the VM.
 class LeastLoadedPlacement final : public PlacementPolicy {
  public:
-  Host* select(std::vector<std::unique_ptr<Host>>& hosts, const VmSpec& vm) override;
+  Host* select(std::span<Host> hosts, const VmSpec& vm) override;
   std::string name() const override { return "least-loaded"; }
 };
 
 /// First host (by id order) with capacity; packs hosts densely.
 class FirstFitPlacement final : public PlacementPolicy {
  public:
-  Host* select(std::vector<std::unique_ptr<Host>>& hosts, const VmSpec& vm) override;
+  Host* select(std::span<Host> hosts, const VmSpec& vm) override;
   std::string name() const override { return "first-fit"; }
 };
 
@@ -45,7 +43,7 @@ class FirstFitPlacement final : public PlacementPolicy {
 class RandomPlacement final : public PlacementPolicy {
  public:
   explicit RandomPlacement(Rng rng) : rng_(rng) {}
-  Host* select(std::vector<std::unique_ptr<Host>>& hosts, const VmSpec& vm) override;
+  Host* select(std::span<Host> hosts, const VmSpec& vm) override;
   std::string name() const override { return "random"; }
 
  private:

@@ -27,12 +27,12 @@ void AdaptivePolicy::attach(ApplicationProvisioner& provisioner) {
       [this](SimTime t, double rate) { on_rate_alert(t, rate); });
 }
 
-AdaptivePolicy::State AdaptivePolicy::checkpoint() const {
+AdaptivePolicy::State AdaptivePolicy::checkpoint(bool include_decisions) const {
   ensure(analyzer_.has_value(), "AdaptivePolicy::checkpoint: not attached");
   State state;
   state.analyzer = analyzer_->checkpoint();
   predictor_->save_state(state.predictor);
-  state.decisions = decisions_;
+  if (include_decisions) state.decisions = decisions_;
   return state;
 }
 

@@ -63,7 +63,9 @@ class AdaptivePolicy final : public ProvisioningPolicy {
     std::vector<double> predictor;
     std::vector<DecisionRecord> decisions;
   };
-  State checkpoint() const;
+  /// `include_decisions` = false leaves the decision log out: what-if base
+  /// snapshots never read it, and it grows by one record per window.
+  State checkpoint(bool include_decisions) const;
   /// attach() variant for a restored world: binds the provisioner, restores
   /// the predictor fit and analyzer tick, and replays no initial sizing.
   void restore_attach(ApplicationProvisioner& provisioner, const State& state);

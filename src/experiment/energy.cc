@@ -10,7 +10,7 @@ double energy_kwh(const Datacenter& datacenter, const PowerModel& model) {
              "energy_kwh: peak power must be >= idle power");
   ensure(!datacenter.hosts().empty(), "energy_kwh: data center has no hosts");
   const double cores =
-      static_cast<double>(datacenter.hosts().front()->spec().cores);
+      static_cast<double>(datacenter.hosts().front().spec().cores);
   // Idle floor: every powered-on host draws idle_watts.
   const double idle_watt_hours =
       model.idle_watts * datacenter.host_powered_hours();

@@ -23,23 +23,27 @@
 namespace cloudprov {
 namespace {
 
+/// `profile` holds the scenario's periodic profile once built; the
+/// predictor returned for kProfile is a copy sharing its table.
 std::shared_ptr<ArrivalRatePredictor> make_predictor(
     const ScenarioConfig& config, PredictorKind kind,
-    const RequestSource& source) {
+    const RequestSource& source,
+    std::shared_ptr<const PeriodicProfilePredictor>& profile) {
   switch (kind) {
     case PredictorKind::kProfile:
-      if (config.workload == WorkloadKind::kWeb) {
-        return std::make_shared<PeriodicProfilePredictor>(
-            web_profile_predictor(config.web));
-      }
       if (config.workload == WorkloadKind::kZipf) {
         // The Zipf workload has no periodic profile — its published curve is
         // the flat base rate with flash-crowd windows, which expected_rate
         // reports exactly; the oracle over the source is that "profile".
         return std::make_shared<OraclePredictor>(source, /*margin=*/0.05);
       }
-      return std::make_shared<PeriodicProfilePredictor>(
-          bot_profile_predictor(config.bot));
+      if (profile == nullptr) {
+        profile = std::make_shared<const PeriodicProfilePredictor>(
+            config.workload == WorkloadKind::kWeb
+                ? web_profile_predictor(config.web)
+                : bot_profile_predictor(config.bot));
+      }
+      return std::make_shared<PeriodicProfilePredictor>(*profile);
     case PredictorKind::kOracle:
       return std::make_shared<OraclePredictor>(source, /*margin=*/0.05);
     case PredictorKind::kEwma:
@@ -88,7 +92,7 @@ std::unique_ptr<RequestSource> make_scenario_source(
   return std::make_unique<BotWorkload>(config.bot);
 }
 
-void World::build_platform() {
+void World::build_platform(bool track_quantiles) {
   // A borrowed shard kernel is shared by many tenants: per-tenant telemetry
   // and profiling cannot be attached at the engine level (the shard runner
   // instruments the kernel itself), so engine hooks are owner-only.
@@ -105,6 +109,7 @@ void World::build_platform() {
   prov_config.initial_service_time_estimate =
       config_.initial_service_time_estimate;
   prov_config.boot_timeout = config_.boot_timeout;
+  prov_config.track_quantiles = track_quantiles;
   std::unique_ptr<AdmissionPolicy> admission;
   if (config_.resilience.enabled && config_.resilience.shed.enabled()) {
     auto shedding = std::make_unique<SheddingAdmission>(config_.resilience.shed,
@@ -190,7 +195,7 @@ void World::build_policy(const AdaptivePolicy::State* restored,
     // its checkpoint is shape-compatible with AdaptivePolicy::State, so the
     // restore path reuses `restored` verbatim.
     tiered_ = std::make_unique<TieredProvisioner>(
-        *sim_, make_predictor(config_, policy_.predictor, *source_),
+        *sim_, make_predictor(config_, policy_.predictor, *source_, profile_),
         config_.modeler, config_.analyzer, config_.apptier);
     tiered_->set_telemetry(telemetry_.get());
     if (restored != nullptr) {
@@ -211,7 +216,7 @@ void World::build_policy(const AdaptivePolicy::State* restored,
 
   if (policy_.kind == PolicySpec::Kind::kAdaptive || force_adaptive) {
     auto owned = std::make_unique<AdaptivePolicy>(
-        *sim_, make_predictor(config_, policy_.predictor, *source_),
+        *sim_, make_predictor(config_, policy_.predictor, *source_, profile_),
         config_.modeler, config_.analyzer);
     adaptive_ = owned.get();
     adaptive_->set_telemetry(telemetry_.get());
@@ -223,7 +228,7 @@ void World::build_policy(const AdaptivePolicy::State* restored,
   LookaheadConfig lookahead_config = policy_.lookahead;
   lookahead_config.seed = streams_.lookahead;
   auto owned = std::make_unique<LookaheadPolicy>(
-      *sim_, make_predictor(config_, policy_.predictor, *source_),
+      *sim_, make_predictor(config_, policy_.predictor, *source_, profile_),
       config_.modeler, config_.analyzer, std::move(lookahead_config));
   lookahead_ = owned.get();
   lookahead_->set_telemetry(telemetry_.get());
@@ -250,7 +255,7 @@ World::World(const ScenarioConfig& config, const PolicySpec& policy,
   if (telemetry_opts.has_value()) {
     telemetry_ = std::make_unique<Telemetry>(*telemetry_opts);
   }
-  build_platform();
+  build_platform(/*track_quantiles=*/true);
   source_ = make_scenario_source(config_);
   broker_.emplace(*sim_, *source_, front_door(), Rng(streams_.workload));
   build_policy(nullptr, std::nullopt, /*force_adaptive=*/false);
@@ -258,7 +263,7 @@ World::World(const ScenarioConfig& config, const PolicySpec& policy,
 
 World::World(const ScenarioConfig& config, const PolicySpec& policy,
              std::uint64_t seed, const WorldState& state,
-             const Overrides& overrides, WallProfiler* profiler)
+             WallProfiler* profiler)
     : config_(config),
       policy_(policy),
       seed_(seed),
@@ -266,10 +271,25 @@ World::World(const ScenarioConfig& config, const PolicySpec& policy,
       wall_start_(std::chrono::steady_clock::now()),
       profiler_(profiler) {
   ProfileScope profile_build(profiler_, ProfileCategory::kWorldBuild);
+  restore(state, nullptr);
+}
+
+World::World(const World& parent, const WorldState& base,
+             const WhatIfSpec& fork)
+    : config_(parent.config_),
+      policy_(parent.policy_),
+      seed_(parent.seed_),
+      streams_(parent.streams_),
+      wall_start_(std::chrono::steady_clock::now()),
+      profile_(parent.profile_) {
+  restore(base, &fork);
+}
+
+void World::restore(const WorldState& state, const WhatIfSpec* fork) {
   owned_sim_ = std::make_unique<Simulation>();
   sim_ = owned_sim_.get();
   if (state.telemetry != nullptr) telemetry_ = state.telemetry->clone();
-  build_platform();
+  build_platform(/*track_quantiles=*/fork == nullptr);
   // Component restore order is free (each re-pushes under explicit stamps);
   // only the clock restore must come last, after every re-push.
   datacenter_->restore(state.datacenter);
@@ -294,14 +314,14 @@ World::World(const ScenarioConfig& config, const PolicySpec& policy,
   }
 
   Broker::Snapshot broker_snap = state.broker;
-  if (overrides.forecast_rate.has_value()) {
+  if (fork != nullptr) {
     // What-if fork: future arrivals come from a synthetic Poisson stream at
     // the forecast rate, continuing from the in-flight arrival's timestamp,
     // on a per-window stream (common random numbers across candidates).
     source_ = std::make_unique<PoissonForecastSource>(
-        *overrides.forecast_rate, scenario_service_base(config_),
+        fork->forecast_rate, scenario_service_base(config_),
         scenario_service_spread(config_), state.broker.pending_arrival.time);
-    broker_snap.rng = Rng(overrides.forecast_seed).state();
+    broker_snap.rng = Rng(fork->forecast_seed).state();
   } else {
     source_ = make_scenario_source(config_);
     source_->load_state(state.source);
@@ -310,7 +330,7 @@ World::World(const ScenarioConfig& config, const PolicySpec& policy,
   broker_->restore(broker_snap);
 
   build_policy(state.policy_present ? &state.policy : nullptr,
-               state.lookahead_rng, overrides.force_adaptive);
+               state.lookahead_rng, /*force_adaptive=*/fork != nullptr);
   if (tiered_ != nullptr && state.apptier.has_value()) {
     tiered_->restore_cache_decisions(state.apptier->cache_decisions);
   }
@@ -318,13 +338,13 @@ World::World(const ScenarioConfig& config, const PolicySpec& policy,
   sim_->restore_clock(state.now, state.executed_events, state.push_counter);
   started_ = true;
 
-  // Candidate overrides act only after the clock is back, so any VM churn
-  // they cause is stamped at the fork time like the live commit would be.
-  if (overrides.bid.has_value() && market_.has_value()) {
-    market_->set_bid(*overrides.bid);
-  }
-  if (overrides.initial_target.has_value()) {
-    provisioner_->scale_to(*overrides.initial_target);
+  // The candidate acts only after the clock is back, so any VM churn it
+  // causes is stamped at the fork time like the live commit would be.
+  if (fork != nullptr) {
+    if (fork->bid.has_value() && market_.has_value()) {
+      market_->set_bid(*fork->bid);
+    }
+    provisioner_->scale_to(fork->target_instances);
   }
 }
 
@@ -393,16 +413,15 @@ WorldState World::snapshot(const SnapshotOptions& options) const {
   source_->save_state(state.source);
   if (adaptive_ != nullptr) {
     state.policy_present = true;
-    state.policy = adaptive_->checkpoint();
+    state.policy = adaptive_->checkpoint(options.include_decisions);
   } else if (lookahead_ != nullptr) {
     state.policy_present = true;
-    state.policy = lookahead_->checkpoint();
+    state.policy = lookahead_->checkpoint(options.include_decisions);
     state.lookahead_rng = lookahead_->rng_state();
   } else if (tiered_ != nullptr) {
     state.policy_present = true;
-    state.policy = tiered_->checkpoint();
+    state.policy = tiered_->checkpoint(options.include_decisions);
   }
-  if (!options.include_decisions) state.policy.decisions.clear();
   if (market_.has_value()) state.market = market_->checkpoint();
   if (faults_.has_value()) state.faults = faults_->checkpoint();
   if (reconciler_.has_value()) state.reconciler = reconciler_->checkpoint();
@@ -630,13 +649,7 @@ WhatIfOutcome World::what_if(const WhatIfSpec& spec) {
     whatif_base_ = snapshot(options);
   }
 
-  Overrides overrides;
-  overrides.force_adaptive = true;
-  overrides.forecast_rate = spec.forecast_rate;
-  overrides.forecast_seed = spec.forecast_seed;
-  overrides.bid = spec.bid;
-  overrides.initial_target = spec.target_instances;
-  World clone(config_, policy_, seed_, *whatif_base_, overrides);
+  World clone(*this, *whatif_base_, spec);
 
   const std::uint64_t rejected_before = clone.provisioner_->rejected();
   const std::uint64_t violations_before = clone.provisioner_->qos_violations();

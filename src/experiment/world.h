@@ -13,9 +13,11 @@
 //     bit-identical to the uninterrupted one.
 //
 // World also implements WhatIfEngine for LookaheadPolicy: what_if() forks a
-// throwaway clone from a cached snapshot (telemetry off, arrivals replaced
-// by a Poisson forecast), applies the candidate, runs it to the horizon, and
-// reports cost/QoS. The live world is untouched.
+// throwaway clone from a cached snapshot, applies the candidate, runs it to
+// the horizon, and reports cost/QoS. The live world is untouched. A clone
+// runs with telemetry and tail quantiles off and arrivals replaced by a
+// Poisson forecast, and it shares the parent's profile table instead of
+// rebuilding it: it pays only for the simulation it runs.
 #pragma once
 
 #include <chrono>
@@ -35,6 +37,7 @@
 
 namespace cloudprov {
 
+class PeriodicProfilePredictor;
 class WallProfiler;
 
 struct RunOutput {
@@ -77,33 +80,13 @@ class World final : public WhatIfEngine {
         const std::optional<TelemetryOptions>& telemetry_opts = std::nullopt,
         WallProfiler* profiler = nullptr, Simulation* engine = nullptr);
 
-  /// Restore-time deviations from the snapshotted trajectory, used by
-  /// what-if clones. A default-constructed Overrides resumes faithfully.
-  struct Overrides {
-    /// Continue under a plain AdaptivePolicy even when the spec says
-    /// lookahead: what-if clones must not recursively search.
-    bool force_adaptive = false;
-    /// Replace the workload source with a Poisson forecast at this rate
-    /// (reseeding the broker stream with forecast_seed).
-    std::optional<double> forecast_rate;
-    std::uint64_t forecast_seed = 0;
-    /// Spot-bid override applied to the restored market broker.
-    std::optional<double> bid;
-    /// Pool-size command applied immediately after restore (the candidate
-    /// under evaluation).
-    std::optional<std::size_t> initial_target;
-  };
-
   /// Restored world: resumes from `state` at state.now. The triple
   /// (config, policy, seed) must match the world the snapshot was taken
   /// from; this is unchecked (checkpoints carry no config). Do not call
   /// start() on a restored world.
   World(const ScenarioConfig& config, const PolicySpec& policy,
         std::uint64_t seed, const WorldState& state,
-        const Overrides& overrides, WallProfiler* profiler = nullptr);
-  World(const ScenarioConfig& config, const PolicySpec& policy,
-        std::uint64_t seed, const WorldState& state)
-      : World(config, policy, seed, state, Overrides{}) {}
+        WallProfiler* profiler = nullptr);
 
   ~World() override;
   World(const World&) = delete;
@@ -165,9 +148,19 @@ class World final : public WhatIfEngine {
   std::optional<double> current_bid() const override;
 
  private:
-  /// Shared wiring for both constructors: everything up to (but excluding)
-  /// source/broker/policy construction and any restore call.
-  void build_platform();
+  /// What-if clone of `parent`, resumed from `base` (a snapshot of the
+  /// parent) with the fork's deviations: a plain AdaptivePolicy (clones
+  /// must not recursively search), arrivals from a Poisson forecast at
+  /// fork.forecast_rate on a fork.forecast_seed stream, fork.bid applied to
+  /// the market, and fork.target_instances commanded at the fork instant.
+  World(const World& parent, const WorldState& base, const WhatIfSpec& fork);
+  /// Restore body of both restoring constructors; `fork` is null for a
+  /// faithful resume.
+  void restore(const WorldState& state, const WhatIfSpec* fork);
+  /// Shared wiring for every constructor: everything up to (but excluding)
+  /// source/broker/policy construction and any restore call. What-if
+  /// clones pass track_quantiles = false: no outcome reads their P² tails.
+  void build_platform(bool track_quantiles);
   /// The backend's sink: the resilience gateway when enabled, else the
   /// provisioner directly. In tiered worlds this is where cache MISSES go.
   RequestSink& request_sink();
@@ -221,6 +214,10 @@ class World final : public WhatIfEngine {
   /// what_if() base-snapshot cache: all candidates of one search window
   /// fork from the same frozen world, snapshotted once.
   std::optional<WorldState> whatif_base_;
+  /// The scenario's periodic profile predictor (PredictorKind::kProfile on
+  /// web or scientific workloads), built on first use; every policy gets a
+  /// copy, and what-if clones inherit it, so all of them share one table.
+  std::shared_ptr<const PeriodicProfilePredictor> profile_;
 };
 
 }  // namespace cloudprov

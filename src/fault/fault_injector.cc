@@ -83,8 +83,8 @@ void FaultInjector::fire_vm_crash() {
 
 std::size_t FaultInjector::occupied_hosts() const {
   std::size_t count = 0;
-  for (const auto& host : datacenter_.hosts()) {
-    if (!host->failed() && host->vm_count() > 0) ++count;
+  for (const Host& host : datacenter_.hosts()) {
+    if (!host.failed() && host.vm_count() > 0) ++count;
   }
   return count;
 }
@@ -107,9 +107,9 @@ void FaultInjector::fire_host_crash() {
     // Victim: the pick-th occupied host in index order.
     auto pick = static_cast<std::size_t>(
         host_rng_.uniform_int(0, occupied - 1));
-    const auto& hosts = datacenter_.hosts();
+    const std::span<const Host> hosts = datacenter_.hosts();
     for (std::size_t i = 0; i < hosts.size(); ++i) {
-      if (hosts[i]->failed() || hosts[i]->vm_count() == 0) continue;
+      if (hosts[i].failed() || hosts[i].vm_count() == 0) continue;
       if (pick == 0) {
         datacenter_.fail_host(i);
         ++host_crashes_;
@@ -220,7 +220,7 @@ void FaultInjector::fire_script(const ScriptedFault& fault) {
   switch (fault.kind) {
     case ScriptedFault::Kind::kHostCrash:
       if (fault.target < datacenter_.host_count() &&
-          !datacenter_.hosts()[fault.target]->failed()) {
+          !datacenter_.hosts()[fault.target].failed()) {
         datacenter_.fail_host(fault.target);
         ++host_crashes_;
       }

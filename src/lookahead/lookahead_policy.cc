@@ -31,12 +31,13 @@ void LookaheadPolicy::attach(ApplicationProvisioner& provisioner) {
       [this](SimTime t, double rate) { on_rate_alert(t, rate); });
 }
 
-AdaptivePolicy::State LookaheadPolicy::checkpoint() const {
+AdaptivePolicy::State LookaheadPolicy::checkpoint(
+    bool include_decisions) const {
   ensure(analyzer_.has_value(), "LookaheadPolicy::checkpoint: not attached");
   AdaptivePolicy::State state;
   state.analyzer = analyzer_->checkpoint();
   predictor_->save_state(state.predictor);
-  state.decisions = decisions_;
+  if (include_decisions) state.decisions = decisions_;
   return state;
 }
 

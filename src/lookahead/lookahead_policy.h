@@ -151,7 +151,7 @@ class LookaheadPolicy final : public ProvisioningPolicy {
   // --- checkpoint support ------------------------------------------------
   /// Shares AdaptivePolicy's state shape (analyzer + predictor + decisions);
   /// the forecast stream is carried separately (WorldState::lookahead_rng).
-  AdaptivePolicy::State checkpoint() const;
+  AdaptivePolicy::State checkpoint(bool include_decisions) const;
   void restore_attach(ApplicationProvisioner& provisioner,
                       const AdaptivePolicy::State& state,
                       const std::optional<Rng::State>& rng_state);

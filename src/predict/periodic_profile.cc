@@ -10,20 +10,22 @@ namespace cloudprov {
 PeriodicProfilePredictor::PeriodicProfilePredictor(std::vector<ProfileEntry> entries,
                                                    int period_days,
                                                    std::string label)
-    : entries_(std::move(entries)), period_days_(period_days), label_(std::move(label)) {
-  ensure_arg(!entries_.empty(), "PeriodicProfilePredictor: need at least one entry");
+    : period_days_(period_days), label_(std::move(label)) {
+  ensure_arg(!entries.empty(), "PeriodicProfilePredictor: need at least one entry");
   ensure_arg(period_days_ >= 1, "PeriodicProfilePredictor: period must be >= 1 day");
-  for (const ProfileEntry& e : entries_) {
+  for (const ProfileEntry& e : entries) {
     ensure_arg(e.day >= -1 && e.day < period_days_,
                "PeriodicProfilePredictor: entry day out of range");
     ensure_arg(e.time_of_day >= 0.0 && e.time_of_day < duration::kDay,
                "PeriodicProfilePredictor: time_of_day out of range");
     ensure_arg(e.rate >= 0.0, "PeriodicProfilePredictor: negative rate");
   }
-  std::stable_sort(entries_.begin(), entries_.end(),
+  std::stable_sort(entries.begin(), entries.end(),
                    [](const ProfileEntry& a, const ProfileEntry& b) {
                      return a.time_of_day < b.time_of_day;
                    });
+  entries_ =
+      std::make_shared<const std::vector<ProfileEntry>>(std::move(entries));
 }
 
 double PeriodicProfilePredictor::predict(SimTime t) const {
@@ -35,7 +37,7 @@ double PeriodicProfilePredictor::predict(SimTime t) const {
   // today, wrap to the last entry of the previous day in the cycle.
   auto applicable = [&](int d, SimTime before_tod) -> const ProfileEntry* {
     const ProfileEntry* best = nullptr;
-    for (const ProfileEntry& e : entries_) {
+    for (const ProfileEntry& e : *entries_) {
       if (e.day != -1 && e.day != d) continue;
       if (e.time_of_day <= before_tod) best = &e;  // entries sorted by tod
     }
@@ -49,7 +51,7 @@ double PeriodicProfilePredictor::predict(SimTime t) const {
       return entry->rate;
     }
   }
-  return entries_.front().rate;
+  return entries_->front().rate;
 }
 
 PeriodicProfilePredictor web_six_period_profile(const WebWorkloadConfig& config) {

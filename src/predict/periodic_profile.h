@@ -8,6 +8,7 @@
 // the rate holds from the entry's start until the next entry.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,8 @@ struct ProfileEntry {
   double rate = 0.0;
 };
 
+/// Copies share one read-only entry table, so a copy costs no rebuild: a
+/// live world builds its profile once and its what-if clones copy it.
 class PeriodicProfilePredictor final : public ArrivalRatePredictor {
  public:
   /// `period_days` is the cycle length (7 for the weekly web profile, 1 for
@@ -41,10 +44,11 @@ class PeriodicProfilePredictor final : public ArrivalRatePredictor {
   double predict(SimTime t) const override;
   std::string name() const override { return label_; }
 
-  const std::vector<ProfileEntry>& entries() const { return entries_; }
+  const std::vector<ProfileEntry>& entries() const { return *entries_; }
 
  private:
-  std::vector<ProfileEntry> entries_;  // sorted by (day, time_of_day)
+  /// Sorted by time_of_day; shared with every copy.
+  std::shared_ptr<const std::vector<ProfileEntry>> entries_;
   int period_days_;
   std::string label_;
 };

@@ -189,11 +189,9 @@ TEST(Host, AllocateWithoutCapacityThrows) {
 
 // ------------------------------------------------------------------- Placement
 
-std::vector<std::unique_ptr<Host>> make_hosts(std::size_t n) {
-  std::vector<std::unique_ptr<Host>> hosts;
-  for (std::size_t i = 0; i < n; ++i) {
-    hosts.push_back(std::make_unique<Host>(i, HostSpec{}));
-  }
+std::vector<Host> make_hosts(std::size_t n) {
+  std::vector<Host> hosts;
+  for (std::size_t i = 0; i < n; ++i) hosts.emplace_back(i, HostSpec{});
   return hosts;
 }
 
@@ -206,7 +204,7 @@ TEST(Placement, LeastLoadedSpreadsVms) {
     ASSERT_NE(host, nullptr);
     host->allocate(vm);
   }
-  for (const auto& host : hosts) EXPECT_EQ(host->vm_count(), 2u);
+  for (const Host& host : hosts) EXPECT_EQ(host.vm_count(), 2u);
 }
 
 TEST(Placement, FirstFitPacksDensely) {
@@ -218,29 +216,29 @@ TEST(Placement, FirstFitPacksDensely) {
     ASSERT_NE(host, nullptr);
     host->allocate(vm);
   }
-  EXPECT_EQ(hosts[0]->vm_count(), 8u);
-  EXPECT_EQ(hosts[1]->vm_count(), 0u);
+  EXPECT_EQ(hosts[0].vm_count(), 8u);
+  EXPECT_EQ(hosts[1].vm_count(), 0u);
   Host* ninth = policy.select(hosts, vm);
-  EXPECT_EQ(ninth, hosts[1].get());
+  EXPECT_EQ(ninth, &hosts[1]);
 }
 
 TEST(Placement, RandomOnlyPicksFittingHosts) {
   auto hosts = make_hosts(3);
   const VmSpec vm{};
   // Fill host 0 completely.
-  for (int i = 0; i < 8; ++i) hosts[0]->allocate(vm);
+  for (int i = 0; i < 8; ++i) hosts[0].allocate(vm);
   RandomPlacement policy{Rng(5)};
   for (int i = 0; i < 50; ++i) {
     Host* host = policy.select(hosts, vm);
     ASSERT_NE(host, nullptr);
-    EXPECT_NE(host, hosts[0].get());
+    EXPECT_NE(host, &hosts[0]);
   }
 }
 
 TEST(Placement, AllPoliciesReturnNullWhenFull) {
   auto hosts = make_hosts(1);
   const VmSpec vm{};
-  for (int i = 0; i < 8; ++i) hosts[0]->allocate(vm);
+  for (int i = 0; i < 8; ++i) hosts[0].allocate(vm);
   LeastLoadedPlacement least;
   FirstFitPlacement first;
   RandomPlacement random{Rng(1)};

@@ -51,6 +51,12 @@ struct Mm1kCase {
   std::size_t k;
 };
 
+// Without this, gtest prints the case as raw bytes and ctest names each test
+// after that dump.
+void PrintTo(const Mm1kCase& c, std::ostream* os) {
+  *os << "lambda=" << c.lambda << " mu=" << c.mu << " k=" << c.k;
+}
+
 class SimulatedMm1kTest : public ::testing::TestWithParam<Mm1kCase> {};
 
 TEST_P(SimulatedMm1kTest, RejectionAndResponseMatchTheory) {

@@ -1,8 +1,8 @@
 // Fixed-seed golden cross-check for the event-kernel rewrite.
 //
-// Every literal below was captured from the pre-rewrite kernel (type-erased
-// std::function payloads in a binary std::priority_queue) running the same
-// scenario smokes (the tiered Zipf smoke's provenance is noted at its test).
+// Unless a test notes its own provenance, every literal below was captured
+// from the pre-rewrite kernel (type-erased std::function payloads in a
+// binary std::priority_queue) running the same scenario smoke.
 // The slab/typed-delegate kernel must reproduce them bit-for-bit: integers
 // with ==, doubles with exact equality via hexfloat literals, and the full
 // span CSV through an FNV-1a hash of the byte stream.
@@ -272,6 +272,87 @@ TEST(KernelGolden, FaultAblationSmokeIsBitIdentical) {
   g.drift_windows=0; g.drift_response_mape=0x0p+0; g.drift_response_bias=0x0p+0; g.spans_traced=0;
   g.simulated_events=1387838;
   expect_bit_identical(out.metrics, g);
+}
+
+// Lookahead smoke: web at scale 0.01, six hours, K = 3 candidates over a
+// three-window horizon, seed 42. Every window forks what-if clones, and two
+// of the 361 committed targets differ from the adaptive run's, so these
+// literals pin what the forks decided, not just that they ran. The literals
+// were captured before the fork path shared the profile table, stored hosts
+// flat and dropped tail quantiles from clones.
+TEST(KernelGolden, LookaheadSearchIsBitIdentical) {
+  ScenarioConfig config = web_scenario(0.01);
+  config.horizon = 6.0 * 3600.0;
+  config.web.horizon = config.horizon;
+  const RunOutput out =
+      run_scenario(config, PolicySpec::lookahead_spec(3, 3), 42);
+
+  GoldenMetrics g{};
+  g.generated=148644; g.accepted=128168; g.rejected=20476; g.completed=128167; g.qos_violations=0;
+  g.avg_response_time=0x1.0aa3eefbb3f8cp-3; g.std_response_time=0x1.1d0c18c242af9p-5;
+  g.p95_response_time=0x1.9a8943c11ecep-3; g.p99_response_time=0x1.ad23ec0ee9edep-3;
+  g.min_instances=0x1p+0; g.max_instances=0x1p+1; g.avg_instances=0x1.2aaaaaaaaaaabp+0;
+  g.vm_hours=0x1.cp+2; g.busy_vm_hours=0x1.de8f51068c187p+1; g.utilization=0x1.1176777174a04p-1; g.rejection_rate=0x1.1a1db0fbdc184p-3;
+  g.instance_failures=0; g.vm_crashes=0; g.host_crashes=0; g.boot_failures=0; g.boot_timeouts=0;
+  g.lost_requests=0; g.lost_to_vm_crashes=0; g.lost_to_host_crashes=0;
+  g.availability=0x1p+0; g.recoveries=0; g.mttr_mean=0x0p+0; g.mttr_max=0x0p+0;
+  g.reconciler_heals=0; g.reconciler_retries=0; g.reconciler_aborts=0; g.final_instances=1;
+  g.slo_response_alerts=0; g.slo_rejection_alerts=0; g.slo_worst_burn_rate=0x0p+0;
+  g.drift_windows=0; g.drift_response_mape=0x0p+0; g.drift_response_bias=0x0p+0; g.spans_traced=0;
+  g.simulated_events=277171;
+  expect_bit_identical(out.metrics, g);
+
+  // The committed decision sequence: one "time,target,achieved" line per
+  // window, the time in hexfloat.
+  std::string log;
+  for (const AdaptivePolicy::DecisionRecord& d : out.decisions) {
+    char line[64];
+    std::snprintf(line, sizeof(line), "%a,%zu,%zu\n", d.time,
+                  d.target_instances, d.achieved_instances);
+    log += line;
+  }
+  EXPECT_EQ(out.decisions.size(), 361u);
+  EXPECT_EQ(log.size(), 5655u);
+  EXPECT_EQ(fnv1a(log), 0xa5034ba17258b1e0ULL);
+}
+
+// What-if forks called directly on a live lookahead world at 6 h and 12 h:
+// four candidate pool sizes per instant, one fixed forecast rate and seed,
+// three windows ahead. Pins each clone's outcome exactly.
+TEST(KernelGolden, WhatIfOutcomesAreBitIdentical) {
+  struct Golden {
+    SimTime at;
+    std::size_t target;
+    double cost;
+    std::uint64_t rejected, qos_violations, completed;
+  };
+  static constexpr Golden kGolden[] = {
+      {0x1.518p+14, 1, 0x1.c666666666666p+2, 191, 0, 1582},
+      {0x1.518p+14, 2, 0x1.c777777777777p+2, 39, 0, 1734},
+      {0x1.518p+14, 3, 0x1.c888888888889p+2, 29, 0, 1744},
+      {0x1.518p+14, 4, 0x1.c99999999999ap+2, 29, 0, 1744},
+      {0x1.518p+15, 1, 0x1.319999999999ap+4, 191, 0, 1577},
+      {0x1.518p+15, 2, 0x1.31ddddddddddep+4, 39, 0, 1729},
+      {0x1.518p+15, 3, 0x1.3222222222222p+4, 29, 0, 1739},
+      {0x1.518p+15, 4, 0x1.3266666666666p+4, 29, 0, 1739},
+  };
+  World world(web_scenario(0.01), PolicySpec::lookahead_spec(3, 3), 42);
+  world.start();
+  for (const Golden& g : kGolden) {
+    world.run_to(g.at);
+    WhatIfSpec spec;
+    spec.target_instances = g.target;
+    spec.forecast_rate = 10.0;
+    spec.forecast_seed = 2024;
+    spec.horizon = g.at + 180.0;
+    const WhatIfOutcome outcome = world.what_if(spec);
+    SCOPED_TRACE(testing::Message() << "t=" << g.at << " target=" << g.target);
+    EXPECT_TRUE(outcome.valid);
+    EXPECT_EQ(outcome.cost, g.cost);
+    EXPECT_EQ(outcome.rejected, g.rejected);
+    EXPECT_EQ(outcome.qos_violations, g.qos_violations);
+    EXPECT_EQ(outcome.completed, g.completed);
+  }
 }
 
 // Tiered Zipf smoke: the cache tier's LRU/TTL directory and the Zipf key

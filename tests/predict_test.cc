@@ -100,6 +100,17 @@ TEST(WebProfile, FineProfileTracksTheDiurnalCurve) {
   EXPECT_GT(coarse.predict(10.0), 600.0);
 }
 
+// What-if clones copy the live world's profile predictor instead of
+// re-deriving its 10,416 Equation 2 samples: a copy shares the table.
+TEST(WebProfile, CopiesShareOneTable) {
+  const auto p = web_profile_predictor(WebWorkloadConfig{});
+  const PeriodicProfilePredictor copy = p;
+  EXPECT_EQ(&copy.entries(), &p.entries());
+  for (double t = 0.0; t < 7 * kDay; t += 900.0) {
+    EXPECT_EQ(copy.predict(t), p.predict(t)) << t;
+  }
+}
+
 TEST(BotProfile, PaperPredictionValues) {
   const BotWorkloadConfig config;
   const auto p = bot_profile_predictor(config);

@@ -197,5 +197,34 @@ TEST(ServePathAllocation, LayeredWebAllocatesNothingPerRequest) {
       << " requests";
 }
 
+// One what-if fork of the lookahead benchmark world at mid-day, forked from
+// an already cached base snapshot. Restoring the clone, running it three
+// windows ahead and tearing it down allocates per component: the clone
+// neither allocates its 1000 hosts one by one nor rebuilds the web profile
+// table.
+TEST(ServePathAllocation, WhatIfForkAllocationsAreBounded) {
+  World world(web_scenario(0.01), PolicySpec::lookahead_spec(3, 3), 42);
+  world.start();
+  world.run_to(12.0 * 3600.0);
+  WhatIfSpec spec;
+  spec.target_instances = 2;
+  spec.forecast_rate = 10.0;
+  spec.forecast_seed = 2024;
+  spec.horizon = world.now() + 180.0;
+  ASSERT_TRUE(world.what_if(spec).valid);  // caches the base snapshot
+
+  spec.target_instances = 3;
+  const std::uint64_t allocations_before =
+      g_allocations.load(std::memory_order_relaxed);
+  const WhatIfOutcome outcome = world.what_if(spec);
+  const std::uint64_t allocations_during =
+      g_allocations.load(std::memory_order_relaxed) - allocations_before;
+
+  EXPECT_TRUE(outcome.valid);
+  EXPECT_GT(outcome.completed, 1000u);  // the clone really served traffic
+  EXPECT_LE(allocations_during, 64u)
+      << allocations_during << " allocations in one fork";
+}
+
 }  // namespace
 }  // namespace cloudprov

@@ -124,6 +124,12 @@ struct MomentCase {
   std::function<double(Rng&)> sample;
 };
 
+// Without this, gtest prints the case as raw bytes, pointers included, and
+// ctest keeps that dump in the discovered test names.
+void PrintTo(const MomentCase& c, std::ostream* os) {
+  *os << "mean=" << c.expected_mean << " var=" << c.expected_var;
+}
+
 class VariateMomentsTest : public ::testing::TestWithParam<MomentCase> {};
 
 TEST_P(VariateMomentsTest, MatchesClosedFormMoments) {
