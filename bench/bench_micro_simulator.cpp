@@ -187,7 +187,7 @@ BENCHMARK(BM_ProfilerOverhead)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 // Cost of one what-if fork: snapshot the whole world (telemetry and
-// decision logs off, as LookaheadPolicy's clones run) and restore it into a
+// decision logs off, as the lookahead search forks) and restore it into a
 // fresh World with every pending event re-pushed. This prices a lookahead
 // candidate before its forecast windows even run; the arg is how many
 // simulated hours of the web day the world has already executed (pool

@@ -1,35 +1,36 @@
 // Command-line scenario runner: the library's experiment harness exposed as
 // a single configurable binary, the way a downstream user would script it.
+// An indented line continues the command above it.
 //
 //   ./run_scenario --workload web --policy adaptive --scale 0.05 --reps 3
 //   ./run_scenario --workload scientific --policy static --instances 45
-//   ./run_scenario --workload web --policy adaptive --predictor ewma \
+//   ./run_scenario --workload web --policy adaptive --predictor ewma
 //                  --interval 30 --csv out.csv --decisions decisions.csv
-//   ./run_scenario --workload web --scale 0.01 --metrics-out metrics.csv \
+//   ./run_scenario --workload web --scale 0.01 --metrics-out metrics.csv
 //                  --trace-out trace.json           # Perfetto-loadable trace
-//   ./run_scenario --workload web --scale 0.01 --trace-sample-rate 0.05 \
-//                  --spans-out spans.csv --drift-out drift.csv \
+//   ./run_scenario --workload web --scale 0.01 --trace-sample-rate 0.05
+//                  --spans-out spans.csv --drift-out drift.csv
 //                  --slo-out slo.csv               # observability monitors
 //   ./run_scenario --reps 8 --parallelism 0         # one worker per core
-//   ./run_scenario --workload scientific --policy static --instances 45 \
+//   ./run_scenario --workload scientific --policy static --instances 45
 //                  --vm-mtbf 6 --host-mtbf 48 --reconcile 30   # self-healing
-//   ./run_scenario --workload web --spot-frac 0.5 --bid 0.7 --reconcile 60 \
+//   ./run_scenario --workload web --spot-frac 0.5 --bid 0.7 --reconcile 60
 //                  --market-out market.csv        # spot-market provisioning
-//   ./run_scenario --workload web --lookahead 5,3 --spot-frac 0.5 --bid 0.7 \
+//   ./run_scenario --workload web --lookahead 5,3 --spot-frac 0.5 --bid 0.7
 //                  --lookahead-bids 0.45,1.0      # model-predictive sizing
 //   ./run_scenario --workload web --checkpoint world.ckpt --checkpoint-at 43200
 //   ./run_scenario --workload web --restore world.ckpt    # same config + seed
-//   ./run_scenario --workload web --timeout 0.2 --retry 3:jitter:0.05:1 \
-//                  --retry-budget 0.1 --breaker 0.5:32:5:3 \
+//   ./run_scenario --workload web --timeout 0.2 --retry 3:jitter:0.05:1
+//                  --retry-budget 0.1 --breaker 0.5:32:5:3
 //                  --shed deadline,brownout:0.9:0.5:1   # request-path resilience
-//   ./run_scenario --workload web --scale 0.01 --profile \
+//   ./run_scenario --workload web --scale 0.01 --profile
 //                  --profile-out prof --manifest-out run.json  # wall profile
-//   ./run_scenario --tenants 64 --shards 4 --tenant-capacity 128 \
-//                  --tenant-out tenants.csv --manifest-out mt.json \
+//   ./run_scenario --tenants 64 --shards 4 --tenant-capacity 128
+//                  --tenant-out tenants.csv --manifest-out mt.json
 //                  # sharded multi-tenant scale-out (bit-identical per shard)
-//   ./run_scenario --workload zipf --tiers --zipf 0.9 --keys 20000 \
+//   ./run_scenario --workload zipf --tiers --zipf 0.9 --keys 20000
 //                  --ttl 300 --cache-vm 4        # cache + backend tiers
-//   ./run_scenario --workload zipf --tiers --flush-at 43200 \
+//   ./run_scenario --workload zipf --tiers --flush-at 43200
 //                  --cache-crash-at 21600        # TTL storm + warmup transient
 #include <fstream>
 #include <iostream>
@@ -60,6 +61,29 @@ PredictorKind parse_predictor(const std::string& name) {
   if (name == "ar") return PredictorKind::kAr;
   if (name == "qrsm") return PredictorKind::kQrsm;
   throw std::invalid_argument("unknown predictor: " + name);
+}
+
+ScenarioConfig make_scenario(const std::string& workload, double scale) {
+  if (workload == "web") return web_scenario(scale);
+  if (workload == "scientific") return scientific_scenario(scale);
+  if (workload == "zipf") return zipf_scenario(scale);
+  throw std::invalid_argument("unknown --workload: " + workload);
+}
+
+/// --lookahead "K,H": K candidate pool sizes searched H windows ahead.
+PolicySpec parse_lookahead_spec(const std::string& spec,
+                                PredictorKind predictor,
+                                std::vector<double> bid_levels) {
+  if (const auto comma = spec.find(','); comma != std::string::npos) {
+    try {
+      return PolicySpec::lookahead_spec(std::stoul(spec.substr(0, comma)),
+                                        std::stoul(spec.substr(comma + 1)),
+                                        predictor, std::move(bid_levels));
+    } catch (const std::logic_error&) {  // invalid_argument, out_of_range
+    }
+  }
+  throw std::invalid_argument("bad --lookahead spec: " + spec +
+                              " (expects \"K,H\", e.g. 5,3)");
 }
 
 void write_decisions_csv(const std::string& path,
@@ -444,11 +468,8 @@ int run(const ArgParser& args) {
     }
   }
 
-  const std::string workload_name = args.get_string("workload");
   ScenarioConfig config =
-      workload_name == "scientific" ? scientific_scenario(args.get_double("scale"))
-      : workload_name == "zipf"     ? zipf_scenario(args.get_double("scale"))
-                                    : web_scenario(args.get_double("scale"));
+      make_scenario(args.get_string("workload"), args.get_double("scale"));
   if (const auto days = args.get_int("days"); days > 0) {
     config.horizon = static_cast<double>(days) * 86400.0;
     config.web.horizon = config.horizon;
@@ -528,22 +549,21 @@ int run(const ArgParser& args) {
       static_cast<std::size_t>(args.get_int("reserved"));
   config.market.revocation.notice = args.get_double("spot-notice");
 
+  const std::string policy_name = args.get_string("policy");
+  if (policy_name != "adaptive" && policy_name != "static") {
+    throw std::invalid_argument("unknown --policy: " + policy_name);
+  }
   PolicySpec policy =
-      args.get_string("policy") == "static"
+      policy_name == "static"
           ? PolicySpec::fixed(static_cast<std::size_t>(args.get_int("instances")))
           : PolicySpec::adaptive(parse_predictor(args.get_string("predictor")));
   if (const std::string spec = args.get_string("lookahead"); !spec.empty()) {
-    const auto comma = spec.find(',');
-    if (comma == std::string::npos) {
-      std::cerr << "--lookahead expects \"K,H\" (e.g. 5,3), got: " << spec
-                << '\n';
-      return 1;
-    }
-    policy = PolicySpec::lookahead_spec(
-        std::stoul(spec.substr(0, comma)), std::stoul(spec.substr(comma + 1)),
-        parse_predictor(args.get_string("predictor")),
+    policy = parse_lookahead_spec(
+        spec, parse_predictor(args.get_string("predictor")),
         parse_double_list(args.get_string("lookahead-bids"),
                           "--lookahead-bids"));
+  } else if (args.was_set("lookahead-bids")) {
+    throw std::invalid_argument("--lookahead-bids requires --lookahead");
   }
 
   const auto reps = static_cast<std::size_t>(args.get_int("reps"));
@@ -564,8 +584,7 @@ int run(const ArgParser& args) {
   const std::string metrics_path = args.get_string("metrics-out");
   const std::string metrics_format = args.get_string("metrics-format");
   if (metrics_format != "csv" && metrics_format != "prom") {
-    std::cerr << "unknown --metrics-format: " << metrics_format << '\n';
-    return 1;
+    throw std::invalid_argument("unknown --metrics-format: " + metrics_format);
   }
   const std::string decisions_path = args.get_string("decisions");
   const std::string spans_path = args.get_string("spans-out");

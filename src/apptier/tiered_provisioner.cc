@@ -132,19 +132,7 @@ void TieredProvisioner::on_rate_alert(SimTime t, double expected_rate) {
                               backend_decision.instances);
     telemetry_->cache_instance_count(t, cache_->active_instances(),
                                      cache_->draining_instances());
-    if (DriftMonitor* drift = telemetry_->drift(); drift != nullptr) {
-      DriftMonitor::Prediction prediction;
-      prediction.response_time = backend_decision.predicted_response_time;
-      prediction.rejection = backend_decision.predicted_rejection;
-      prediction.utilization = backend_decision.predicted_utilization;
-      prediction.lambda = lambda_miss;
-      prediction.tm = tm_backend;
-      prediction.queue_bound = k_backend;
-      prediction.instances = backend_achieved;
-      const Datacenter& datacenter = backend_->datacenter();
-      drift->on_decision(t, prediction, datacenter.vm_hours(),
-                         datacenter.busy_vm_hours());
-    }
+    feed_drift_monitor(*telemetry_, decisions_.back(), backend_->datacenter());
   }
   CLOUDPROV_LOG(Debug) << "tiered: t=" << t << " lambda=" << expected_rate
                        << " h=" << h_backend << " miss=" << lambda_miss

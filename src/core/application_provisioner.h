@@ -83,13 +83,14 @@ class ApplicationProvisioner final : public Entity,
   /// Admission control + round-robin dispatch of one end-user request.
   void on_request(const Request& request) override;
 
-  /// Same as on_request but reports the admission outcome — used by
-  /// composite-service chaining (core/multitier.h) to account for mid-chain
-  /// drops.
+  /// Same as on_request but reports the admission outcome — used by callers
+  /// that account for rejections themselves: the resilience gateway and the
+  /// SLA-class bench (EX2).
   bool try_submit(const Request& request);
 
   /// Invoked after a request completes service (in addition to internal
-  /// accounting). Used to chain tiers in multi-tier applications.
+  /// accounting). The resilience gateway, the cache tier and EX2 chain
+  /// their own completion handling through it.
   using CompletionListener =
       std::function<void(const Request&, double response_time)>;
   void set_completion_listener(CompletionListener listener) {

@@ -68,7 +68,7 @@ std::string PolicySpec::label(double scale) const {
     std::string label = "Lookahead-" + std::to_string(lookahead.candidates) +
                         "x" + std::to_string(lookahead.horizon_windows);
     if (predictor != PredictorKind::kProfile) {
-      label += "(" + to_string(predictor) + ")";
+      label.append("(").append(to_string(predictor)).append(")");
     }
     return label;
   }

@@ -22,7 +22,6 @@
 #include "core/workload_analyzer.h"
 #include "fault/fault_plan.h"
 #include "fault/reconciler.h"
-#include "lookahead/lookahead_policy.h"
 #include "market/market_broker.h"
 #include "resilience/resilience_config.h"
 #include "workload/bot_workload.h"

@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "core/admission.h"
@@ -17,6 +19,7 @@
 #include "util/check.h"
 #include "util/log.h"
 #include "workload/bot_workload.h"
+#include "workload/source.h"
 #include "workload/web_workload.h"
 #include "workload/zipf_workload.h"
 
@@ -78,6 +81,39 @@ double scenario_service_spread(const ScenarioConfig& config) {
   }
   return config.web.service_spread;
 }
+
+/// Synthetic Poisson arrival process for what-if clones: exponential
+/// interarrivals at a fixed forecast rate, service demands drawn as
+/// base * U(1, 1 + spread) — the same family as the scenario sources, so a
+/// clone's service-time statistics stay in-distribution.
+class PoissonForecastSource final : public RequestSource {
+ public:
+  PoissonForecastSource(double rate, double service_base, double service_spread,
+                        SimTime start_time)
+      : rate_(rate),
+        service_base_(service_base),
+        service_spread_(service_spread),
+        cursor_(start_time) {}
+
+  std::optional<Arrival> next(Rng& rng) override {
+    if (rate_ <= 0.0) return std::nullopt;
+    cursor_ += rng.exponential(rate_);
+    Arrival arrival;
+    arrival.time = cursor_;
+    arrival.service_demand =
+        service_base_ * rng.uniform(1.0, 1.0 + service_spread_);
+    return arrival;
+  }
+
+  double expected_rate(SimTime) const override { return rate_; }
+  std::string name() const override { return "forecast-poisson"; }
+
+ private:
+  double rate_;
+  double service_base_;
+  double service_spread_;
+  SimTime cursor_;
+};
 
 }  // namespace
 
@@ -187,25 +223,26 @@ RequestSink& World::front_door() {
   return request_sink();
 }
 
-void World::build_policy(const AdaptivePolicy::State* restored,
-                         const std::optional<Rng::State>& lookahead_rng,
-                         bool force_adaptive) {
+void World::build_policy(const WorldState* restored, const WhatIfSpec* fork) {
+  const AdaptivePolicy::State* policy_state =
+      restored != nullptr && restored->policy_present ? &restored->policy
+                                                      : nullptr;
   if (cache_tier_.has_value() && policy_.kind != PolicySpec::Kind::kStatic) {
     // Tiered worlds replace AdaptivePolicy with the per-tier Algorithm 1;
     // its checkpoint is shape-compatible with AdaptivePolicy::State, so the
-    // restore path reuses `restored` verbatim.
+    // restore path reuses the policy state verbatim.
     tiered_ = std::make_unique<TieredProvisioner>(
         *sim_, make_predictor(config_, policy_.predictor, *source_, profile_),
         config_.modeler, config_.analyzer, config_.apptier);
     tiered_->set_telemetry(telemetry_.get());
-    if (restored != nullptr) {
+    if (policy_state != nullptr) {
       tiered_->restore_attach(*provisioner_, *cache_provisioner_, *cache_tier_,
-                              *restored);
+                              *policy_state);
     }
     return;
   }
   if (policy_.kind == PolicySpec::Kind::kStatic) {
-    if (restored == nullptr) {
+    if (policy_state == nullptr) {
       prov_policy_ = std::make_unique<StaticPolicy>(
           config_.scaled_instances(policy_.static_instances));
     }
@@ -214,28 +251,20 @@ void World::build_policy(const AdaptivePolicy::State* restored,
     return;
   }
 
-  if (policy_.kind == PolicySpec::Kind::kAdaptive || force_adaptive) {
-    auto owned = std::make_unique<AdaptivePolicy>(
-        *sim_, make_predictor(config_, policy_.predictor, *source_, profile_),
-        config_.modeler, config_.analyzer);
-    adaptive_ = owned.get();
-    adaptive_->set_telemetry(telemetry_.get());
-    prov_policy_ = std::move(owned);
-    if (restored != nullptr) adaptive_->restore_attach(*provisioner_, *restored);
-    return;
-  }
-
-  LookaheadConfig lookahead_config = policy_.lookahead;
-  lookahead_config.seed = streams_.lookahead;
-  auto owned = std::make_unique<LookaheadPolicy>(
+  auto owned = std::make_unique<AdaptivePolicy>(
       *sim_, make_predictor(config_, policy_.predictor, *source_, profile_),
-      config_.modeler, config_.analyzer, std::move(lookahead_config));
-  lookahead_ = owned.get();
-  lookahead_->set_telemetry(telemetry_.get());
-  lookahead_->set_engine(this);
+      config_.modeler, config_.analyzer);
+  adaptive_ = owned.get();
+  adaptive_->set_telemetry(telemetry_.get());
+  if (policy_.kind == PolicySpec::Kind::kLookahead && fork == nullptr) {
+    LookaheadConfig lookahead = policy_.lookahead;
+    lookahead.seed = streams_.lookahead;
+    adaptive_->set_lookahead(this, std::move(lookahead));
+  }
   prov_policy_ = std::move(owned);
-  if (restored != nullptr) {
-    lookahead_->restore_attach(*provisioner_, *restored, lookahead_rng);
+  if (policy_state != nullptr) {
+    adaptive_->restore_attach(*provisioner_, *policy_state,
+                              restored->lookahead_rng);
   }
 }
 
@@ -258,7 +287,7 @@ World::World(const ScenarioConfig& config, const PolicySpec& policy,
   build_platform(/*track_quantiles=*/true);
   source_ = make_scenario_source(config_);
   broker_.emplace(*sim_, *source_, front_door(), Rng(streams_.workload));
-  build_policy(nullptr, std::nullopt, /*force_adaptive=*/false);
+  build_policy(nullptr, nullptr);
 }
 
 World::World(const ScenarioConfig& config, const PolicySpec& policy,
@@ -329,8 +358,7 @@ void World::restore(const WorldState& state, const WhatIfSpec* fork) {
   broker_.emplace(*sim_, *source_, front_door(), Rng(streams_.workload));
   broker_->restore(broker_snap);
 
-  build_policy(state.policy_present ? &state.policy : nullptr,
-               state.lookahead_rng, /*force_adaptive=*/fork != nullptr);
+  build_policy(&state, fork);
   if (tiered_ != nullptr && state.apptier.has_value()) {
     tiered_->restore_cache_decisions(state.apptier->cache_decisions);
   }
@@ -414,10 +442,7 @@ WorldState World::snapshot(const SnapshotOptions& options) const {
   if (adaptive_ != nullptr) {
     state.policy_present = true;
     state.policy = adaptive_->checkpoint(options.include_decisions);
-  } else if (lookahead_ != nullptr) {
-    state.policy_present = true;
-    state.policy = lookahead_->checkpoint(options.include_decisions);
-    state.lookahead_rng = lookahead_->rng_state();
+    state.lookahead_rng = adaptive_->forecast_rng_state();
   } else if (tiered_ != nullptr) {
     state.policy_present = true;
     state.policy = tiered_->checkpoint(options.include_decisions);
@@ -625,7 +650,6 @@ RunOutput World::finish() {
                               q.boxed_pushed_count());
   }
   if (adaptive_ != nullptr) output.decisions = adaptive_->decisions();
-  if (lookahead_ != nullptr) output.decisions = lookahead_->decisions();
   if (tiered_ != nullptr) output.decisions = tiered_->decisions();
   if (cache_tier_.has_value()) output.apptier_series = cache_tier_->series();
   output.telemetry = std::move(telemetry_);

@@ -12,12 +12,12 @@
 //     (time, seq) stamps, and restores the clock — the continued run is
 //     bit-identical to the uninterrupted one.
 //
-// World also implements WhatIfEngine for LookaheadPolicy: what_if() forks a
-// throwaway clone from a cached snapshot, applies the candidate, runs it to
-// the horizon, and reports cost/QoS. The live world is untouched. A clone
-// runs with telemetry and tail quantiles off and arrivals replaced by a
-// Poisson forecast, and it shares the parent's profile table instead of
-// rebuilding it: it pays only for the simulation it runs.
+// World also implements WhatIfEngine for AdaptivePolicy's lookahead search:
+// what_if() forks a throwaway clone from a cached snapshot, applies the
+// candidate, runs it to the horizon, and reports cost/QoS. The live world is
+// untouched. A clone runs with telemetry and tail quantiles off and arrivals
+// replaced by a Poisson forecast, and it shares the parent's profile table
+// instead of rebuilding it: it pays only for the simulation it runs.
 #pragma once
 
 #include <chrono>
@@ -29,7 +29,6 @@
 #include "cloud/broker.h"
 #include "experiment/metrics.h"
 #include "experiment/scenario.h"
-#include "lookahead/lookahead_policy.h"
 #include "lookahead/world_state.h"
 #include "resilience/retry_gateway.h"
 #include "resilience/shedding_admission.h"
@@ -142,15 +141,15 @@ class World final : public WhatIfEngine {
   /// consumes the telemetry collector.
   RunOutput finish();
 
-  // --- WhatIfEngine (LookaheadPolicy) -------------------------------------
+  // --- WhatIfEngine (AdaptivePolicy's lookahead search) -------------------
   WhatIfOutcome what_if(const WhatIfSpec& spec) override;
   void commit_bid(double bid) override;
   std::optional<double> current_bid() const override;
 
  private:
   /// What-if clone of `parent`, resumed from `base` (a snapshot of the
-  /// parent) with the fork's deviations: a plain AdaptivePolicy (clones
-  /// must not recursively search), arrivals from a Poisson forecast at
+  /// parent) with the fork's deviations: an AdaptivePolicy without a search
+  /// (clones must not recursively search), arrivals from a Poisson forecast at
   /// fork.forecast_rate on a fork.forecast_seed stream, fork.bid applied to
   /// the market, and fork.target_instances commanded at the fork instant.
   World(const World& parent, const WorldState& base, const WhatIfSpec& fork);
@@ -167,9 +166,10 @@ class World final : public WhatIfEngine {
   /// The Broker's sink: the cache tier when apptier is enabled, else
   /// request_sink() directly.
   RequestSink& front_door();
-  void build_policy(const AdaptivePolicy::State* restored,
-                    const std::optional<Rng::State>& lookahead_rng,
-                    bool force_adaptive);
+  /// The scenario's policy, restored from `restored` when non-null. A
+  /// lookahead policy searches through this world unless it is a what-if
+  /// clone (`fork` non-null).
+  void build_policy(const WorldState* restored, const WhatIfSpec* fork);
 
   ScenarioConfig config_;
   PolicySpec policy_;
@@ -206,7 +206,6 @@ class World final : public WhatIfEngine {
   std::optional<Broker> broker_;
   std::unique_ptr<ProvisioningPolicy> prov_policy_;
   AdaptivePolicy* adaptive_ = nullptr;
-  LookaheadPolicy* lookahead_ = nullptr;
   /// Per-tier Algorithm 1 (replaces AdaptivePolicy in tiered worlds).
   std::unique_ptr<TieredProvisioner> tiered_;
   bool started_ = false;

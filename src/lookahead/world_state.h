@@ -1,7 +1,7 @@
 // WorldState: a value snapshot of the full simulation world.
 //
-// Co-simulation lookahead (the model-predictive provisioner of
-// lookahead_policy.h) and disk checkpointing both need the same primitive:
+// Co-simulation lookahead (AdaptivePolicy's what-if search,
+// core/adaptive_policy.h) and disk checkpointing both need the same primitive:
 // freeze every piece of mutable simulation state — datacenter occupancy and
 // the complete VM history, provisioner pool + statistics, broker position,
 // workload-source cursors, policy/predictor fit, spot market (price path,
@@ -92,7 +92,8 @@ struct WorldState {
   /// log); absent for static-policy worlds.
   bool policy_present = false;
   AdaptivePolicy::State policy;
-  /// Lookahead forecast-stream position; present only for lookahead worlds.
+  /// Lookahead forecast-stream position; present only when the policy has a
+  /// lookahead search attached.
   std::optional<Rng::State> lookahead_rng;
 
   std::optional<MarketBroker::Snapshot> market;
@@ -100,7 +101,7 @@ struct WorldState {
   std::optional<Reconciler::Snapshot> reconciler;
 
   /// Request-path resilience layer (client gateway + server shedding);
-  /// present only when the layer is enabled, so LookaheadPolicy clones and
+  /// present only when the layer is enabled, so what-if clones and
   /// checkpoints carry retry/breaker/shed state through a storm.
   struct ResilienceState {
     RetryGateway::Snapshot gateway;

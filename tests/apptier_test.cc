@@ -12,7 +12,8 @@
 //     flush, and the windowed hit-ratio EWMA that drives
 //     lambda_miss = lambda * (1 - h),
 //   - tiered end-to-end runs: the lambda_miss feedback reaches the backend
-//     planner and the per-window series is recorded,
+//     planner, the per-window series is recorded, and the planner's tandem
+//     prediction bounds the simulated end-to-end response,
 //   - snapshot/restore bit-identity of tiered worlds (including a snapshot
 //     inside a TTL storm, with the pending chaos events re-armed),
 //   - disk checkpoints: the v3 codec round-trips the apptier section and
@@ -613,6 +614,32 @@ TEST(TieredRun, LambdaMissFeedbackReachesBackendPlanner) {
   // cheaper than backend misses.
   EXPECT_GT(m.cache_avg_response_time, 0.0);
   EXPECT_GT(m.backend_avg_response_time, m.cache_avg_response_time);
+}
+
+// The analytic side of a tiered run against the simulated side: the mean of
+// the planner's per-window end-to-end prediction (the hit/miss mixture over
+// queueing::solve_tandem) bounds the observed mean response from above. The
+// model over-predicts because service is nearly deterministic, as the
+// paper's M/M/1/k model does; a solver or mixture bug leaves [1.1, 1.5].
+TEST(TieredRun, TandemPredictionBoundsObservedEndToEnd) {
+  for (const std::uint64_t seed : {42u, 7u}) {
+    const RunOutput out =
+        run_scenario(tiered_config(), PolicySpec::adaptive(), seed);
+    double predicted = 0.0;
+    std::size_t windows = 0;
+    for (const auto& sample : out.apptier_series) {
+      if (sample.predicted_response <= 0.0) continue;
+      predicted += sample.predicted_response;
+      ++windows;
+    }
+    ASSERT_GT(windows, 0u);
+    ASSERT_GT(out.metrics.avg_response_time, 0.0);
+    const double ratio = predicted / static_cast<double>(windows) /
+                         out.metrics.avg_response_time;
+    SCOPED_TRACE(testing::Message() << "seed " << seed << " ratio " << ratio);
+    EXPECT_GE(ratio, 1.1);
+    EXPECT_LE(ratio, 1.5);
+  }
 }
 
 // --- snapshot/restore bit-identity -----------------------------------------

@@ -202,5 +202,24 @@ TEST(VerticalPolicy, ClampsSpeedRange) {
   EXPECT_EQ(speed, 3.0);
 }
 
+TEST(VerticalConfig, QosFloorAboveMaxSpeedThrows) {
+  Simulation sim;
+  DatacenterConfig dc;
+  dc.host_count = 2;
+  Datacenter datacenter(sim, dc, std::make_unique<LeastLoadedPlacement>());
+  QosTargets qos;
+  qos.max_response_time = 0.1;  // needs speed >= 1.0 * (1+margin) for 0.1 s work
+  ProvisionerConfig prov_config;
+  prov_config.initial_service_time_estimate = 0.1;
+  ApplicationProvisioner provisioner(sim, datacenter, qos, prov_config);
+  VerticalScalingConfig config;
+  config.instances = 1;
+  config.base_service_time = 0.1;
+  config.max_speed = 1.0;  // below the QoS floor 1.15
+  VerticalScalingPolicy policy(
+      sim, std::make_shared<EwmaPredictor>(0.5, 0.0), config, AnalyzerConfig{});
+  EXPECT_THROW(policy.attach(provisioner), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace cloudprov

@@ -210,5 +210,24 @@ TEST(PerformanceModeler, PredictionsMatchUnderlyingQueueModel) {
   EXPECT_NEAR(d.predicted_response_time, q.mean_response_time, 1e-12);
 }
 
+TEST(ModelerEdge, ResponseTimeCheckCanBeTheBindingConstraint) {
+  // Deep queue (k = 10) with Ts = 0.55 s and Tm = 0.1 s: blocking at rho
+  // near 1 stays small, but Tq approaches k * Tm = 1.0 s > Ts, so the
+  // response check must drive the scale-up.
+  QosTargets qos;
+  qos.max_response_time = 0.55;
+  qos.min_utilization = 0.5;
+  ModelerConfig config;
+  config.max_vms = 1000;
+  config.rejection_tolerance = 0.9;  // effectively disable the blocking check
+  config.max_offered_load = 10.0;    // and the saturation guard
+  PerformanceModeler modeler(qos, config);
+  const ModelerDecision d = modeler.required_instances(1, 100.0, 0.1, 10);
+  // The decision's predicted response must honour Ts.
+  EXPECT_LE(d.predicted_response_time, 0.55);
+  // And the pool must be large enough that rho < 1 comfortably.
+  EXPECT_GT(d.instances, 10u);
+}
+
 }  // namespace
 }  // namespace cloudprov

@@ -1,18 +1,14 @@
-// Tests for the future-work extensions: multi-tier applications, failure
-// injection, pricing models, the hybrid predictor, and the flash-crowd
-// overlay.
+// Tests for the future-work extensions: failure injection, pricing models,
+// the hybrid predictor, and the flash-crowd overlay.
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "cloud/broker.h"
-#include "core/multitier.h"
 #include "fault/fault_injector.h"
 #include "market/pricing.h"
 #include "predict/ewma.h"
 #include "predict/hybrid.h"
 #include "predict/periodic_profile.h"
-#include "queueing/tandem.h"
 #include "workload/poisson_source.h"
 #include "workload/spike_overlay.h"
 
@@ -33,165 +29,12 @@ struct World {
   }
 };
 
-MultiTierConfig two_tier_config() {
-  MultiTierConfig config;
-  config.qos.max_response_time = 0.9;  // split 0.6 / 0.3 by the estimates
-  config.tiers.push_back(TierConfig{
-      "frontend", std::make_shared<DeterministicDistribution>(0.2), 0.2, VmSpec{}});
-  config.tiers.push_back(TierConfig{
-      "backend", std::make_shared<DeterministicDistribution>(0.1), 0.1, VmSpec{}});
-  return config;
-}
-
 Request make_request(std::uint64_t id, SimTime t, double demand) {
   Request r;
   r.id = id;
   r.arrival_time = t;
   r.service_demand = demand;
   return r;
-}
-
-// ---------------------------------------------------------------- multitier
-
-TEST(MultiTier, BudgetSplitsProportionally) {
-  World world;
-  MultiTierApplication app(world.sim, world.datacenter, two_tier_config(), Rng(1));
-  EXPECT_NEAR(app.tier_budget(0), 0.6, 1e-12);
-  EXPECT_NEAR(app.tier_budget(1), 0.3, 1e-12);
-  // Tier queue bounds follow the split budgets: k = floor(0.6/0.2) = 3 and
-  // floor(0.3/0.1) = 3.
-  EXPECT_EQ(app.tier(0).current_queue_bound(), 3u);
-  EXPECT_EQ(app.tier(1).current_queue_bound(), 3u);
-}
-
-TEST(MultiTier, RequestTraversesAllTiers) {
-  World world;
-  MultiTierApplication app(world.sim, world.datacenter, two_tier_config(), Rng(2));
-  app.tier(0).scale_to(1);
-  app.tier(1).scale_to(1);
-  app.on_request(make_request(1, 0.0, 0.2));
-  world.sim.run();
-  EXPECT_EQ(app.completed(), 1u);
-  // End-to-end = tier-0 service (0.2) + tier-1 service (0.1).
-  EXPECT_NEAR(app.end_to_end_response().mean(), 0.3, 1e-12);
-  EXPECT_EQ(app.end_to_end_violations(), 0u);
-  EXPECT_EQ(app.tier(0).completed(), 1u);
-  EXPECT_EQ(app.tier(1).completed(), 1u);
-}
-
-TEST(MultiTier, EntryRejectionWhenTierZeroFull) {
-  World world;
-  MultiTierApplication app(world.sim, world.datacenter, two_tier_config(), Rng(3));
-  app.tier(0).scale_to(1);
-  app.tier(1).scale_to(1);
-  // k = 3 at tier 0: the 4th concurrent request is rejected at entry.
-  for (std::uint64_t i = 1; i <= 4; ++i) {
-    app.on_request(make_request(i, 0.0, 0.2));
-  }
-  EXPECT_EQ(app.rejected_at_entry(), 1u);
-  world.sim.run();
-  EXPECT_EQ(app.completed(), 3u);
-}
-
-TEST(MultiTier, MidChainDropWhenDownstreamFull) {
-  World world;
-  MultiTierConfig config = two_tier_config();
-  // Make the backend the bottleneck: huge service time and k = 1.
-  config.tiers[1].service_demand = std::make_shared<DeterministicDistribution>(10.0);
-  config.tiers[1].initial_service_time_estimate = 0.1;  // keeps budget split
-  MultiTierApplication app(world.sim, world.datacenter, config, Rng(4));
-  app.tier(0).scale_to(3);
-  app.tier(1).scale_to(1);
-  // Three requests clear tier 0 quickly; the backend (k=3, but each takes
-  // 10 s > budget) holds 3, so none is dropped yet; push more through.
-  for (std::uint64_t i = 1; i <= 6; ++i) {
-    app.on_request(make_request(i, 0.0, 0.2));
-  }
-  world.sim.run(30.0);
-  EXPECT_GT(app.dropped_mid_chain(), 0u);
-  EXPECT_EQ(app.entered(), 6u);
-}
-
-TEST(MultiTier, LossRateCombinesEntryAndMidChain) {
-  World world;
-  MultiTierApplication app(world.sim, world.datacenter, two_tier_config(), Rng(5));
-  // No instances at all: everything rejected at entry.
-  app.on_request(make_request(1, 0.0, 0.2));
-  app.on_request(make_request(2, 0.0, 0.2));
-  EXPECT_EQ(app.end_to_end_loss_rate(), 1.0);
-}
-
-TEST(MultiTier, AdaptivePolicySizesHeavyTierLarger) {
-  World world(128);
-  MultiTierConfig config;
-  config.qos.max_response_time = 0.9;
-  config.tiers.push_back(TierConfig{
-      "frontend", std::make_shared<ScaledUniformDistribution>(0.05, 0.1), 0.0525,
-      VmSpec{}});
-  config.tiers.push_back(TierConfig{
-      "backend", std::make_shared<ScaledUniformDistribution>(0.2, 0.1), 0.21,
-      VmSpec{}});
-  MultiTierApplication app(world.sim, world.datacenter, config, Rng(6));
-
-  auto predictor = std::make_shared<PeriodicProfilePredictor>(
-      std::vector<ProfileEntry>{{-1, 0.0, 40.0}}, 1);
-  ModelerConfig modeler;
-  modeler.max_vms = 500;
-  AnalyzerConfig analyzer;
-  analyzer.analysis_interval = 30.0;
-  MultiTierAdaptivePolicy policy(world.sim, predictor, modeler, analyzer);
-  policy.attach(app);
-
-  PoissonSource source(40.0, std::make_shared<ScaledUniformDistribution>(0.05, 0.1),
-                       0.0, 600.0);
-  Broker broker(world.sim, source, app, Rng(7));
-  broker.start();
-  world.sim.run(600.0);
-
-  // Backend needs ~4x the instances of the frontend (service time ratio).
-  const double ratio = static_cast<double>(app.tier(1).active_instances()) /
-                       static_cast<double>(app.tier(0).active_instances());
-  EXPECT_GT(ratio, 2.5);
-  EXPECT_LT(ratio, 6.0);
-  EXPECT_LT(app.end_to_end_loss_rate(), 0.05);
-  EXPECT_EQ(app.end_to_end_violations(), 0u);
-  EXPECT_EQ(policy.current_targets().size(), 2u);
-}
-
-TEST(MultiTier, SimulationMatchesTandemModel) {
-  // Fixed pools, exponential service: the simulated chain must agree with
-  // queueing::solve_tandem on acceptance and end-to-end response.
-  World world;
-  MultiTierConfig config;
-  config.qos.max_response_time = 6.0;  // roomy budgets: k ~ 20 per tier
-  config.tiers.push_back(TierConfig{
-      "a", std::make_shared<ExponentialDistribution>(10.0), 0.1, VmSpec{}});
-  config.tiers.push_back(TierConfig{
-      "b", std::make_shared<ExponentialDistribution>(5.0), 0.2, VmSpec{}});
-  MultiTierApplication app(world.sim, world.datacenter, config, Rng(8));
-  app.tier(0).scale_to(2);
-  app.tier(1).scale_to(4);
-  // Fix the queue bounds so they do not drift with monitored times.
-  // (k from budgets: huge Ts => large k; force small k via fresh config.)
-  const double lambda = 12.0;
-  PoissonSource source(lambda, std::make_shared<ExponentialDistribution>(10.0),
-                       0.0, 20000.0);
-  Broker broker(world.sim, source, app, Rng(9));
-  broker.start();
-  world.sim.run();
-
-  const std::size_t k0 = app.tier(0).current_queue_bound();
-  const std::size_t k1 = app.tier(1).current_queue_bound();
-  const queueing::TandemMetrics model = queueing::solve_tandem(
-      lambda, {queueing::TandemTier{2, 10.0, k0}, queueing::TandemTier{4, 5.0, k1}});
-  const double simulated_acceptance =
-      1.0 - app.end_to_end_loss_rate();
-  // The model's independent-split blocking is an upper bound (conservative),
-  // so simulated acceptance is at least the model's.
-  EXPECT_GE(simulated_acceptance, model.end_to_end_acceptance - 0.02);
-  // Response times agree within the decomposition error.
-  EXPECT_NEAR(app.end_to_end_response().mean(), model.end_to_end_response,
-              0.35 * model.end_to_end_response);
 }
 
 // ---------------------------------------------------------------- failures
@@ -416,6 +259,24 @@ TEST(Spike, ExpectedRateHidesTheSpike) {
   EXPECT_EQ(source.expected_rate(1500.0), 5.0);   // model view
   EXPECT_EQ(source.true_rate(1500.0), 25.0);      // reality
   EXPECT_EQ(source.true_rate(500.0), 5.0);
+}
+
+TEST(SpikeOverlay, BaseExhaustionStillDrainsSpike) {
+  // Base ends before the spike window: spike arrivals must still be emitted.
+  auto base = std::make_unique<PoissonSource>(
+      5.0, std::make_shared<DeterministicDistribution>(0.1), 0.0, 10.0);
+  SpikeConfig spike;
+  spike.start = 50.0;
+  spike.end = 60.0;
+  spike.extra_rate = 10.0;
+  spike.service_demand = std::make_shared<DeterministicDistribution>(0.1);
+  SpikeOverlaySource source(std::move(base), spike);
+  Rng rng(11);
+  std::size_t in_spike = 0;
+  while (auto a = source.next(rng)) {
+    if (a->time >= 50.0 && a->time < 60.0) ++in_spike;
+  }
+  EXPECT_NEAR(static_cast<double>(in_spike), 100.0, 40.0);
 }
 
 }  // namespace

@@ -6,18 +6,25 @@
 // the Figure-2 queueing network).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <tuple>
+#include <utility>
 
 #include "cloud/broker.h"
 #include "core/adaptive_policy.h"
 #include "core/application_provisioner.h"
 #include "core/provisioning_policy.h"
+#include "predict/ewma.h"
+#include "predict/hybrid.h"
+#include "predict/moving_average.h"
 #include "predict/oracle.h"
 #include "predict/periodic_profile.h"
 #include "queueing/mm1.h"
 #include "queueing/mm1k.h"
 #include "queueing/mmc.h"
+#include "workload/bot_workload.h"
+#include "workload/mmpp_source.h"
 #include "workload/poisson_source.h"
 #include "workload/trace.h"
 
@@ -295,6 +302,82 @@ TEST(EndToEnd, DeterministicAcrossRuns) {
                       world.sim.executed_events()};
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(BurstyProvisioning, HybridAbsorbsMmppBursts) {
+  // MMPP ON/OFF load with 20x rate swings, provisioned adaptively with the
+  // hybrid predictor (there is no valid profile for an MMPP): rejection must
+  // stay moderate and the pool must swing with the bursts.
+  Simulation sim;
+  DatacenterConfig dc;
+  dc.host_count = 16;
+  Datacenter datacenter(sim, dc, std::make_unique<LeastLoadedPlacement>());
+  QosTargets qos;
+  qos.max_response_time = 0.25;
+  ProvisionerConfig prov_config;
+  prov_config.initial_service_time_estimate = 0.105;
+  ApplicationProvisioner provisioner(sim, datacenter, qos, prov_config);
+
+  MmppConfig mmpp;
+  mmpp.states = {MmppState{100.0, 600.0}, MmppState{5.0, 600.0}};
+  mmpp.service_demand = std::make_shared<ScaledUniformDistribution>(0.1, 0.1);
+  mmpp.horizon = 20000.0;
+  MmppSource source(mmpp);
+  Broker broker(sim, source, provisioner, Rng(5));
+
+  AnalyzerConfig analyzer;
+  analyzer.analysis_interval = 30.0;
+  analyzer.lead_time = 0.0;  // nothing to look ahead to
+  ModelerConfig modeler;
+  modeler.max_vms = 100;
+  auto hybrid = std::make_shared<HybridPredictor>(
+      std::make_shared<EwmaPredictor>(0.5, 0.3),
+      std::make_shared<MovingAveragePredictor>(
+          5, MovingAveragePredictor::Mode::kMax, 0.1));
+  AdaptivePolicy policy(sim, hybrid, modeler, analyzer);
+  policy.attach(provisioner);
+  broker.start();
+  sim.run(mmpp.horizon);
+
+  TimeWeightedValue history = provisioner.instance_history();
+  history.advance(sim.now());
+  EXPECT_GE(history.max(), 10.0);   // sized up for ON bursts
+  EXPECT_LE(history.min(), 4.0);    // shrank in OFF periods
+  EXPECT_LT(provisioner.rejection_rate(), 0.08);  // burst onsets only
+  EXPECT_EQ(provisioner.qos_violations(), 0u);
+}
+
+TEST(TraceDriven, PoliciesComparableOnIdenticalArrivals) {
+  // Record one BoT day, then replay the identical trace under two static
+  // sizes: every run sees the same arrivals, so the comparison is paired.
+  BotWorkload workload{};
+  Rng gen(9);
+  const WorkloadTrace trace = WorkloadTrace::record(workload, gen);
+  ASSERT_GT(trace.arrivals.size(), 5000u);
+
+  auto run = [&](std::size_t instances) {
+    Simulation sim;
+    DatacenterConfig dc;
+    dc.host_count = 32;
+    Datacenter datacenter(sim, dc, std::make_unique<LeastLoadedPlacement>());
+    QosTargets qos;
+    qos.max_response_time = 700.0;
+    ProvisionerConfig config;
+    config.initial_service_time_estimate = 315.0;
+    ApplicationProvisioner provisioner(sim, datacenter, qos, config);
+    provisioner.scale_to(instances);
+    TraceSource source(trace);
+    Broker broker(sim, source, provisioner, Rng(1));
+    broker.start();
+    sim.run();
+    return std::pair{provisioner.total_arrivals(), provisioner.rejected()};
+  };
+
+  const auto [offered_small, rejected_small] = run(30);
+  const auto [offered_large, rejected_large] = run(90);
+  EXPECT_EQ(offered_small, offered_large);  // identical arrival sequence
+  EXPECT_EQ(offered_small, trace.arrivals.size());
+  EXPECT_GT(rejected_small, 10u * std::max<std::uint64_t>(rejected_large, 1));
 }
 
 }  // namespace

@@ -32,8 +32,8 @@ namespace {
 
 std::uint64_t fnv1a(const std::string& bytes) {
   std::uint64_t hash = 1469598103934665603ULL;
-  for (const unsigned char c : bytes) {
-    hash ^= c;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
     hash *= 1099511628211ULL;
   }
   return hash;

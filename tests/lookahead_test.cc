@@ -9,11 +9,13 @@
 //     live spot market,
 //   - snapshot fuzz at arbitrary (window-unaligned) times plus a chained
 //     snapshot-of-a-restored-world,
-//   - disk checkpoint roundtrip through the binary codec, and loading the
-//     v1/v2/v3 files older builds wrote (tests/data),
-//   - LookaheadPolicy: the disabled search (K = 1, no bids) is bit-identical
-//     to AdaptivePolicy, and an enabled search only ever commits candidates
-//     that do not degrade QoS versus Algorithm 1's own choice.
+//   - disk checkpoint roundtrip through the binary codec, loading the
+//     v1/v2/v3 files older builds wrote (tests/data), and a searching world
+//     resumed with its forecast stream,
+//   - AdaptivePolicy's lookahead search (the LookaheadPolicy suite): the
+//     disabled search (K = 1, no bids) is bit-identical to plain adaptive,
+//     and an enabled search only ever commits candidates that do not
+//     degrade QoS versus Algorithm 1's own choice.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -34,8 +36,8 @@ namespace {
 
 std::uint64_t fnv1a(const std::string& bytes) {
   std::uint64_t hash = 1469598103934665603ULL;
-  for (const unsigned char c : bytes) {
-    hash ^= c;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
     hash *= 1099511628211ULL;
   }
   return hash;
@@ -453,6 +455,52 @@ TEST(Checkpoint, SameStateEncodesToSameBytes) {
   layered.resilience.attempt_timeout = 0.5;
   layered.resilience.retry.max_attempts = 3;
   expect_same_checkpoint_bytes(layered, 3600.0);
+}
+
+// A searching world resumed from a disk checkpoint ends in the same state as
+// the uninterrupted run. The forecast stream rides in the checkpoint
+// (WorldState::lookahead_rng): a lost or reseeded stream leaves the decision
+// log unchanged here but not the final checkpoint bytes, so the bytes are
+// the check. The literals were captured before the search moved into
+// AdaptivePolicy.
+TEST(Checkpoint, LookaheadWorldResumesToSameBytes) {
+  ScenarioConfig config = web_scenario(0.01);
+  config.horizon = 6.0 * 3600.0;
+  config.web.horizon = config.horizon;
+  const PolicySpec policy =
+      PolicySpec::lookahead_spec(3, 3, PredictorKind::kEwma);
+
+  World full(config, policy, 42, std::nullopt);
+  full.start();
+  full.run_to(config.horizon);
+
+  World first(config, policy, 42, std::nullopt);
+  first.start();
+  first.run_to(3.0 * 3600.0);
+  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+  write_checkpoint(buffer, first.snapshot());
+  const WorldState loaded = read_checkpoint(buffer);
+  ASSERT_TRUE(loaded.lookahead_rng.has_value());
+  World resumed(config, policy, 42, loaded);
+  resumed.run_to(config.horizon);
+
+  const std::string full_bytes = encode_checkpoint(full.snapshot());
+  EXPECT_EQ(full_bytes.size(), 75281u);
+  EXPECT_EQ(fnv1a(full_bytes), 0xe4b48aaba048c5d9ULL);
+  EXPECT_TRUE(encode_checkpoint(resumed.snapshot()) == full_bytes)
+      << "resumed lookahead world encodes differently";
+
+  const RunOutput full_out = full.finish();
+  const RunOutput resumed_out = resumed.finish();
+  ASSERT_EQ(resumed_out.decisions.size(), full_out.decisions.size());
+  for (std::size_t i = 0; i < full_out.decisions.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "decision " << i);
+    EXPECT_EQ(resumed_out.decisions[i].time, full_out.decisions[i].time);
+    EXPECT_EQ(resumed_out.decisions[i].target_instances,
+              full_out.decisions[i].target_instances);
+    EXPECT_EQ(resumed_out.decisions[i].achieved_instances,
+              full_out.decisions[i].achieved_instances);
+  }
 }
 
 TEST(Checkpoint, RejectsGarbageAndTruncation) {

@@ -231,5 +231,32 @@ TEST(Simulation, DeterministicEventCountForFixedSeedModel) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+TEST(EventQueueAux, SizeAndPushedCountAndClear) {
+  EventQueue queue;
+  EXPECT_EQ(queue.size(), 0u);
+  const EventId a = queue.push(1.0, [] {});
+  queue.push(2.0, [] {});
+  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_EQ(queue.pushed_count(), 2u);
+  queue.cancel(a);
+  EXPECT_EQ(queue.size(), 1u);  // live events only
+  queue.clear();
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.pushed_count(), 2u);  // history preserved
+}
+
+TEST(EventQueueEdge, CancelledIdsAreNeverRevalidatedByReuse) {
+  EventQueue queue;
+  const EventId a = queue.push(1.0, [] {});
+  queue.cancel(a);
+  // The replacement may reuse a's slab slot, but its bumped generation makes
+  // the handle distinct — the stale handle can never alias the new event.
+  const EventId b = queue.push(1.0, [] {});
+  EXPECT_NE(b, a);
+  queue.cancel(a);  // stale: must be a no-op on b
+  EXPECT_EQ(queue.size(), 1u);
+  EXPECT_EQ(queue.pop().id, b);
+}
+
 }  // namespace
 }  // namespace cloudprov

@@ -238,5 +238,21 @@ TEST(Mmpp, Validation) {
   EXPECT_THROW(MmppSource{config}, std::invalid_argument);
 }
 
+TEST(SlaEdge, ReportAllPreservesClassOrder) {
+  SlaClass a;
+  a.name = "bronze";
+  a.priority_threshold = 0;
+  a.max_response_time = 1.0;
+  SlaClass b;
+  b.name = "gold";
+  b.priority_threshold = 10;
+  b.max_response_time = 0.5;
+  SlaManager manager({a, b});
+  const auto reports = manager.report_all();
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].name, "bronze");
+  EXPECT_EQ(reports[1].name, "gold");
+}
+
 }  // namespace
 }  // namespace cloudprov

@@ -274,5 +274,30 @@ TEST(MeanConfidenceInterval, CoverageProperty) {
   EXPECT_NEAR(static_cast<double>(covered) / trials, 0.95, 0.02);
 }
 
+TEST(HistogramEdge, AllSamplesOutOfRange) {
+  Histogram h = Histogram::linear(0.0, 1.0, 4);
+  h.add(-5.0);
+  h.add(7.0);
+  EXPECT_EQ(h.underflow(), 1u);
+  EXPECT_EQ(h.overflow(), 1u);
+  // No in-range mass: cumulative fraction defined as 0.
+  EXPECT_EQ(h.cumulative_fraction(3), 0.0);
+}
+
+TEST(P2QuantileEdge, ConstantStreamIsExact) {
+  P2Quantile q(0.9);
+  for (int i = 0; i < 1000; ++i) q.add(4.2);
+  EXPECT_DOUBLE_EQ(q.value(), 4.2);
+}
+
+TEST(TimeWeightedEdge, SameTimeUpdatesKeepLastValue) {
+  TimeWeightedValue v(0.0, 1.0);
+  v.update(5.0, 2.0);
+  v.update(5.0, 3.0);  // zero-width interval: legal, no integral change
+  v.advance(10.0);
+  EXPECT_DOUBLE_EQ(v.integral(), 1.0 * 5.0 + 3.0 * 5.0);
+  EXPECT_EQ(v.max(), 3.0);
+}
+
 }  // namespace
 }  // namespace cloudprov

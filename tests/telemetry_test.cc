@@ -322,9 +322,16 @@ TEST(TraceBuffer, ArgListIsBounded) {
 // ---------------------------------------------------------------------------
 // Telemetry facade.
 
+/// A trace ring of `capacity` events; every monitor off.
+TelemetryOptions ring_options(std::size_t capacity, bool trace_requests) {
+  TelemetryOptions options;
+  options.trace_capacity = capacity;
+  options.trace_requests = trace_requests;
+  return options;
+}
+
 TEST(Telemetry, RequestLifecycleFeedsMetricsAndTrace) {
-  Telemetry telemetry(TelemetryOptions{/*trace_capacity=*/1024,
-                                       /*trace_requests=*/true});
+  Telemetry telemetry(ring_options(1024, /*trace_requests=*/true));
   telemetry.request_arrival(1.0, 1);
   telemetry.request_admitted(1.0, 1, 7);
   telemetry.request_arrival(1.1, 2);
@@ -357,7 +364,7 @@ TEST(Telemetry, RequestLifecycleFeedsMetricsAndTrace) {
 }
 
 TEST(Telemetry, TraceRequestsOffKeepsMetricsOnly) {
-  Telemetry telemetry(TelemetryOptions{1024, /*trace_requests=*/false});
+  Telemetry telemetry(ring_options(1024, /*trace_requests=*/false));
   telemetry.request_arrival(1.0, 1);
   telemetry.request_admitted(1.0, 1, 7);
   telemetry.request_completed(1.4, 1, 0.4, 0.3, false);
@@ -372,7 +379,7 @@ TEST(Telemetry, TraceRequestsOffKeepsMetricsOnly) {
 // Exporters.
 
 TEST(Export, ChromeTraceJsonRoundTrips) {
-  Telemetry telemetry(TelemetryOptions{64, true});
+  Telemetry telemetry(ring_options(64, true));
   telemetry.request_arrival(0.5, 1);
   telemetry.request_admitted(0.5, 1, 3);
   telemetry.request_completed(0.9, 1, 0.4, 0.3, false);

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "util/cli.h"
 #include "util/csv.h"
 #include "util/log.h"
+#include "util/units.h"
 
 namespace cloudprov {
 namespace {
@@ -164,6 +166,34 @@ TEST(Logger, LevelGating) {
   EXPECT_FALSE(log.enabled(LogLevel::kInfo));
   EXPECT_TRUE(log.enabled(LogLevel::kError));
   log.set_level(original);
+}
+
+TEST(Units, SecondsIntoDayAndDayIndex) {
+  EXPECT_EQ(seconds_into_day(0.0), 0.0);
+  EXPECT_EQ(seconds_into_day(3600.0), 3600.0);
+  EXPECT_EQ(seconds_into_day(86400.0), 0.0);
+  EXPECT_EQ(seconds_into_day(2.0 * 86400.0 + 100.0), 100.0);
+  EXPECT_EQ(day_index(0.0), 0);
+  EXPECT_EQ(day_index(86399.0), 0);
+  EXPECT_EQ(day_index(86400.0), 1);
+  EXPECT_EQ(day_index(6.5 * 86400.0), 6);
+}
+
+TEST(Units, DurationConstantsAreConsistent) {
+  EXPECT_EQ(duration::kMinute, 60.0 * duration::kSecond);
+  EXPECT_EQ(duration::kHour, 60.0 * duration::kMinute);
+  EXPECT_EQ(duration::kDay, 24.0 * duration::kHour);
+  EXPECT_EQ(duration::kWeek, 7.0 * duration::kDay);
+}
+
+TEST(CsvEdge, IntegerFormatAndQuotedOnlyField) {
+  EXPECT_EQ(CsvWriter::format(std::int64_t{-42}), "-42");
+  std::istringstream in("\"a,b\"\n");
+  CsvReader reader(in);
+  const auto row = reader.next_row();
+  ASSERT_TRUE(row.has_value());
+  ASSERT_EQ(row->size(), 1u);
+  EXPECT_EQ((*row)[0], "a,b");
 }
 
 }  // namespace

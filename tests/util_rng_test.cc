@@ -230,5 +230,19 @@ TEST(Rng, WeibullReducesToExponentialAtShapeOne) {
   EXPECT_NEAR(stats.variance(), 16.0, 0.8);
 }
 
+TEST(RngEdge, GammaShapeOneIsExponential) {
+  Rng rng(71);
+  double sum = 0.0;
+  int over = 0;
+  const int n = 200000;
+  for (int i = 0; i < n; ++i) {
+    const double x = rng.gamma(1.0, 0.5);  // == Exp(rate 2)
+    sum += x;
+    over += x > 1.0 ? 1 : 0;
+  }
+  EXPECT_NEAR(sum / n, 0.5, 0.01);
+  EXPECT_NEAR(static_cast<double>(over) / n, std::exp(-2.0), 0.005);
+}
+
 }  // namespace
 }  // namespace cloudprov

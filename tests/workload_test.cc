@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "stats/running_stats.h"
+#include "util/units.h"
 #include "workload/bot_workload.h"
 #include "workload/poisson_source.h"
 #include "workload/trace.h"
@@ -367,6 +368,34 @@ TEST(TraceSource, RemainingCountsDown) {
   EXPECT_EQ(source.remaining(), 2u);
   (void)source.next(rng);
   EXPECT_EQ(source.remaining(), 1u);
+}
+
+TEST(WebWorkloadEdge, FlatWeekProducesUniformRate) {
+  WebWorkloadConfig config;
+  for (auto& day : config.week) day = DayRates{100.0, 100.0};  // Rmin == Rmax
+  const WebWorkload w(config);
+  for (double t : {0.0, 6.0 * 3600.0, 12.0 * 3600.0, 3.5 * 86400.0}) {
+    EXPECT_NEAR(w.expected_rate(t), 100.0, 1e-9) << t;
+  }
+}
+
+TEST(BotWorkloadEdge, TwoDayHorizonRepeatsTheDailyCycle) {
+  BotWorkloadConfig config;
+  config.horizon = 2.0 * 86400.0;
+  BotWorkload w(config);
+  // Expected rate is periodic with the day.
+  EXPECT_EQ(w.expected_rate(12.0 * 3600.0), w.expected_rate(36.0 * 3600.0));
+  Rng rng(73);
+  std::size_t day1_peak = 0;
+  std::size_t day2_peak = 0;
+  while (auto a = w.next(rng)) {
+    const double tod = seconds_into_day(a->time);
+    if (tod >= 8 * 3600.0 && tod < 17 * 3600.0) {
+      (a->time < 86400.0 ? day1_peak : day2_peak) += 1;
+    }
+  }
+  EXPECT_GT(day1_peak, 5000u);
+  EXPECT_GT(day2_peak, 5000u);
 }
 
 }  // namespace
