@@ -110,7 +110,7 @@ void Telemetry::request_arrival(SimTime t, std::uint64_t request_id) {
   requests_arrived_->add();
   if (spans_) spans_->on_arrival(t, request_id);
   if (options_.trace_requests) {
-    trace_.record(instant("request", "arrival", kTrackRequests, t, request_id));
+    trace_.record(TraceKind::kArrival, t, request_id);
   }
 }
 
@@ -119,10 +119,8 @@ void Telemetry::request_admitted(SimTime t, std::uint64_t request_id,
   requests_admitted_->add();
   if (spans_) spans_->on_admit(t, request_id, vm_id);
   if (options_.trace_requests) {
-    TraceEvent event =
-        instant("request", "admit", kTrackRequests, t, request_id);
-    event.arg("vm", static_cast<double>(vm_id));
-    trace_.record(event);
+    trace_.record(TraceKind::kAdmit, t, request_id,
+                  static_cast<double>(vm_id));
   }
 }
 
@@ -131,7 +129,7 @@ void Telemetry::request_rejected(SimTime t, std::uint64_t request_id) {
   if (spans_) spans_->on_reject(t, request_id);
   if (slo_) slo_->maybe_evaluate(t);
   if (options_.trace_requests) {
-    trace_.record(instant("request", "reject", kTrackRequests, t, request_id));
+    trace_.record(TraceKind::kReject, t, request_id);
   }
 }
 
@@ -154,24 +152,10 @@ void Telemetry::request_completed(SimTime t, std::uint64_t request_id,
   if (spans_) spans_->on_complete(t, request_id, qos_violation);
   if (slo_) slo_->maybe_evaluate(t);
   if (options_.trace_requests) {
-    TraceEvent span;
-    span.name = "request";
-    span.category = "request";
-    span.phase = TracePhase::kComplete;
-    span.track = kTrackRequests;
-    span.time = t - response_time;
-    span.duration = response_time;
-    span.id = request_id;
-    span.arg("response_time", response_time)
-        .arg("service_time", service_time)
-        .arg("qos_violation", qos_violation ? 1.0 : 0.0);
-    trace_.record(span);
-    TraceEvent service = span;
-    service.name = "service";
-    service.time = t - service_time;
-    service.duration = service_time;
-    service.arg_count = 0;
-    trace_.record(service);
+    trace_.record(TraceKind::kRequestSpan, t - response_time, request_id,
+                  response_time, service_time, qos_violation);
+    trace_.record(TraceKind::kServiceSpan, t - service_time, request_id,
+                  service_time);
   }
 }
 
@@ -366,22 +350,18 @@ void Telemetry::spot_kill(SimTime t, std::uint64_t vm_id,
 void Telemetry::retry_scheduled(SimTime t, std::uint64_t request_id,
                                 std::uint64_t attempt, SimTime backoff) {
   client_retries_->add();
-  TraceEvent event = instant("resilience", "retry", kTrackResilience, t,
-                             request_id);
-  event.arg("attempt", static_cast<double>(attempt)).arg("backoff", backoff);
-  trace_.record(event);
+  trace_.record(TraceKind::kRetry, t, request_id,
+                static_cast<double>(attempt), backoff);
 }
 
 void Telemetry::retry_budget_exhausted(SimTime t, std::uint64_t request_id) {
   retry_budget_denied_->add();
-  trace_.record(
-      instant("resilience", "budget_exhausted", kTrackResilience, t, request_id));
+  trace_.record(TraceKind::kBudgetExhausted, t, request_id);
 }
 
 void Telemetry::client_timeout(SimTime t, std::uint64_t request_id) {
   client_timeouts_->add();
-  trace_.record(
-      instant("resilience", "client_timeout", kTrackResilience, t, request_id));
+  trace_.record(TraceKind::kClientTimeout, t, request_id);
 }
 
 void Telemetry::breaker_transition(SimTime t, const char* from,
@@ -399,8 +379,7 @@ void Telemetry::breaker_transition(SimTime t, const char* from,
 
 void Telemetry::breaker_fast_fail(SimTime t, std::uint64_t request_id) {
   breaker_fast_fails_->add();
-  trace_.record(
-      instant("resilience", "fast_fail", kTrackResilience, t, request_id));
+  trace_.record(TraceKind::kFastFail, t, request_id);
 }
 
 void Telemetry::request_shed(SimTime t, std::uint64_t request_id,
@@ -423,16 +402,15 @@ void Telemetry::cache_lookup(SimTime t, std::uint64_t request_id, bool hit) {
   // this hook, so their span CSVs keep the historical column set.
   if (spans_) spans_->on_tier(request_id, hit ? 1 : 2);
   if (options_.trace_requests) {
-    trace_.record(instant("apptier", hit ? "cache_hit" : "cache_miss",
-                          kTrackApptier, t, request_id));
+    trace_.record(hit ? TraceKind::kCacheHit : TraceKind::kCacheMiss, t,
+                  request_id);
   }
 }
 
 void Telemetry::cache_fill(SimTime t, std::uint64_t request_id) {
   cache_fills_->add();
   if (options_.trace_requests) {
-    trace_.record(instant("apptier", "cache_fill", kTrackApptier, t,
-                          request_id));
+    trace_.record(TraceKind::kCacheFill, t, request_id);
   }
 }
 

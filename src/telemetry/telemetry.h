@@ -64,9 +64,11 @@ enum TelemetryTrack : std::uint32_t {
 };
 
 struct TelemetryOptions {
-  /// Ring capacity in events (~120 bytes each). The default keeps full
-  /// scenario runs under ~8 MB of trace memory; raise it to retain more
-  /// than the most recent ~65k events.
+  /// Ring capacity in events. Each event takes a 40-byte record; one outside
+  /// the per-request classes also takes a 136-byte TraceEvent in a side ring
+  /// of the same capacity. The default holds the newest ~65k events in
+  /// 2.6 MB of records plus up to 8.9 MB of side ring, whose pages are
+  /// touched only as such events arrive; raise it to retain more.
   std::size_t trace_capacity = 1 << 16;
   /// Per-request trace events (the high-volume class). Metrics are always
   /// collected; disabling this keeps only lifecycle/decision/engine events.

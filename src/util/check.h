@@ -7,6 +7,10 @@
 // message is a const char* and the exception string is only built inside the
 // cold [[noreturn]] helpers. std::string overloads remain for call sites
 // that compose their message (CLI parsing and similar cold paths).
+//
+// An ensure() failure is a bug, so its message leads with the source file
+// and line. An ensure_arg() failure reports bad input to the caller (often a
+// CLI user), so its message is the caller-facing text alone.
 #pragma once
 
 #include <source_location>
@@ -23,10 +27,8 @@ namespace detail {
                          std::to_string(loc.line()) + ": " + message);
 }
 
-[[noreturn]] inline void throw_ensure_arg(const char* message,
-                                          const std::source_location& loc) {
-  throw std::invalid_argument(std::string(loc.file_name()) + ":" +
-                              std::to_string(loc.line()) + ": " + message);
+[[noreturn]] inline void throw_ensure_arg(const char* message) {
+  throw std::invalid_argument(message);
 }
 
 }  // namespace detail
@@ -42,13 +44,11 @@ inline void ensure(bool condition, const std::string& message,
 }
 
 /// Throws std::invalid_argument for caller-supplied bad values.
-inline void ensure_arg(bool condition, const char* message,
-                       std::source_location loc = std::source_location::current()) {
-  if (!condition) [[unlikely]] detail::throw_ensure_arg(message, loc);
+inline void ensure_arg(bool condition, const char* message) {
+  if (!condition) [[unlikely]] detail::throw_ensure_arg(message);
 }
-inline void ensure_arg(bool condition, const std::string& message,
-                       std::source_location loc = std::source_location::current()) {
-  if (!condition) [[unlikely]] detail::throw_ensure_arg(message.c_str(), loc);
+inline void ensure_arg(bool condition, const std::string& message) {
+  if (!condition) [[unlikely]] detail::throw_ensure_arg(message.c_str());
 }
 
 }  // namespace cloudprov

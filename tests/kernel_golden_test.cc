@@ -419,6 +419,14 @@ TEST(KernelGolden, TieredZipfSmokeIsBitIdentical) {
   const std::string bytes = csv.str();
   EXPECT_EQ(bytes.size(), 12594705u);
   EXPECT_EQ(fnv1a(bytes), 0x437982012dec1e7dULL);
+  // The Chrome trace pins the apptier lane's cache_hit/cache_miss/cache_fill
+  // instants, which the span CSV does not carry. Captured before the trace
+  // ring stored per-request events as compact records.
+  std::ostringstream trace;
+  write_chrome_trace(trace, out.telemetry->trace(), "cloudprov",
+                     out.telemetry->spans());
+  EXPECT_EQ(trace.str().size(), 43682219u);
+  EXPECT_EQ(fnv1a(trace.str()), 0x86b00abad22af910ULL);
 }
 
 // Layered web day (tests/layered_web.h) at scale 0.01, seed 42. Unlike the

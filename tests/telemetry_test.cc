@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cctype>
+#include <initializer_list>
 #include <map>
+#include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -361,6 +365,134 @@ TEST(Telemetry, RequestLifecycleFeedsMetricsAndTrace) {
   EXPECT_EQ(span.phase, TracePhase::kComplete);
   EXPECT_DOUBLE_EQ(span.time, 1.0);       // arrival = finish - response
   EXPECT_DOUBLE_EQ(span.duration, 0.4);
+}
+
+/// Picks at or above this one call the non-request hooks.
+constexpr std::uint64_t kFirstGeneralPick = 10;
+
+/// Trace events one collector records during a feed_hooks() call, and how
+/// many of them come from the non-request hooks.
+struct FedEvents {
+  std::uint64_t all = 0;
+  std::uint64_t general = 0;
+};
+
+/// Drives `count` seeded hook calls into every collector in `sinks`: each
+/// per-request hook plus general events with five args (scaling_decision),
+/// dynamic names (vm_failed, request_shed) and counter lanes. With
+/// `general_only` every call is a general event.
+FedEvents feed_hooks(std::mt19937_64& rng, SimTime& now, int count,
+                     std::initializer_list<Telemetry*> sinks,
+                     bool general_only = false) {
+  const auto unit = [&rng] {
+    return static_cast<double>(rng() >> 11) * 0x1p-53;
+  };
+  const std::uint64_t first = general_only ? kFirstGeneralPick : 0;
+  FedEvents fed;
+  for (int i = 0; i < count; ++i) {
+    now += unit();
+    const SimTime t = now;
+    const std::uint64_t id = rng() % 100000 + 1;
+    const std::uint64_t pick = first + rng() % (16 - first);
+    const double a = unit();
+    const double b = unit();
+    const std::size_t n = static_cast<std::size_t>(rng() % 7);
+    for (Telemetry* sink : sinks) {
+      switch (pick) {
+        case 0: sink->request_arrival(t, id); break;
+        case 1: sink->request_admitted(t, id, n); break;
+        case 2: sink->request_rejected(t, id); break;
+        case 3: sink->request_completed(t, id, a, a * b, n % 2 == 0); break;
+        case 4: sink->retry_scheduled(t, id, n + 1, b); break;
+        case 5: sink->retry_budget_exhausted(t, id); break;
+        case 6: sink->client_timeout(t, id); break;
+        case 7: sink->breaker_fast_fail(t, id); break;
+        case 8: sink->cache_lookup(t, id, n % 2 == 0); break;
+        case 9: sink->cache_fill(t, id); break;
+        case 10: sink->scaling_decision(t, a * 50.0, b, n + 1, n, n); break;
+        case 11:
+          sink->vm_failed(t, id, n, n % 2 == 0 ? "vm_crash" : "host_crash");
+          break;
+        case 12:
+          sink->request_shed(t, id, n % 2 == 0 ? "deadline" : "brownout");
+          break;
+        case 13: sink->instance_count(t, n, n / 2); break;
+        case 14: sink->engine_sample(t, id, n); break;
+        default: sink->vm_created(t, id); break;
+      }
+    }
+    fed.all += pick == 3 ? 2 : 1;
+    fed.general += pick >= kFirstGeneralPick ? 1 : 0;
+  }
+  return fed;
+}
+
+/// Field-by-field equality: strings by content, doubles by bits.
+void expect_same_events(const std::vector<TraceEvent>& actual,
+                        const std::vector<TraceEvent>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    const TraceEvent& x = actual[i];
+    const TraceEvent& y = expected[i];
+    SCOPED_TRACE("event " + std::to_string(i) + " (" + y.name + ")");
+    EXPECT_STREQ(x.name, y.name);
+    EXPECT_STREQ(x.category, y.category);
+    EXPECT_EQ(x.phase, y.phase);
+    EXPECT_EQ(x.track, y.track);
+    EXPECT_EQ(bits(x.time), bits(y.time));
+    EXPECT_EQ(bits(x.duration), bits(y.duration));
+    EXPECT_EQ(x.id, y.id);
+    ASSERT_EQ(x.arg_count, y.arg_count);
+    for (std::uint8_t k = 0; k < x.arg_count; ++k) {
+      EXPECT_STREQ(x.args[k].key, y.args[k].key);
+      EXPECT_EQ(bits(x.args[k].value), bits(y.args[k].value));
+    }
+  }
+}
+
+TEST(Telemetry, WrappedRingAndCloneKeepTheNewestEvents) {
+  constexpr std::size_t kSmall = 64;
+  Telemetry small(ring_options(kSmall, /*trace_requests=*/true));
+  Telemetry large(ring_options(1 << 16, /*trace_requests=*/true));
+  std::mt19937_64 rng(20261018);
+  SimTime now = 0.0;
+  const FedEvents fed = feed_hooks(rng, now, 2000, {&small, &large});
+  // The mix wraps the small ring, and its general events alone, many times.
+  ASSERT_GT(fed.general, 4 * kSmall);
+  ASSERT_GT(fed.all, 16 * kSmall);
+  std::uint64_t events = fed.all;
+
+  const auto check = [&](std::uint64_t recorded) {
+    EXPECT_EQ(large.trace().recorded(), recorded);
+    EXPECT_EQ(large.trace().size(), recorded);
+    EXPECT_EQ(large.trace().dropped(), 0u);
+    EXPECT_EQ(small.trace().recorded(), recorded);
+    EXPECT_EQ(small.trace().size(), kSmall);
+    EXPECT_EQ(small.trace().dropped(), recorded - kSmall);
+    const std::vector<TraceEvent> all = large.trace().events();
+    const std::vector<TraceEvent> newest(
+        all.end() - static_cast<std::ptrdiff_t>(kSmall), all.end());
+    expect_same_events(small.trace().events(), newest);
+  };
+  check(events);
+  // A run of general events alone leaves every retained record pointing at
+  // the side ring, which must then hold a full capacity of them.
+  events += feed_hooks(rng, now, 100, {&small, &large},
+                       /*general_only=*/true).all;
+  check(events);
+
+  const std::unique_ptr<Telemetry> copy = small.clone();
+  EXPECT_EQ(copy->trace().recorded(), small.trace().recorded());
+  expect_same_events(copy->trace().events(), small.trace().events());
+
+  events += feed_hooks(rng, now, 100, {&small, copy.get(), &large}).all;
+  check(events);
+  EXPECT_EQ(copy->trace().recorded(), events);
+  EXPECT_EQ(copy->trace().dropped(), events - kSmall);
+  expect_same_events(copy->trace().events(), small.trace().events());
 }
 
 TEST(Telemetry, TraceRequestsOffKeepsMetricsOnly) {
