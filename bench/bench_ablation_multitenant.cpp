@@ -23,7 +23,6 @@
 // the shard sweep, arbiter-counter conservation, and real contention in the
 // starved row; exits non-zero on violation.
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -36,13 +35,8 @@ using namespace cloudprov;
 
 namespace {
 
-std::uint64_t double_bits(double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-/// Bit-level equality on the fields that must not depend on shard count.
+/// Bit-level equality of everything that must not depend on shard count:
+/// every metric of every tenant but its wall time, and the arbiter history.
 bool tenants_identical(const MultiTenantResult& a, const MultiTenantResult& b,
                        std::string& why) {
   if (a.tenants.size() != b.tenants.size()) {
@@ -50,20 +44,10 @@ bool tenants_identical(const MultiTenantResult& a, const MultiTenantResult& b,
     return false;
   }
   for (std::size_t i = 0; i < a.tenants.size(); ++i) {
-    const RunMetrics& x = a.tenants[i].metrics;
-    const RunMetrics& y = b.tenants[i].metrics;
-    const bool same =
-        x.generated == y.generated && x.accepted == y.accepted &&
-        x.rejected == y.rejected && x.completed == y.completed &&
-        x.qos_violations == y.qos_violations &&
-        double_bits(x.avg_response_time) == double_bits(y.avg_response_time) &&
-        double_bits(x.p99_response_time) == double_bits(y.p99_response_time) &&
-        double_bits(x.vm_hours) == double_bits(y.vm_hours) &&
-        double_bits(x.billed_cost) == double_bits(y.billed_cost) &&
-        x.capacity_clips == y.capacity_clips &&
-        x.capacity_denied == y.capacity_denied;
-    if (!same) {
-      why = "tenant " + std::to_string(i);
+    const std::vector<std::string> differences = metric_differences(
+        a.tenants[i].metrics, b.tenants[i].metrics, {"wall_seconds"});
+    if (!differences.empty()) {
+      why = "tenant " + std::to_string(i) + ": " + differences.front();
       return false;
     }
   }

@@ -31,7 +31,6 @@
 // equal QoS, (3) the crash transient invalidates and recovers, (4) the TTL
 // storm flushes and recovers. Exits non-zero on violation.
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -43,40 +42,6 @@
 using namespace cloudprov;
 
 namespace {
-
-std::uint64_t double_bits(double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-/// Bit-level equality on the headline metrics: any drift means the disabled
-/// apptier config leaked into the simulation.
-bool runs_identical(const RunMetrics& a, const RunMetrics& b,
-                    std::string& why) {
-  const auto check = [&why](bool same, const char* field) {
-    if (!same && why.empty()) why = field;
-    return same;
-  };
-  bool ok = true;
-  ok &= check(a.generated == b.generated, "generated");
-  ok &= check(a.accepted == b.accepted, "accepted");
-  ok &= check(a.rejected == b.rejected, "rejected");
-  ok &= check(a.completed == b.completed, "completed");
-  ok &= check(a.qos_violations == b.qos_violations, "qos_violations");
-  ok &= check(double_bits(a.avg_response_time) ==
-                  double_bits(b.avg_response_time),
-              "avg_response_time");
-  ok &= check(double_bits(a.p99_response_time) ==
-                  double_bits(b.p99_response_time),
-              "p99_response_time");
-  ok &= check(double_bits(a.vm_hours) == double_bits(b.vm_hours), "vm_hours");
-  ok &= check(double_bits(a.utilization) == double_bits(b.utilization),
-              "utilization");
-  ok &= check(a.simulated_events == b.simulated_events, "simulated_events");
-  ok &= check(a.cache_hits == 0 && b.cache_hits == 0, "cache_hits != 0");
-  return ok;
-}
 
 ScenarioConfig tiered_config(double scale, double ttl = 300.0) {
   ScenarioConfig config = zipf_scenario(scale);
@@ -140,11 +105,16 @@ int main(int argc, char** argv) {
     touched.apptier.cache_capacity_per_vm = 1;
     const RunMetrics a = run_scenario(plain, adaptive, seed).metrics;
     const RunMetrics b = run_scenario(touched, adaptive, seed).metrics;
-    std::string why;
-    const bool identical = runs_identical(a, b, why);
-    check(identical, "tiers-off runs must be bit-identical (" + why + ")");
+    // Bitwise, every metric: any drift means the disabled apptier config
+    // leaked into the simulation.
+    const std::vector<std::string> differences =
+        metric_differences(a, b, {"wall_seconds"});
+    for (const std::string& line : differences) {
+      check(false, "tiers-off runs must be bit-identical (" + line + ")");
+    }
+    check(a.cache_hits == 0, "tiers-off run must not serve cache hits");
     std::cout << "tiers-off bit-identity: "
-              << (identical ? "ok" : "FAILED (" + why + ")") << "\n\n";
+              << (differences.empty() ? "ok" : "FAILED") << "\n\n";
   }
 
   // --- Section 1: equal-QoS sizing, single-tier vs tiered -----------------

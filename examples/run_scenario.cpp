@@ -707,7 +707,10 @@ int run(const ArgParser& args) {
   std::optional<MarketReport> market_report;  // replication 0's ledger
   RunMetrics instrumented;  // metrics of the telemetry-carrying run
   const std::vector<std::uint64_t> seeds = replication_seeds(reps, seed);
-  if (parallelism == 1) {
+  // Pick the loop by the workers that would actually run: one replication
+  // always takes the sequential loop, which honours --checkpoint/--restore
+  // and runs replication 0 once.
+  if (effective_parallelism(parallelism, reps) == 1) {
     for (std::size_t i = 0; i < reps; ++i) {
       RunOutput output =
           i == 0 && (!checkpoint_path.empty() || !restore_path.empty())

@@ -207,8 +207,8 @@ std::size_t CacheTier::directory_capacity() const {
 }
 
 void CacheTier::on_request(const Request& request) {
-  ++window_arrivals_;
-  ++window_lookups_;
+  ++state_.window_arrivals;
+  ++state_.window_lookups;
   const SimTime now = sim_.now();
   bool hit = false;
   const std::size_t shards = cache_pool_.active_instances();
@@ -218,23 +218,23 @@ void CacheTier::on_request(const Request& request) {
         hit = true;
         break;
       case CacheDirectory::Lookup::kExpired:
-        ++expirations_;
+        ++state_.expirations;
         break;
       case CacheDirectory::Lookup::kInvalidated:
-        ++invalidations_;
+        ++state_.invalidations;
         break;
       case CacheDirectory::Lookup::kAbsent:
         break;
     }
   }
   if (hit) {
-    ++hits_;
-    ++window_hits_;
+    ++state_.hits;
+    ++state_.window_hits;
     Request served = request;
     served.service_demand = cache_demand_.sample(rng_);
     cache_pool_.on_request(served);  // admission + accounting in the pool
   } else {
-    ++misses_;
+    ++state_.misses;
     backend_sink_.on_request(request);
   }
   // After dispatch, so the span tracer's pending trace (created by the
@@ -245,42 +245,44 @@ void CacheTier::on_request(const Request& request) {
 }
 
 std::uint64_t CacheTier::take_window_arrivals() {
-  const std::uint64_t n = window_arrivals_;
-  window_arrivals_ = 0;
+  const std::uint64_t n = state_.window_arrivals;
+  state_.window_arrivals = 0;
   return n;
 }
 
 double CacheTier::fold_window() {
-  if (window_lookups_ > 0) {
-    const double ratio = static_cast<double>(window_hits_) /
-                         static_cast<double>(window_lookups_);
-    last_window_hit_ratio_ = ratio;
-    hit_ewma_ = hit_ewma_ < 0.0
-                    ? ratio
-                    : config_.hit_ewma_alpha * ratio +
-                          (1.0 - config_.hit_ewma_alpha) * hit_ewma_;
-    window_hits_ = 0;
-    window_lookups_ = 0;
+  if (state_.window_lookups > 0) {
+    const double ratio = static_cast<double>(state_.window_hits) /
+                         static_cast<double>(state_.window_lookups);
+    state_.last_window_hit_ratio = ratio;
+    state_.hit_ewma =
+        state_.hit_ewma < 0.0
+            ? ratio
+            : config_.hit_ewma_alpha * ratio +
+                  (1.0 - config_.hit_ewma_alpha) * state_.hit_ewma;
+    state_.window_hits = 0;
+    state_.window_lookups = 0;
   }
-  return hit_ewma_;
+  return state_.hit_ewma;
 }
 
 void CacheTier::record_window_sample(SimTime t, double lambda_miss,
                                      double predicted_response) {
-  series_.push_back(ApptierState::WindowSample{
-      t, last_window_hit_ratio_, lambda_miss, predicted_response});
-  lambda_miss_sum_ += lambda_miss;
-  ++windows_;
+  state_.series.push_back(ApptierState::WindowSample{
+      t, state_.last_window_hit_ratio, lambda_miss, predicted_response});
+  state_.lambda_miss_sum += lambda_miss;
+  ++state_.windows;
 }
 
 double CacheTier::hit_ratio() const {
-  const std::uint64_t total = hits_ + misses_;
-  return total > 0 ? static_cast<double>(hits_) / static_cast<double>(total)
-                   : 0.0;
+  const std::uint64_t total = state_.hits + state_.misses;
+  return total > 0
+             ? static_cast<double>(state_.hits) / static_cast<double>(total)
+             : 0.0;
 }
 
 double CacheTier::planning_hit_ratio() const {
-  return hit_ewma_ >= 0.0 ? hit_ewma_ : config_.assumed_hit_ratio;
+  return state_.hit_ewma >= 0.0 ? state_.hit_ewma : config_.assumed_hit_ratio;
 }
 
 void CacheTier::on_cache_complete(const Request& request,
@@ -296,23 +298,23 @@ void CacheTier::on_backend_complete(const Request& request,
   const std::size_t capacity = directory_capacity();
   if (capacity == 0) return;  // no active cache VMs: nothing to fill into
   const SimTime now = sim_.now();
-  evictions_ += directory_.fill(request.key, now + config_.ttl,
-                                cache_pool_.active_instances(), capacity);
-  ++fills_;
+  state_.evictions += directory_.fill(request.key, now + config_.ttl,
+                                      cache_pool_.active_instances(), capacity);
+  ++state_.fills;
   if (telemetry_ != nullptr) telemetry_->cache_fill(now, request.id);
 }
 
 void CacheTier::record_completion(double response_time) {
-  response_stats_.add(response_time);
-  p95_.add(response_time);
-  p99_.add(response_time);
-  if (response_time > qos_.max_response_time) ++qos_violations_;
+  state_.response_stats.add(response_time);
+  state_.p95.add(response_time);
+  state_.p99.add(response_time);
+  if (response_time > qos_.max_response_time) ++state_.qos_violations;
 }
 
 void CacheTier::fire_flush(std::size_t index) {
   flush_events_[index] = kInvalidEventId;
   const std::size_t dropped = directory_.clear();
-  ++flushes_;
+  ++state_.flushes;
   if (telemetry_ != nullptr) {
     telemetry_->cache_flush(sim_.now(), dropped);
   }
@@ -329,27 +331,9 @@ void CacheTier::fire_crash(std::size_t index) {
 }
 
 void CacheTier::capture(ApptierState& state) const {
+  static_cast<CacheTierState&>(state) = state_;
   directory_.capture(state.directory);
   state.rng = rng_.state();
-  state.hits = hits_;
-  state.misses = misses_;
-  state.fills = fills_;
-  state.evictions = evictions_;
-  state.expirations = expirations_;
-  state.invalidations = invalidations_;
-  state.flushes = flushes_;
-  state.window_arrivals = window_arrivals_;
-  state.window_hits = window_hits_;
-  state.window_lookups = window_lookups_;
-  state.hit_ewma = hit_ewma_;
-  state.last_window_hit_ratio = last_window_hit_ratio_;
-  state.lambda_miss_sum = lambda_miss_sum_;
-  state.windows = windows_;
-  state.response_stats = response_stats_;
-  state.p95 = p95_;
-  state.p99 = p99_;
-  state.qos_violations = qos_violations_;
-  state.series = series_;
   state.flush_events.clear();
   for (EventId id : flush_events_) state.flush_events.push_back(sim_.stamp(id));
   state.crash_events.clear();
@@ -362,25 +346,7 @@ void CacheTier::restore(const ApptierState& state) {
          "CacheTier::restore: tier already started");
   directory_.restore(state.directory);
   rng_.set_state(state.rng);
-  hits_ = state.hits;
-  misses_ = state.misses;
-  fills_ = state.fills;
-  evictions_ = state.evictions;
-  expirations_ = state.expirations;
-  invalidations_ = state.invalidations;
-  flushes_ = state.flushes;
-  window_arrivals_ = state.window_arrivals;
-  window_hits_ = state.window_hits;
-  window_lookups_ = state.window_lookups;
-  hit_ewma_ = state.hit_ewma;
-  last_window_hit_ratio_ = state.last_window_hit_ratio;
-  lambda_miss_sum_ = state.lambda_miss_sum;
-  windows_ = state.windows;
-  response_stats_ = state.response_stats;
-  p95_ = state.p95;
-  p99_ = state.p99;
-  qos_violations_ = state.qos_violations;
-  series_ = state.series;
+  state_ = state;
   ensure_arg(state.flush_events.size() == config_.flush_at.size() &&
                  state.crash_events.size() == config_.cache_crash_at.size(),
              "CacheTier::restore: chaos schedule mismatch");

@@ -42,22 +42,9 @@ namespace cloudprov {
 
 class Telemetry;
 
-/// Mutable apptier state for WorldState snapshot/restore and the disk
-/// checkpoint codec (appended as an optional at codec version 3).
-struct ApptierState {
-  Datacenter::Snapshot cache_datacenter;
-  ApplicationProvisioner::Snapshot cache_provisioner;
-
-  /// Directory in LRU order (front = most recently used).
-  struct DirectoryEntry {
-    std::uint64_t key = 0;
-    SimTime expiry = 0.0;
-    std::uint32_t slot = 0;
-  };
-  std::vector<DirectoryEntry> directory;
-
-  Rng::State rng;  ///< cache service-demand stream
-
+/// The cache tier's counters, statistics and window series: the state
+/// CacheTier::capture() and restore() copy whole.
+struct CacheTierState {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t fills = 0;
@@ -87,6 +74,23 @@ struct ApptierState {
     double predicted_response = 0.0;  ///< tandem-model end-to-end prediction
   };
   std::vector<WindowSample> series;
+};
+
+/// Mutable apptier state for WorldState snapshot/restore and the disk
+/// checkpoint codec (appended as an optional at codec version 3).
+struct ApptierState : CacheTierState {
+  Datacenter::Snapshot cache_datacenter;
+  ApplicationProvisioner::Snapshot cache_provisioner;
+
+  /// Directory in LRU order (front = most recently used).
+  struct DirectoryEntry {
+    std::uint64_t key = 0;
+    SimTime expiry = 0.0;
+    std::uint32_t slot = 0;
+  };
+  std::vector<DirectoryEntry> directory;
+
+  Rng::State rng;  ///< cache service-demand stream
 
   /// Pending seeded-chaos events, parallel to config.flush_at /
   /// config.cache_crash_at; disengaged once fired.
@@ -200,32 +204,35 @@ class CacheTier final : public RequestSink {
   /// Planning estimate h: the EWMA, or the configured assumption before the
   /// first closed window.
   double planning_hit_ratio() const;
-  double last_window_hit_ratio() const { return last_window_hit_ratio_; }
+  double last_window_hit_ratio() const { return state_.last_window_hit_ratio; }
   std::size_t directory_size() const { return directory_.size(); }
   std::size_t directory_capacity() const;
 
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  std::uint64_t fills() const { return fills_; }
-  std::uint64_t evictions() const { return evictions_; }
-  std::uint64_t expirations() const { return expirations_; }
-  std::uint64_t invalidations() const { return invalidations_; }
-  std::uint64_t flushes() const { return flushes_; }
-  std::uint64_t lookups() const { return hits_ + misses_; }
+  std::uint64_t hits() const { return state_.hits; }
+  std::uint64_t misses() const { return state_.misses; }
+  std::uint64_t fills() const { return state_.fills; }
+  std::uint64_t evictions() const { return state_.evictions; }
+  std::uint64_t expirations() const { return state_.expirations; }
+  std::uint64_t invalidations() const { return state_.invalidations; }
+  std::uint64_t flushes() const { return state_.flushes; }
+  std::uint64_t lookups() const { return state_.hits + state_.misses; }
   double lambda_miss_mean() const {
-    return windows_ > 0 ? lambda_miss_sum_ / static_cast<double>(windows_)
-                        : 0.0;
+    return state_.windows > 0 ? state_.lambda_miss_sum /
+                                    static_cast<double>(state_.windows)
+                              : 0.0;
   }
 
   // --- end-to-end accounting ----------------------------------------------
-  const RunningStats& response_time_stats() const { return response_stats_; }
-  double response_p95() const { return p95_.value(); }
-  double response_p99() const { return p99_.value(); }
-  std::uint64_t qos_violations() const { return qos_violations_; }
+  const RunningStats& response_time_stats() const {
+    return state_.response_stats;
+  }
+  double response_p95() const { return state_.p95.value(); }
+  double response_p99() const { return state_.p99.value(); }
+  std::uint64_t qos_violations() const { return state_.qos_violations; }
 
   ApplicationProvisioner& cache_pool() { return cache_pool_; }
   const std::vector<ApptierState::WindowSample>& series() const {
-    return series_;
+    return state_.series;
   }
 
   // --- snapshot/restore (src/lookahead) -----------------------------------
@@ -257,27 +264,7 @@ class CacheTier final : public RequestSink {
 
   CacheDirectory directory_;
 
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t fills_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::uint64_t expirations_ = 0;
-  std::uint64_t invalidations_ = 0;
-  std::uint64_t flushes_ = 0;
-  std::uint64_t window_arrivals_ = 0;
-  std::uint64_t window_hits_ = 0;
-  std::uint64_t window_lookups_ = 0;
-  double hit_ewma_ = -1.0;
-  double last_window_hit_ratio_ = 0.0;
-  double lambda_miss_sum_ = 0.0;
-  std::uint64_t windows_ = 0;
-
-  RunningStats response_stats_;
-  P2Quantile p95_{0.95};
-  P2Quantile p99_{0.99};
-  std::uint64_t qos_violations_ = 0;
-
-  std::vector<ApptierState::WindowSample> series_;
+  CacheTierState state_;
 
   std::vector<EventId> flush_events_;
   std::vector<EventId> crash_events_;

@@ -15,24 +15,25 @@ ApplicationProvisioner::ApplicationProvisioner(
       datacenter_(datacenter),
       qos_(qos),
       config_(config),
-      admission_(std::move(admission)),
-      instance_count_(sim.now(), 0.0) {
+      admission_(std::move(admission)) {
+  state_.instance_count = TimeWeightedValue(sim.now(), 0.0);
   ensure_arg(config_.initial_service_time_estimate > 0.0,
              "ApplicationProvisioner: service time estimate must be > 0");
   ensure_arg(admission_ != nullptr, "ApplicationProvisioner: null admission policy");
 }
 
 double ApplicationProvisioner::monitored_service_time() const {
-  return service_stats_.empty() ? config_.initial_service_time_estimate
-                                : service_stats_.mean();
+  return state_.service_stats.empty() ? config_.initial_service_time_estimate
+                                      : state_.service_stats.mean();
 }
 
 std::size_t ApplicationProvisioner::current_queue_bound() const {
   if (config_.fixed_queue_bound > 0) return config_.fixed_queue_bound;
   // The adaptive bound only moves when the monitored mean moves, i.e. when a
-  // completion lands in service_stats_; memoize on the completion count so
-  // the per-arrival query costs two loads instead of two FP divisions.
-  const std::uint64_t completions = service_stats_.count();
+  // completion lands in the service statistics; memoize on the completion
+  // count so the per-arrival query costs two loads instead of two FP
+  // divisions.
+  const std::uint64_t completions = state_.service_stats.count();
   if (completions != bound_cache_completions_) {
     bound_cache_ = queue_bound(qos_.max_response_time, monitored_service_time());
     bound_cache_completions_ = completions;
@@ -41,9 +42,10 @@ std::size_t ApplicationProvisioner::current_queue_bound() const {
 }
 
 double ApplicationProvisioner::rejection_rate() const {
-  const std::uint64_t total = accepted_ + rejected_;
+  const std::uint64_t total = state_.accepted + state_.rejected;
   return total == 0 ? 0.0
-                    : static_cast<double>(rejected_) / static_cast<double>(total);
+                    : static_cast<double>(state_.rejected) /
+                          static_cast<double>(total);
 }
 
 PoolView ApplicationProvisioner::pool_view() const {
@@ -92,19 +94,19 @@ void ApplicationProvisioner::on_request(const Request& request) {
 }
 
 bool ApplicationProvisioner::try_submit(const Request& request) {
-  ++window_arrivals_;
+  ++state_.window_arrivals;
   Vm* vm = select_instance(request);
   if (vm == nullptr) {
     // "If all virtualized application instances have k requests in their
     // queues, new requests are rejected."
-    ++rejected_;
+    ++state_.rejected;
     if (telemetry_ != nullptr) {
       telemetry_->request_arrival(now(), request.id);
       telemetry_->request_rejected(now(), request.id);
     }
     return false;
   }
-  ++accepted_;
+  ++state_.accepted;
   if (telemetry_ != nullptr) {
     telemetry_->request_arrival(now(), request.id);
     telemetry_->request_admitted(now(), request.id, vm->id());
@@ -192,11 +194,11 @@ void ApplicationProvisioner::set_capacity_cap(std::size_t cap) {
   // Re-apply only on change: a no-op grant must not touch the pool (or the
   // time-weighted instance history) so arbitration without contention stays
   // bit-identical to the unarbitrated run.
-  if (granted != commanded_target_) apply_target(granted);
+  if (granted != state_.commanded_target) apply_target(granted);
 }
 
 std::size_t ApplicationProvisioner::apply_target(std::size_t target) {
-  commanded_target_ = target;
+  state_.commanded_target = target;
   // Scale up: resurrect draining instances first, newest selections first
   // (they are the least drained). Revoked instances are skipped — the spot
   // market has already reclaimed them and will hard-kill any survivor.
@@ -244,15 +246,15 @@ std::size_t ApplicationProvisioner::apply_target(std::size_t target) {
 
 void ApplicationProvisioner::on_vm_complete(Vm& vm, const Request& request,
                                             double response_time) {
-  response_stats_.add(response_time);
+  state_.response_stats.add(response_time);
   const double service_time = request.service_demand / vm.spec().speed;
-  service_stats_.add(service_time);
+  state_.service_stats.add(service_time);
   if (config_.track_quantiles) {
-    p95_.add(response_time);
-    p99_.add(response_time);
+    state_.p95.add(response_time);
+    state_.p99.add(response_time);
   }
   const bool violation = response_time > qos_.max_response_time;
-  if (violation) ++qos_violations_;
+  if (violation) ++state_.qos_violations;
   if (telemetry_ != nullptr) {
     telemetry_->request_completed(now(), request.id, response_time,
                                   service_time, violation);
@@ -277,17 +279,18 @@ void ApplicationProvisioner::record_instance_count() {
       telemetry_->instance_count(now(), instances_.size(), draining_.size());
     }
   }
-  if (!instance_history_started_) {
-    instance_history_started_ = true;
-    instance_count_ = TimeWeightedValue(now(), static_cast<double>(live_instances()));
+  if (!state_.instance_history_started) {
+    state_.instance_history_started = true;
+    state_.instance_count =
+        TimeWeightedValue(now(), static_cast<double>(live_instances()));
     return;
   }
-  instance_count_.update(now(), static_cast<double>(live_instances()));
+  state_.instance_count.update(now(), static_cast<double>(live_instances()));
 }
 
 std::uint64_t ApplicationProvisioner::take_window_arrivals() {
-  const std::uint64_t count = window_arrivals_;
-  window_arrivals_ = 0;
+  const std::uint64_t count = state_.window_arrivals;
+  state_.window_arrivals = 0;
   return count;
 }
 
@@ -341,10 +344,10 @@ void ApplicationProvisioner::on_vm_failed(Vm& vm, FaultCause cause,
     draining_.erase(dit);
   }
   datacenter_.release_failed_vm(vm);
-  lost_to_failures_ += lost.size();
-  ++instance_failures_;
-  failures_by_cause_[static_cast<std::size_t>(cause)] += 1;
-  lost_by_cause_[static_cast<std::size_t>(cause)] += lost.size();
+  state_.lost_to_failures += lost.size();
+  ++state_.instance_failures;
+  state_.failures_by_cause[static_cast<std::size_t>(cause)] += 1;
+  state_.lost_by_cause[static_cast<std::size_t>(cause)] += lost.size();
   if (telemetry_ != nullptr) {
     telemetry_->vm_failed(now(), vm.id(), lost.size(), to_string(cause));
     for (const Request& request : lost) {
@@ -359,27 +362,28 @@ void ApplicationProvisioner::on_vm_failed(Vm& vm, FaultCause cause,
 }
 
 void ApplicationProvisioner::update_deficit() {
-  const bool deficit = instances_.size() < commanded_target_;
-  if (deficit && !in_deficit_) {
-    in_deficit_ = true;
-    deficit_since_ = now();
-  } else if (!deficit && in_deficit_) {
-    in_deficit_ = false;
-    const SimTime repair = now() - deficit_since_;
-    deficit_seconds_ += repair;
-    recovery_stats_.add(repair);
+  const bool deficit = instances_.size() < state_.commanded_target;
+  if (deficit && !state_.in_deficit) {
+    state_.in_deficit = true;
+    state_.deficit_since = now();
+  } else if (!deficit && state_.in_deficit) {
+    state_.in_deficit = false;
+    const SimTime repair = now() - state_.deficit_since;
+    state_.deficit_seconds += repair;
+    state_.recovery_stats.add(repair);
     if (telemetry_ != nullptr) telemetry_->pool_recovered(now(), repair);
   }
 }
 
 double ApplicationProvisioner::deficit_seconds() const {
-  double total = deficit_seconds_;
-  if (in_deficit_) total += now() - deficit_since_;
+  double total = state_.deficit_seconds;
+  if (state_.in_deficit) total += now() - state_.deficit_since;
   return total;
 }
 
 ApplicationProvisioner::Snapshot ApplicationProvisioner::checkpoint() const {
   Snapshot snap;
+  static_cast<State&>(snap) = state_;
   snap.instances.reserve(instances_.size());
   for (const Vm* vm : instances_) snap.instances.push_back(vm->id());
   snap.draining.reserve(draining_.size());
@@ -390,31 +394,14 @@ ApplicationProvisioner::Snapshot ApplicationProvisioner::checkpoint() const {
       snap.watchdogs.push_back(Snapshot::Watchdog{*stamp, record.vm_id});
     }
   }
-  snap.accepted = accepted_;
-  snap.rejected = rejected_;
-  snap.qos_violations = qos_violations_;
-  snap.lost_to_failures = lost_to_failures_;
-  snap.instance_failures = instance_failures_;
-  snap.window_arrivals = window_arrivals_;
-  snap.commanded_target = commanded_target_;
-  snap.failures_by_cause = failures_by_cause_;
-  snap.lost_by_cause = lost_by_cause_;
-  snap.recovery_stats = recovery_stats_;
-  snap.in_deficit = in_deficit_;
-  snap.deficit_since = deficit_since_;
-  snap.deficit_seconds = deficit_seconds_;
-  snap.response_stats = response_stats_;
-  snap.service_stats = service_stats_;
-  snap.p95 = p95_;
-  snap.p99 = p99_;
-  snap.instance_count = instance_count_;
-  snap.instance_history_started = instance_history_started_;
   return snap;
 }
 
 void ApplicationProvisioner::restore(const Snapshot& snap) {
-  ensure(instances_.empty() && draining_.empty() && accepted_ == 0,
+  ensure(instances_.empty() && draining_.empty() && state_.accepted == 0,
          "ApplicationProvisioner::restore: provisioner already used");
+  state_ = snap;
+  desired_target_ = snap.commanded_target;
   instances_.clear();
   for (std::uint64_t id : snap.instances) {
     Vm* vm = datacenter_.find_vm(id);
@@ -436,26 +423,6 @@ void ApplicationProvisioner::restore(const Snapshot& snap) {
     ensure(vm != nullptr, "restore: watchdog target missing from data center");
     arm_boot_watchdog(*vm, watchdog.stamp);
   }
-  accepted_ = snap.accepted;
-  rejected_ = snap.rejected;
-  qos_violations_ = snap.qos_violations;
-  lost_to_failures_ = snap.lost_to_failures;
-  instance_failures_ = snap.instance_failures;
-  window_arrivals_ = snap.window_arrivals;
-  commanded_target_ = snap.commanded_target;
-  desired_target_ = snap.commanded_target;
-  failures_by_cause_ = snap.failures_by_cause;
-  lost_by_cause_ = snap.lost_by_cause;
-  recovery_stats_ = snap.recovery_stats;
-  in_deficit_ = snap.in_deficit;
-  deficit_since_ = snap.deficit_since;
-  deficit_seconds_ = snap.deficit_seconds;
-  response_stats_ = snap.response_stats;
-  service_stats_ = snap.service_stats;
-  p95_ = snap.p95;
-  p99_ = snap.p99;
-  instance_count_ = snap.instance_count;
-  instance_history_started_ = snap.instance_history_started;
   // The queue-bound memo recomputes lazily (it is a pure function of the
   // restored service statistics).
   bound_cache_completions_ = UINT64_MAX;
@@ -465,7 +432,7 @@ MonitoringSnapshot ApplicationProvisioner::snapshot() const {
   MonitoringSnapshot snap;
   snap.time = now();
   snap.mean_service_time = monitored_service_time();
-  snap.completed_requests = response_stats_.count();
+  snap.completed_requests = state_.response_stats.count();
   snap.active_instances = instances_.size();
   // Pool utilization over the whole run so far (windowed utilization is the
   // experiment harness's job via the data center accounting).

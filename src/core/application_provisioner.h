@@ -146,21 +146,29 @@ class ApplicationProvisioner final : public Entity,
   std::size_t current_queue_bound() const;
 
   // --- output metrics (Section V-A) ----------------------------------------
-  std::uint64_t total_arrivals() const { return accepted_ + rejected_; }
-  std::uint64_t accepted() const { return accepted_; }
-  std::uint64_t rejected() const { return rejected_; }
-  std::uint64_t completed() const { return response_stats_.count(); }
+  std::uint64_t total_arrivals() const {
+    return state_.accepted + state_.rejected;
+  }
+  std::uint64_t accepted() const { return state_.accepted; }
+  std::uint64_t rejected() const { return state_.rejected; }
+  std::uint64_t completed() const { return state_.response_stats.count(); }
   /// Requests whose response time exceeded Ts.
-  std::uint64_t qos_violations() const { return qos_violations_; }
+  std::uint64_t qos_violations() const { return state_.qos_violations; }
   double rejection_rate() const;
-  const RunningStats& response_time_stats() const { return response_stats_; }
-  const RunningStats& service_time_stats() const { return service_stats_; }
-  double response_p95() const { return p95_.value(); }
-  double response_p99() const { return p99_.value(); }
+  const RunningStats& response_time_stats() const {
+    return state_.response_stats;
+  }
+  const RunningStats& service_time_stats() const {
+    return state_.service_stats;
+  }
+  double response_p95() const { return state_.p95.value(); }
+  double response_p99() const { return state_.p99.value(); }
   /// Time-weighted history of the live instance count (min/max/average),
   /// starting at the first scaling action (so a pre-provisioning count of
   /// zero does not pollute the minimum).
-  const TimeWeightedValue& instance_history() const { return instance_count_; }
+  const TimeWeightedValue& instance_history() const {
+    return state_.instance_count;
+  }
 
   /// Arrivals since the last call (used by the workload analyzer to compute
   /// the observed window rate).
@@ -190,21 +198,21 @@ class ApplicationProvisioner final : public Entity,
   void revoke_instance(Vm& vm);
 
   /// Accepted requests that were lost to instance failures.
-  std::uint64_t lost_to_failures() const { return lost_to_failures_; }
+  std::uint64_t lost_to_failures() const { return state_.lost_to_failures; }
   /// Instance crash-failures (all causes) so far.
-  std::uint64_t instance_failures() const { return instance_failures_; }
+  std::uint64_t instance_failures() const { return state_.instance_failures; }
 
   // --- fault awareness & self-healing accounting ---------------------------
   /// The last pool size commanded through scale_to: the reconciler's heal
   /// target, and the reference line for availability/MTTR accounting.
-  std::size_t commanded_target() const { return commanded_target_; }
+  std::size_t commanded_target() const { return state_.commanded_target; }
   /// Crash-failures broken down by the fault taxonomy.
   std::uint64_t failures_by_cause(FaultCause cause) const {
-    return failures_by_cause_[static_cast<std::size_t>(cause)];
+    return state_.failures_by_cause[static_cast<std::size_t>(cause)];
   }
   /// Lost in-flight requests broken down by the fault taxonomy.
   std::uint64_t lost_by_cause(FaultCause cause) const {
-    return lost_by_cause_[static_cast<std::size_t>(cause)];
+    return state_.lost_by_cause[static_cast<std::size_t>(cause)];
   }
   /// Boot-watchdog kills (== failures_by_cause(kBootTimeout)).
   std::uint64_t boot_timeouts() const {
@@ -212,26 +220,21 @@ class ApplicationProvisioner final : public Entity,
   }
   /// Distribution of repair times: seconds from the active pool first
   /// dropping below the commanded target until it is restored (MTTR).
-  const RunningStats& recovery_time_stats() const { return recovery_stats_; }
+  const RunningStats& recovery_time_stats() const {
+    return state_.recovery_stats;
+  }
   /// Total seconds (up to now) the active pool spent below the commanded
   /// target; 1 - deficit_seconds()/elapsed is the pool availability.
   double deficit_seconds() const;
 
   // --- checkpoint support (src/lookahead) ---------------------------------
-  /// Full mutable state: pool membership (by VM id), dispatch cursor, all
-  /// counters/statistics, and pending boot-watchdog events. Callbacks and
-  /// the VM factory are wiring, not state — the restoring side re-installs
-  /// them (restore() reattaches the lifecycle callbacks itself; the factory
-  /// is re-bound by whoever owns the market broker).
-  struct Snapshot {
-    std::vector<std::uint64_t> instances;  ///< RUNNING vm ids, rr order
-    std::vector<std::uint64_t> draining;   ///< DRAINING vm ids
-    std::size_t rr_cursor = 0;
-    struct Watchdog {
-      EventStamp stamp;
-      std::uint64_t vm_id = 0;
-    };
-    std::vector<Watchdog> watchdogs;  ///< pending boot-timeout checks
+  /// Full mutable state: the counters and statistics (State, copied whole)
+  /// plus pool membership (by VM id), dispatch cursor, and pending
+  /// boot-watchdog events. Callbacks and the VM factory are wiring, not
+  /// state — the restoring side re-installs them (restore() reattaches the
+  /// lifecycle callbacks itself; the factory is re-bound by whoever owns the
+  /// market broker).
+  struct State {
     std::uint64_t accepted = 0;
     std::uint64_t rejected = 0;
     std::uint64_t qos_violations = 0;
@@ -251,6 +254,16 @@ class ApplicationProvisioner final : public Entity,
     P2Quantile p99{0.99};
     TimeWeightedValue instance_count;
     bool instance_history_started = false;
+  };
+  struct Snapshot : State {
+    std::vector<std::uint64_t> instances;  ///< RUNNING vm ids, rr order
+    std::vector<std::uint64_t> draining;   ///< DRAINING vm ids
+    std::size_t rr_cursor = 0;
+    struct Watchdog {
+      EventStamp stamp;
+      std::uint64_t vm_id = 0;
+    };
+    std::vector<Watchdog> watchdogs;  ///< pending boot-timeout checks
   };
   Snapshot checkpoint() const;
   /// Rebinds the pool against the (already restored) data center, reattaches
@@ -301,14 +314,8 @@ class ApplicationProvisioner final : public Entity,
   mutable std::size_t bound_cache_ = 0;
   mutable std::uint64_t bound_cache_completions_ = UINT64_MAX;
 
-  std::uint64_t accepted_ = 0;
-  std::uint64_t rejected_ = 0;
-  std::uint64_t qos_violations_ = 0;
-  std::uint64_t lost_to_failures_ = 0;
-  std::uint64_t instance_failures_ = 0;
-  std::uint64_t window_arrivals_ = 0;
-  std::size_t commanded_target_ = 0;
-  /// Last scale_to target before cap clamping; == commanded_target_ unless
+  State state_;
+  /// Last scale_to target before cap clamping; == commanded_target unless
   /// a cap clipped it. Not part of Snapshot: restore() seeds it from the
   /// snapshotted commanded target, which is lossless for uncapped worlds
   /// (the only ones that are checkpointed).
@@ -316,18 +323,6 @@ class ApplicationProvisioner final : public Entity,
   std::size_t capacity_cap_ = SIZE_MAX;
   std::uint64_t capacity_clips_ = 0;
   std::uint64_t capacity_denied_ = 0;
-  std::array<std::uint64_t, kFaultCauseCount> failures_by_cause_{};
-  std::array<std::uint64_t, kFaultCauseCount> lost_by_cause_{};
-  RunningStats recovery_stats_;
-  bool in_deficit_ = false;
-  SimTime deficit_since_ = 0.0;
-  double deficit_seconds_ = 0.0;
-  RunningStats response_stats_;
-  RunningStats service_stats_;
-  P2Quantile p95_{0.95};
-  P2Quantile p99_{0.99};
-  TimeWeightedValue instance_count_;
-  bool instance_history_started_ = false;
 };
 
 }  // namespace cloudprov

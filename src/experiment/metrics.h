@@ -7,7 +7,9 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "stats/confidence.h"
@@ -235,6 +237,14 @@ void for_each_metric(const RunMetrics& m, F&& f) {
   f("wall_seconds", m.wall_seconds, kNeutral);
 }
 
+/// One "name: a vs b" line per metric whose values in `a` and `b` differ:
+/// `policy` and every field for_each_metric visits, doubles compared as bit
+/// patterns, except the names in `allowed_to_differ`. Empty when the runs
+/// match. Throws std::invalid_argument when an allowed name is not a metric.
+std::vector<std::string> metric_differences(
+    const RunMetrics& a, const RunMetrics& b,
+    std::initializer_list<std::string_view> allowed_to_differ);
+
 /// Mean and 95% CI of each headline metric across replications.
 struct AggregateMetrics {
   std::string policy;
@@ -250,7 +260,6 @@ struct AggregateMetrics {
   ConfidenceInterval qos_violations;
   ConfidenceInterval availability;
   ConfidenceInterval billed_cost;
-  double generated_mean = 0.0;
 };
 
 AggregateMetrics aggregate(const std::vector<RunMetrics>& runs,

@@ -47,16 +47,21 @@ std::vector<std::uint64_t> replication_seeds(std::size_t replications,
   return seeds;
 }
 
+std::size_t effective_parallelism(std::size_t parallelism,
+                                  std::size_t replications) {
+  if (parallelism == 0) {
+    parallelism = std::max(1u, std::thread::hardware_concurrency());
+  }
+  return std::min(parallelism, replications);
+}
+
 std::vector<RunMetrics> run_replications(
     const ScenarioConfig& config, const PolicySpec& policy,
     std::size_t replications, std::uint64_t base_seed,
     const std::function<void(const RunMetrics&)>& progress,
     std::size_t parallelism) {
   ensure_arg(replications >= 1, "run_replications: need at least one run");
-  if (parallelism == 0) {
-    parallelism = std::max(1u, std::thread::hardware_concurrency());
-  }
-  parallelism = std::min(parallelism, replications);
+  parallelism = effective_parallelism(parallelism, replications);
 
   // Seeds are fixed up front so the result set does not depend on worker
   // scheduling; each replication is fully self-contained (own Simulation,

@@ -41,6 +41,11 @@ RunOutput run_scenario(const ScenarioConfig& config, const PolicySpec& policy,
 std::vector<std::uint64_t> replication_seeds(std::size_t replications,
                                              std::uint64_t base_seed);
 
+/// The number of workers run_replications uses: `parallelism` (0 = one per
+/// hardware thread), capped at `replications`.
+std::size_t effective_parallelism(std::size_t parallelism,
+                                  std::size_t replications);
+
 /// Runs `replications` independent seeds and returns the per-run metrics in
 /// seed order. `progress` (optional) is invoked after each completed run
 /// (serialized). `parallelism` = 0 uses one worker per hardware thread;

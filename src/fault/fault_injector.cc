@@ -24,8 +24,8 @@ FaultInjector::FaultInjector(Simulation& sim, Datacenter& datacenter,
 }
 
 void FaultInjector::start() {
-  if (running_) return;
-  running_ = true;
+  if (state_.running) return;
+  state_.running = true;
   if (plan_.vm_mtbf > 0.0) schedule_vm_crash();
   if (plan_.host_mtbf > 0.0) schedule_host_crash();
   if (plan_.degraded_mtbf > 0.0) schedule_degradation();
@@ -37,8 +37,8 @@ void FaultInjector::start() {
 }
 
 void FaultInjector::stop() {
-  if (!running_) return;
-  running_ = false;
+  if (!state_.running) return;
+  state_.running = false;
   sim_.cancel(pending_vm_);
   sim_.cancel(pending_host_);
   sim_.cancel(pending_degrade_);
@@ -46,8 +46,8 @@ void FaultInjector::stop() {
   for (const TimedRecord& record : timed_events_) sim_.cancel(record.event);
   timed_events_.clear();
   datacenter_.set_boot_fault_sampler(nullptr);
-  if (active_outages_ > 0) {
-    active_outages_ = 0;
+  if (state_.active_outages > 0) {
+    state_.active_outages = 0;
     datacenter_.set_allocation_suspended(false);
   }
 }
@@ -68,13 +68,13 @@ void FaultInjector::schedule_vm_crash() {
 
 void FaultInjector::fire_vm_crash() {
   ProfileScope profile(sim_.profiler(), ProfileCategory::kFaultHook);
-  if (!running_) return;
+  if (!state_.running) return;
   const std::size_t live = provisioner_.live_instances();
   if (live > 0) {
     const auto victim =
         static_cast<std::size_t>(vm_rng_.uniform_int(0, live - 1));
     provisioner_.inject_instance_failure(victim);
-    ++vm_crashes_;
+    ++state_.vm_crashes;
   }
   schedule_vm_crash();
 }
@@ -101,7 +101,7 @@ void FaultInjector::schedule_host_crash() {
 
 void FaultInjector::fire_host_crash() {
   ProfileScope profile(sim_.profiler(), ProfileCategory::kFaultHook);
-  if (!running_) return;
+  if (!state_.running) return;
   const std::size_t occupied = occupied_hosts();
   if (occupied > 0) {
     // Victim: the pick-th occupied host in index order.
@@ -112,7 +112,7 @@ void FaultInjector::fire_host_crash() {
       if (hosts[i].failed() || hosts[i].vm_count() == 0) continue;
       if (pick == 0) {
         datacenter_.fail_host(i);
-        ++host_crashes_;
+        ++state_.host_crashes;
         break;
       }
       --pick;
@@ -133,7 +133,7 @@ void FaultInjector::install_boot_sampler() {
             boot_rng_.bernoulli(plan_.straggler_prob)) {
           out.boot_delay = base_delay + boot_rng_.pareto(plan_.straggler_scale,
                                                          plan_.straggler_shape);
-          ++stragglers_;
+          ++state_.stragglers;
           if (telemetry_ != nullptr) {
             telemetry_->boot_straggler(now, out.boot_delay);
           }
@@ -141,7 +141,7 @@ void FaultInjector::install_boot_sampler() {
         if (plan_.boot_fail_prob > 0.0 &&
             boot_rng_.bernoulli(plan_.boot_fail_prob)) {
           out.fail_boot = true;
-          ++boot_failures_;
+          ++state_.boot_failures;
         }
         return out;
       });
@@ -161,7 +161,7 @@ void FaultInjector::schedule_degradation() {
 
 void FaultInjector::fire_degradation() {
   ProfileScope profile(sim_.profiler(), ProfileCategory::kFaultHook);
-  if (!running_) return;
+  if (!state_.running) return;
   std::vector<Vm*> actives;
   provisioner_.for_each_instance([&actives](Vm& vm) { actives.push_back(&vm); });
   if (!actives.empty()) {
@@ -170,7 +170,7 @@ void FaultInjector::fire_degradation() {
     Vm* victim = actives[pick];
     const double original = victim->spec().speed;
     victim->set_speed(original * plan_.degraded_factor);
-    ++degradations_;
+    ++state_.degradations;
     if (telemetry_ != nullptr) {
       telemetry_->vm_degraded(sim_.now(), victim->id(), plan_.degraded_factor);
     }
@@ -199,7 +199,7 @@ void FaultInjector::fire_degrade_restore(std::uint64_t vm_id,
 // --- allocation outages + deterministic script -------------------------------
 
 void FaultInjector::fire_outage_begin() {
-  ++active_outages_;
+  ++state_.active_outages;
   datacenter_.set_allocation_suspended(true);
   if (telemetry_ != nullptr) {
     telemetry_->allocation_outage(sim_.now(), /*begin=*/true);
@@ -208,8 +208,9 @@ void FaultInjector::fire_outage_begin() {
 }
 
 void FaultInjector::fire_outage_end() {
-  ensure(active_outages_ > 0, "FaultInjector: outage accounting underflow");
-  if (--active_outages_ == 0) datacenter_.set_allocation_suspended(false);
+  ensure(state_.active_outages > 0,
+         "FaultInjector: outage accounting underflow");
+  if (--state_.active_outages == 0) datacenter_.set_allocation_suspended(false);
   if (telemetry_ != nullptr) {
     telemetry_->allocation_outage(sim_.now(), /*begin=*/false);
   }
@@ -222,14 +223,14 @@ void FaultInjector::fire_script(const ScriptedFault& fault) {
       if (fault.target < datacenter_.host_count() &&
           !datacenter_.hosts()[fault.target].failed()) {
         datacenter_.fail_host(fault.target);
-        ++host_crashes_;
+        ++state_.host_crashes;
       }
       break;
     case ScriptedFault::Kind::kVmCrash: {
       const std::size_t live = provisioner_.live_instances();
       if (live > 0) {
         provisioner_.inject_instance_failure(fault.target % live);
-        ++vm_crashes_;
+        ++state_.vm_crashes;
       }
       break;
     }
@@ -269,7 +270,7 @@ void FaultInjector::schedule_outages() {
     if (window.end <= sim_.now()) continue;
     if (window.begin <= sim_.now()) {
       // Re-entering mid-window: raise the suspension immediately.
-      ++active_outages_;
+      ++state_.active_outages;
       datacenter_.set_allocation_suspended(true);
     } else {
       TimedRecord begin;
@@ -294,11 +295,11 @@ void FaultInjector::schedule_script() {
 
 FaultInjector::Snapshot FaultInjector::checkpoint() const {
   Snapshot snap;
+  static_cast<State&>(snap) = state_;
   snap.vm_rng = vm_rng_.state();
   snap.host_rng = host_rng_.state();
   snap.boot_rng = boot_rng_.state();
   snap.degrade_rng = degrade_rng_.state();
-  snap.running = running_;
   snap.pending_vm = sim_.stamp(pending_vm_);
   snap.pending_host = sim_.stamp(pending_host_);
   snap.pending_degrade = sim_.stamp(pending_degrade_);
@@ -309,30 +310,18 @@ FaultInjector::Snapshot FaultInjector::checkpoint() const {
                                            record.original_speed});
     }
   }
-  snap.active_outages = active_outages_;
-  snap.vm_crashes = vm_crashes_;
-  snap.host_crashes = host_crashes_;
-  snap.boot_failures = boot_failures_;
-  snap.stragglers = stragglers_;
-  snap.degradations = degradations_;
   return snap;
 }
 
 void FaultInjector::restore(const Snapshot& snap) {
-  ensure(!running_ && timed_events_.empty(),
+  ensure(!state_.running && timed_events_.empty(),
          "FaultInjector::restore: injector already started");
   vm_rng_.set_state(snap.vm_rng);
   host_rng_.set_state(snap.host_rng);
   boot_rng_.set_state(snap.boot_rng);
   degrade_rng_.set_state(snap.degrade_rng);
-  vm_crashes_ = snap.vm_crashes;
-  host_crashes_ = snap.host_crashes;
-  boot_failures_ = snap.boot_failures;
-  stragglers_ = snap.stragglers;
-  degradations_ = snap.degradations;
-  active_outages_ = snap.active_outages;
-  running_ = snap.running;
-  if (!running_) return;
+  state_ = snap;
+  if (!state_.running) return;
   if (snap.pending_vm) {
     pending_vm_ = sim_.schedule_stamped(
         *snap.pending_vm, EventAction::method<&FaultInjector::fire_vm_crash>(this));

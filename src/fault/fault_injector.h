@@ -46,19 +46,19 @@ class FaultInjector {
   /// lifts any active allocation suspension. Safe to call at any time,
   /// including while stochastic events are pending.
   void stop();
-  bool running() const { return running_; }
+  bool running() const { return state_.running; }
 
   const FaultPlan& plan() const { return plan_; }
 
   // --- injection statistics ---------------------------------------------
-  std::uint64_t vm_crashes() const { return vm_crashes_; }
-  std::uint64_t host_crashes() const { return host_crashes_; }
+  std::uint64_t vm_crashes() const { return state_.vm_crashes; }
+  std::uint64_t host_crashes() const { return state_.host_crashes; }
   /// Boots the sampler planned to fail (the provisioner counts the
   /// failures that actually fired).
-  std::uint64_t boot_failures_planned() const { return boot_failures_; }
-  std::uint64_t stragglers() const { return stragglers_; }
-  std::uint64_t degradations() const { return degradations_; }
-  bool outage_active() const { return active_outages_ > 0; }
+  std::uint64_t boot_failures_planned() const { return state_.boot_failures; }
+  std::uint64_t stragglers() const { return state_.stragglers; }
+  std::uint64_t degradations() const { return state_.degradations; }
+  bool outage_active() const { return state_.active_outages > 0; }
 
   // --- checkpoint support (src/lookahead) ---------------------------------
   /// Kinds of absolute-time fault events; each pending one is carried across
@@ -69,12 +69,22 @@ class FaultInjector {
     kScript,
     kDegradeRestore,
   };
-  struct Snapshot {
+  /// Run flag, outage refcount and counters: the state checkpoint() and
+  /// restore() copy whole.
+  struct State {
+    bool running = false;
+    std::size_t active_outages = 0;
+    std::uint64_t vm_crashes = 0;
+    std::uint64_t host_crashes = 0;
+    std::uint64_t boot_failures = 0;
+    std::uint64_t stragglers = 0;
+    std::uint64_t degradations = 0;
+  };
+  struct Snapshot : State {
     Rng::State vm_rng;
     Rng::State host_rng;
     Rng::State boot_rng;
     Rng::State degrade_rng;
-    bool running = false;
     std::optional<EventStamp> pending_vm;
     std::optional<EventStamp> pending_host;
     std::optional<EventStamp> pending_degrade;
@@ -86,12 +96,6 @@ class FaultInjector {
       double original_speed = 0.0;  ///< kDegradeRestore payload
     };
     std::vector<Timed> timed;
-    std::size_t active_outages = 0;
-    std::uint64_t vm_crashes = 0;
-    std::uint64_t host_crashes = 0;
-    std::uint64_t boot_failures = 0;
-    std::uint64_t stragglers = 0;
-    std::uint64_t degradations = 0;
   };
   Snapshot checkpoint() const;
   /// Re-arms all pending fault events under their original stamps and
@@ -141,20 +145,13 @@ class FaultInjector {
   Rng boot_rng_;
   Rng degrade_rng_;
 
-  bool running_ = false;
+  State state_;
   EventId pending_vm_ = kInvalidEventId;
   EventId pending_host_ = kInvalidEventId;
   EventId pending_degrade_ = kInvalidEventId;
   /// Absolute-time events (script, outage edges, degradation restores) —
   /// cancelled wholesale by stop(), carried typed across checkpoints.
   std::vector<TimedRecord> timed_events_;
-  std::size_t active_outages_ = 0;
-
-  std::uint64_t vm_crashes_ = 0;
-  std::uint64_t host_crashes_ = 0;
-  std::uint64_t boot_failures_ = 0;
-  std::uint64_t stragglers_ = 0;
-  std::uint64_t degradations_ = 0;
 };
 
 }  // namespace cloudprov

@@ -13,8 +13,8 @@ Reconciler::Reconciler(Simulation& sim, ApplicationProvisioner& provisioner,
                        ReconcilerConfig config)
     : sim_(sim),
       provisioner_(provisioner),
-      config_(config),
-      next_backoff_(config.backoff_base) {
+      config_(config) {
+  state_.next_backoff = config_.backoff_base;
   ensure_arg(config_.interval > 0.0, "Reconciler: interval must be > 0");
   ensure_arg(config_.backoff_base > 0.0,
              "Reconciler: backoff_base must be > 0");
@@ -25,42 +25,28 @@ Reconciler::Reconciler(Simulation& sim, ApplicationProvisioner& provisioner,
 }
 
 void Reconciler::start() {
-  if (running_) return;
-  running_ = true;
+  if (state_.running) return;
+  state_.running = true;
   schedule(config_.interval);
 }
 
 void Reconciler::stop() {
-  if (!running_) return;
-  running_ = false;
+  if (!state_.running) return;
+  state_.running = false;
   sim_.cancel(pending_);
   pending_ = kInvalidEventId;
 }
 
 Reconciler::Snapshot Reconciler::checkpoint() const {
   Snapshot snap;
-  snap.running = running_;
+  static_cast<State&>(snap) = state_;
   snap.pending = sim_.stamp(pending_);
-  snap.last_target = last_target_;
-  snap.attempt = attempt_;
-  snap.next_backoff = next_backoff_;
-  snap.aborted = aborted_;
-  snap.heals = heals_;
-  snap.retries = retries_;
-  snap.aborts = aborts_;
   return snap;
 }
 
 void Reconciler::restore(const Snapshot& snap) {
-  ensure(!running_, "Reconciler::restore: reconciler already started");
-  running_ = snap.running;
-  last_target_ = snap.last_target;
-  attempt_ = snap.attempt;
-  next_backoff_ = snap.next_backoff;
-  aborted_ = snap.aborted;
-  heals_ = snap.heals;
-  retries_ = snap.retries;
-  aborts_ = snap.aborts;
+  ensure(!state_.running, "Reconciler::restore: reconciler already started");
+  state_ = snap;
   if (snap.pending) {
     pending_ = sim_.schedule_stamped(
         *snap.pending, EventAction::method<&Reconciler::tick>(this));
@@ -74,26 +60,26 @@ void Reconciler::schedule(SimTime delay) {
 
 void Reconciler::tick() {
   ProfileScope profile(sim_.profiler(), ProfileCategory::kReconcilerHook);
-  if (!running_) return;
+  if (!state_.running) return;
   const std::size_t target = provisioner_.commanded_target();
   // A changed commanded target does NOT reset the backoff ladder: if the
   // deficit persists (say the IaaS allocation API is in an outage), resetting
   // on every policy re-command would restart fast retries and hammer the
   // provider for the whole outage. The ladder resets only when the pool
   // actually reaches the target below.
-  last_target_ = target;
+  state_.last_target = target;
   const std::size_t active = provisioner_.active_instances();
   if (active >= target) {
-    attempt_ = 0;
-    next_backoff_ = config_.backoff_base;
-    aborted_ = false;
+    state_.attempt = 0;
+    state_.next_backoff = config_.backoff_base;
+    state_.aborted = false;
     schedule(config_.interval);
     return;
   }
   // Deficit: re-command the target; scale_to resurrects draining instances
   // first and then requests fresh VMs, so this is the full heal action.
   const std::size_t achieved = provisioner_.scale_to(target);
-  ++heals_;
+  ++state_.heals;
   if (telemetry_ != nullptr) {
     telemetry_->reconcile(sim_.now(), target, active, achieved);
   }
@@ -101,36 +87,36 @@ void Reconciler::tick() {
                        << active << " -> " << achieved << " (target " << target
                        << ")";
   if (achieved >= target) {
-    attempt_ = 0;
-    next_backoff_ = config_.backoff_base;
-    aborted_ = false;
+    state_.attempt = 0;
+    state_.next_backoff = config_.backoff_base;
+    state_.aborted = false;
     schedule(config_.interval);
     return;
   }
-  if (aborted_) {
+  if (state_.aborted) {
     // Retry budget already spent for this episode; keep checking at the
     // plain cadence so a later capacity recovery still heals the pool.
     schedule(config_.interval);
     return;
   }
-  if (attempt_ >= config_.max_retries) {
-    aborted_ = true;
-    ++aborts_;
+  if (state_.attempt >= config_.max_retries) {
+    state_.aborted = true;
+    ++state_.aborts;
     if (telemetry_ != nullptr) {
-      telemetry_->reconcile_abort(sim_.now(), attempt_);
+      telemetry_->reconcile_abort(sim_.now(), state_.attempt);
     }
     CLOUDPROV_LOG(Warn) << "reconciler giving up backoff escalation after "
-                        << attempt_ << " retries at t=" << sim_.now();
+                        << state_.attempt << " retries at t=" << sim_.now();
     schedule(config_.interval);
     return;
   }
-  ++attempt_;
-  ++retries_;
-  const SimTime backoff = next_backoff_;
-  next_backoff_ = std::min(config_.backoff_max,
-                           next_backoff_ * config_.backoff_factor);
+  ++state_.attempt;
+  ++state_.retries;
+  const SimTime backoff = state_.next_backoff;
+  state_.next_backoff = std::min(config_.backoff_max,
+                                 state_.next_backoff * config_.backoff_factor);
   if (telemetry_ != nullptr) {
-    telemetry_->reconcile_retry(sim_.now(), attempt_, backoff);
+    telemetry_->reconcile_retry(sim_.now(), state_.attempt, backoff);
   }
   schedule(backoff);
 }

@@ -54,25 +54,26 @@ class Reconciler {
   void start();
   /// Cancels the pending check/retry (safe while one is in flight).
   void stop();
-  bool running() const { return running_; }
+  bool running() const { return state_.running; }
 
   const ReconcilerConfig& config() const { return config_; }
 
   // --- reconciliation statistics ----------------------------------------
   /// Passes that found a deficit and commanded a heal (scale_to).
-  std::uint64_t heals() const { return heals_; }
+  std::uint64_t heals() const { return state_.heals; }
   /// Backoff retries scheduled after a heal fell short.
-  std::uint64_t retries() const { return retries_; }
+  std::uint64_t retries() const { return state_.retries; }
   /// Retry budgets exhausted (one per deficit episode at most).
-  std::uint64_t aborts() const { return aborts_; }
+  std::uint64_t aborts() const { return state_.aborts; }
   /// True while the reconciler has given up on backoff escalation for the
   /// current deficit episode.
-  bool in_aborted_state() const { return aborted_; }
+  bool in_aborted_state() const { return state_.aborted; }
 
   // --- checkpoint support (src/lookahead) ---------------------------------
-  struct Snapshot {
+  /// Run flag, backoff ladder and counters: the state checkpoint() and
+  /// restore() copy whole.
+  struct State {
     bool running = false;
-    std::optional<EventStamp> pending;
     std::size_t last_target = 0;
     std::uint64_t attempt = 0;
     SimTime next_backoff = 0.0;
@@ -80,6 +81,9 @@ class Reconciler {
     std::uint64_t heals = 0;
     std::uint64_t retries = 0;
     std::uint64_t aborts = 0;
+  };
+  struct Snapshot : State {
+    std::optional<EventStamp> pending;
   };
   Snapshot checkpoint() const;
   /// Re-arms the pending check under its original stamp. Use instead of
@@ -95,16 +99,8 @@ class Reconciler {
   ReconcilerConfig config_;
   Telemetry* telemetry_ = nullptr;
 
-  bool running_ = false;
+  State state_;
   EventId pending_ = kInvalidEventId;
-  std::size_t last_target_ = 0;
-  std::uint64_t attempt_ = 0;
-  SimTime next_backoff_ = 0.0;
-  bool aborted_ = false;
-
-  std::uint64_t heals_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t aborts_ = 0;
 };
 
 }  // namespace cloudprov

@@ -40,15 +40,15 @@ void MarketBroker::attach(ApplicationProvisioner& provisioner) {
 }
 
 void MarketBroker::start() {
-  if (running_ || !price_.has_value()) return;
-  running_ = true;
-  last_accrual_ = sim_.now();
+  if (state_.running || !price_.has_value()) return;
+  state_.running = true;
+  state_.last_accrual = sim_.now();
   pending_tick_ = sim_.schedule_in(config_.tick, [this] { tick(); });
 }
 
 void MarketBroker::stop() {
-  if (!running_) return;
-  running_ = false;
+  if (!state_.running) return;
+  state_.running = false;
   if (pending_tick_ != kInvalidEventId) {
     sim_.cancel(pending_tick_);
     pending_tick_ = kInvalidEventId;
@@ -82,12 +82,12 @@ double MarketBroker::accrual_rate(const Entry& entry) const {
 }
 
 void MarketBroker::accrue(SimTime t) {
-  if (t <= last_accrual_) return;
-  const double dt_hours = (t - last_accrual_) / duration::kHour;
+  if (t <= state_.last_accrual) return;
+  const double dt_hours = (t - state_.last_accrual) / duration::kHour;
   for (const Entry& entry : entries_) {
-    accrued_burn_ += accrual_rate(entry) * dt_hours;
+    state_.accrued_burn += accrual_rate(entry) * dt_hours;
   }
-  last_accrual_ = t;
+  state_.last_accrual = t;
 }
 
 Vm* MarketBroker::acquire(const VmSpec& spec) {
@@ -107,7 +107,7 @@ Vm* MarketBroker::acquire(const VmSpec& spec) {
                : datacenter_.create_vm(spec);
   if (vm == nullptr) return nullptr;  // capacity or outage denial
   entries_.push_back({vm, index, cls.kind, t, false, false});
-  purchases_[static_cast<std::size_t>(cls.kind)] += 1;
+  state_.purchases[static_cast<std::size_t>(cls.kind)] += 1;
   if (telemetry_ != nullptr) {
     telemetry_->market_purchase(t, vm->id(), to_string(cls.kind));
   }
@@ -118,13 +118,13 @@ void MarketBroker::tick() {
   // revoke() runs inside this scope; hard_kill() fires later under its own.
   ProfileScope profile(sim_.profiler(), ProfileCategory::kMarketHook);
   pending_tick_ = kInvalidEventId;
-  if (!running_) return;
+  if (!state_.running) return;
   const SimTime t = sim_.now();
   accrue(t);
   price_->advance_to(t);
   const double price = price_->current();
   if (telemetry_ != nullptr) {
-    telemetry_->spot_price_sample(t, price, accrued_burn_);
+    telemetry_->spot_price_sample(t, price, state_.accrued_burn);
   }
   if (config_.revocation.should_revoke(price, config_.acquisition.bid)) {
     // Index loop: revoke() may grow entries_ indirectly (pool healing buys
@@ -143,7 +143,7 @@ void MarketBroker::tick() {
 void MarketBroker::revoke(std::size_t entry_index) {
   Entry& entry = entries_[entry_index];
   entry.revoked = true;
-  ++revocations_;
+  ++state_.revocations;
   const SimTime t = sim_.now();
   if (telemetry_ != nullptr) {
     telemetry_->spot_revoked(t, entry.vm->id(), price_->current(),
@@ -166,7 +166,7 @@ void MarketBroker::hard_kill(std::size_t entry_index) {
   Entry& entry = entries_[entry_index];
   if (entry.vm->state() == VmState::kDestroyed) return;  // drained in time
   entry.hard_killed = true;
-  ++revocation_kills_;
+  ++state_.revocation_kills;
   const std::size_t lost =
       datacenter_.fail_vm(*entry.vm, FaultCause::kSpotRevocation);
   if (telemetry_ != nullptr) {
@@ -176,6 +176,7 @@ void MarketBroker::hard_kill(std::size_t entry_index) {
 
 MarketBroker::Snapshot MarketBroker::checkpoint() const {
   Snapshot snap;
+  static_cast<State&>(snap) = state_;
   if (price_.has_value()) snap.price = price_->state();
   snap.entries.reserve(entries_.size());
   for (const Entry& entry : entries_) {
@@ -188,23 +189,16 @@ MarketBroker::Snapshot MarketBroker::checkpoint() const {
       snap.kills.push_back(Snapshot::Kill{*stamp, kill.entry_index});
     }
   }
-  snap.running = running_;
   snap.pending_tick = sim_.stamp(pending_tick_);
-  snap.last_accrual = last_accrual_;
-  snap.accrued_burn = accrued_burn_;
-  for (std::size_t i = 0; i < kPurchaseKindCount; ++i) {
-    snap.purchases[i] = purchases_[i];
-  }
-  snap.revocations = revocations_;
-  snap.revocation_kills = revocation_kills_;
   return snap;
 }
 
 void MarketBroker::restore(const Snapshot& snap) {
-  ensure(!running_ && entries_.empty(),
+  ensure(!state_.running && entries_.empty(),
          "MarketBroker::restore: broker already used");
   ensure(price_.has_value() == snap.price.has_value(),
          "MarketBroker::restore: spot-stream configuration mismatch");
+  state_ = snap;
   if (snap.price) price_->set_state(*snap.price);
   entries_.reserve(snap.entries.size());
   for (const Snapshot::EntrySnap& entry : snap.entries) {
@@ -220,17 +214,9 @@ void MarketBroker::restore(const Snapshot& snap) {
                               [this, entry_index] { hard_kill(entry_index); }),
         entry_index});
   }
-  running_ = snap.running;
   if (snap.pending_tick) {
     pending_tick_ = sim_.schedule_stamped(*snap.pending_tick, [this] { tick(); });
   }
-  last_accrual_ = snap.last_accrual;
-  accrued_burn_ = snap.accrued_burn;
-  for (std::size_t i = 0; i < kPurchaseKindCount; ++i) {
-    purchases_[i] = snap.purchases[i];
-  }
-  revocations_ = snap.revocations;
-  revocation_kills_ = snap.revocation_kills;
 }
 
 MarketReport MarketBroker::finalize(SimTime horizon) {
@@ -286,8 +272,8 @@ MarketReport MarketBroker::finalize(SimTime horizon) {
   report.on_demand_purchases = purchases(PurchaseKind::kOnDemand);
   report.spot_purchases = purchases(PurchaseKind::kSpot);
   report.reserved_purchases = purchases(PurchaseKind::kReserved);
-  report.revocations = revocations_;
-  report.revocation_kills = revocation_kills_;
+  report.revocations = state_.revocations;
+  report.revocation_kills = state_.revocation_kills;
   return report;
 }
 

@@ -110,7 +110,7 @@ class MarketBroker {
   /// Cancels the pending tick. Pending hard-kill notices stay armed: a
   /// revocation already issued is the IaaS provider's decision, not ours.
   void stop();
-  bool running() const { return running_; }
+  bool running() const { return state_.running; }
 
   /// One purchase: picks a class, creates the VM (nullptr when the data
   /// center has no capacity or allocation is suspended), ledgers it.
@@ -124,10 +124,10 @@ class MarketBroker {
 
   // --- live statistics ----------------------------------------------------
   std::uint64_t purchases(PurchaseKind kind) const {
-    return purchases_[static_cast<std::size_t>(kind)];
+    return state_.purchases[static_cast<std::size_t>(kind)];
   }
-  std::uint64_t revocations() const { return revocations_; }
-  std::uint64_t revocation_kills() const { return revocation_kills_; }
+  std::uint64_t revocations() const { return state_.revocations; }
+  std::uint64_t revocation_kills() const { return state_.revocation_kills; }
   /// Current spot price (list price when no spot stream is armed).
   double spot_price() const;
   bool spot_active() const { return price_.has_value(); }
@@ -139,7 +139,17 @@ class MarketBroker {
   void set_bid(double bid) { config_.acquisition.bid = bid; }
 
   // --- checkpoint support (src/lookahead) ---------------------------------
-  struct Snapshot {
+  /// Run flag, cost accrual and counters: the state checkpoint() and
+  /// restore() copy whole.
+  struct State {
+    bool running = false;
+    SimTime last_accrual = 0.0;
+    double accrued_burn = 0.0;  ///< telemetry-only running cost estimate
+    std::array<std::uint64_t, kPurchaseKindCount> purchases{};
+    std::uint64_t revocations = 0;
+    std::uint64_t revocation_kills = 0;
+  };
+  struct Snapshot : State {
     std::optional<SpotPriceProcess::State> price;
     struct EntrySnap {
       std::uint64_t vm_id = 0;
@@ -155,13 +165,7 @@ class MarketBroker {
       std::size_t entry_index = 0;
     };
     std::vector<Kill> kills;  ///< pending hard-kill notices
-    bool running = false;
     std::optional<EventStamp> pending_tick;
-    SimTime last_accrual = 0.0;
-    double accrued_burn = 0.0;
-    std::array<std::uint64_t, kPurchaseKindCount> purchases{};
-    std::uint64_t revocations = 0;
-    std::uint64_t revocation_kills = 0;
   };
   Snapshot checkpoint() const;
   /// Rebinds the ledger against the (already restored) data center and
@@ -202,14 +206,8 @@ class MarketBroker {
     std::size_t entry_index = 0;
   };
   std::vector<KillRecord> kills_;
-  bool running_ = false;
+  State state_;
   EventId pending_tick_ = kInvalidEventId;
-  SimTime last_accrual_ = 0.0;
-  double accrued_burn_ = 0.0;  ///< telemetry-only running cost estimate
-
-  std::uint64_t purchases_[kPurchaseKindCount] = {};
-  std::uint64_t revocations_ = 0;
-  std::uint64_t revocation_kills_ = 0;
 };
 
 }  // namespace cloudprov

@@ -25,13 +25,13 @@ RetryGateway::RetryGateway(Simulation& sim, ApplicationProvisioner& provisioner,
       provisioner_(provisioner),
       config_(config),
       rng_(rng),
-      telemetry_(telemetry),
-      budget_tokens_(config.budget.burst) {
+      telemetry_(telemetry) {
+  state_.budget_tokens = config_.budget.burst;
   if (config_.breaker.enabled) {
     ensure_arg(config_.breaker.window >= 1, "RetryGateway: breaker window >= 1");
     ensure_arg(config_.breaker.half_open_probes >= 1,
                "RetryGateway: breaker needs at least one half-open probe");
-    breaker_ring_.assign(config_.breaker.window, 0);
+    state_.breaker_ring.assign(config_.breaker.window, 0);
   }
   provisioner_.set_completion_listener(
       [this](const Request& request, double /*response_time*/) {
@@ -40,10 +40,10 @@ RetryGateway::RetryGateway(Simulation& sim, ApplicationProvisioner& provisioner,
 }
 
 void RetryGateway::on_request(const Request& request) {
-  ++client_requests_;
+  ++state_.client_requests;
   if (config_.budget.enabled) {
-    budget_tokens_ =
-        std::min(config_.budget.burst, budget_tokens_ + config_.budget.ratio);
+    state_.budget_tokens = std::min(
+        config_.budget.burst, state_.budget_tokens + config_.budget.ratio);
   }
   Request logical = request;
   if (config_.request_deadline > 0.0) {
@@ -55,25 +55,25 @@ void RetryGateway::on_request(const Request& request) {
 
 void RetryGateway::dispatch_attempt(const Request& request,
                                     std::uint64_t attempt, SimTime prev_delay) {
-  ++client_attempts_;
+  ++state_.client_attempts;
   const SimTime now = sim_.now();
   bool probe = false;
   if (config_.breaker.enabled) {
-    if (breaker_state_ == BreakerState::kOpen &&
-        now >= breaker_opened_at_ + config_.breaker.open_duration) {
+    if (state_.breaker_state == BreakerState::kOpen &&
+        now >= state_.breaker_opened_at + config_.breaker.open_duration) {
       breaker_transition_to_half_open();
     }
-    if (breaker_state_ == BreakerState::kOpen ||
-        (breaker_state_ == BreakerState::kHalfOpen &&
-         probes_issued_ >= config_.breaker.half_open_probes)) {
-      ++breaker_fast_fails_;
+    if (state_.breaker_state == BreakerState::kOpen ||
+        (state_.breaker_state == BreakerState::kHalfOpen &&
+         state_.probes_issued >= config_.breaker.half_open_probes)) {
+      ++state_.breaker_fast_fails;
       if (telemetry_) telemetry_->breaker_fast_fail(now, request.id);
       handle_attempt_failure(request, attempt, prev_delay);
       return;
     }
-    if (breaker_state_ == BreakerState::kHalfOpen) {
+    if (state_.breaker_state == BreakerState::kHalfOpen) {
       probe = true;
-      ++probes_issued_;
+      ++state_.probes_issued;
     }
   }
 
@@ -82,7 +82,7 @@ void RetryGateway::dispatch_attempt(const Request& request,
   // the retry, but the logical deadline stays anchored at first arrival).
   Request forwarded = request;
   if (attempt > 1) {
-    forwarded.id = kRetryIdBase | next_retry_seq_++;
+    forwarded.id = kRetryIdBase | state_.next_retry_seq++;
     forwarded.arrival_time = now;
   }
   const bool admitted = provisioner_.try_submit(forwarded);
@@ -141,19 +141,19 @@ void RetryGateway::track_in_flight(std::uint32_t index,
 
 void RetryGateway::on_completion(const Request& request) {
   if (config_.attempt_timeout <= 0.0) {
-    ++client_succeeded_;
+    ++state_.client_succeeded;
     return;
   }
   const std::uint32_t index = in_flight_.erase(request.id, key_of());
   if (index == kNil) {
     // The client abandoned this attempt at its timeout; the server finished
     // it anyway. Capacity burned for nothing.
-    ++wasted_completions_;
+    ++state_.wasted_completions;
     return;
   }
   sim_.cancel(records_[index].event);
   breaker_outcome(true, records_[index].probe);
-  ++client_succeeded_;
+  ++state_.client_succeeded;
   release(index);
 }
 
@@ -165,7 +165,7 @@ void RetryGateway::fire_timeout(std::uint32_t index) {
   const Record record = records_[index];
   in_flight_.erase(record.attempt_id, key_of());
   release(index);
-  ++client_timeouts_;
+  ++state_.client_timeouts;
   if (telemetry_) telemetry_->client_timeout(sim_.now(), record.attempt_id);
   breaker_outcome(false, record.probe);
   handle_attempt_failure(record.request, record.attempt, record.prev_delay);
@@ -176,25 +176,25 @@ void RetryGateway::handle_attempt_failure(const Request& request,
                                           SimTime prev_delay) {
   const std::size_t max_attempts = config_.retry.max_attempts;
   if (max_attempts != 0 && attempt >= max_attempts) {
-    ++client_failed_;
+    ++state_.client_failed;
     return;
   }
   const SimTime delay = next_backoff(prev_delay);
   const SimTime fire_at = sim_.now() + delay;
   if (fire_at >= request.deadline) {
-    ++client_failed_;
+    ++state_.client_failed;
     return;
   }
   if (config_.budget.enabled) {
-    if (budget_tokens_ < 1.0) {
-      ++retry_budget_denied_;
-      ++client_failed_;
+    if (state_.budget_tokens < 1.0) {
+      ++state_.retry_budget_denied;
+      ++state_.client_failed;
       if (telemetry_) telemetry_->retry_budget_exhausted(sim_.now(), request.id);
       return;
     }
-    budget_tokens_ -= 1.0;
+    state_.budget_tokens -= 1.0;
   }
-  ++client_retries_;
+  ++state_.client_retries;
   if (telemetry_) {
     telemetry_->retry_scheduled(sim_.now(), request.id, attempt + 1, delay);
   }
@@ -226,7 +226,7 @@ SimTime RetryGateway::next_backoff(SimTime prev_delay) {
 
 void RetryGateway::breaker_outcome(bool success, bool probe) {
   if (!config_.breaker.enabled) return;
-  if (breaker_state_ == BreakerState::kHalfOpen) {
+  if (state_.breaker_state == BreakerState::kHalfOpen) {
     // Only designated probes decide the half-open verdict; stragglers
     // admitted before the trip are ignored.
     if (!probe) return;
@@ -234,50 +234,51 @@ void RetryGateway::breaker_outcome(bool success, bool probe) {
       breaker_open("half-open");
       return;
     }
-    if (++probe_successes_ >= config_.breaker.half_open_probes) {
-      breaker_state_ = BreakerState::kClosed;
-      ++breaker_closes_;
-      breaker_ring_.assign(config_.breaker.window, 0);
-      breaker_ring_idx_ = 0;
-      breaker_in_window_ = 0;
-      breaker_failures_ = 0;
+    if (++state_.probe_successes >= config_.breaker.half_open_probes) {
+      state_.breaker_state = BreakerState::kClosed;
+      ++state_.breaker_closes;
+      state_.breaker_ring.assign(config_.breaker.window, 0);
+      state_.breaker_ring_idx = 0;
+      state_.breaker_in_window = 0;
+      state_.breaker_failures = 0;
       if (telemetry_) {
         telemetry_->breaker_transition(sim_.now(), "half-open", "closed");
       }
     }
     return;
   }
-  if (breaker_state_ == BreakerState::kOpen) return;  // stale outcomes
+  if (state_.breaker_state == BreakerState::kOpen) return;  // stale outcomes
   // Closed: slide the outcome window and test the trip condition.
   const std::uint8_t failed = success ? 0 : 1;
-  if (breaker_in_window_ == breaker_ring_.size()) {
-    breaker_failures_ -= breaker_ring_[breaker_ring_idx_];
+  if (state_.breaker_in_window == state_.breaker_ring.size()) {
+    state_.breaker_failures -= state_.breaker_ring[state_.breaker_ring_idx];
   } else {
-    ++breaker_in_window_;
+    ++state_.breaker_in_window;
   }
-  breaker_ring_[breaker_ring_idx_] = failed;
-  breaker_failures_ += failed;
-  breaker_ring_idx_ = (breaker_ring_idx_ + 1) % breaker_ring_.size();
-  if (breaker_in_window_ >= config_.breaker.min_volume &&
-      static_cast<double>(breaker_failures_) >=
+  state_.breaker_ring[state_.breaker_ring_idx] = failed;
+  state_.breaker_failures += failed;
+  state_.breaker_ring_idx =
+      (state_.breaker_ring_idx + 1) % state_.breaker_ring.size();
+  if (state_.breaker_in_window >= config_.breaker.min_volume &&
+      static_cast<double>(state_.breaker_failures) >=
           config_.breaker.failure_threshold *
-              static_cast<double>(breaker_in_window_)) {
+              static_cast<double>(state_.breaker_in_window)) {
     breaker_open("closed");
   }
 }
 
 void RetryGateway::breaker_open(const char* from) {
-  breaker_state_ = BreakerState::kOpen;
-  breaker_opened_at_ = sim_.now();
-  ++breaker_opens_;
+  state_.breaker_state = BreakerState::kOpen;
+  state_.breaker_opened_at = sim_.now();
+  ++state_.breaker_opens;
   if (telemetry_) telemetry_->breaker_transition(sim_.now(), from, "open");
 }
 
 void RetryGateway::breaker_transition_to_half_open() {
-  breaker_state_ = BreakerState::kHalfOpen;
-  ++breaker_half_opens_;
-  probes_issued_ = 0;
-  probe_successes_ = 0;
+  state_.breaker_state = BreakerState::kHalfOpen;
+  ++state_.breaker_half_opens;
+  state_.probes_issued = 0;
+  state_.probe_successes = 0;
   if (telemetry_) {
     telemetry_->breaker_transition(sim_.now(), "open", "half-open");
   }
@@ -287,29 +288,8 @@ void RetryGateway::breaker_transition_to_half_open() {
 
 RetryGateway::Snapshot RetryGateway::checkpoint() const {
   Snapshot snap;
+  static_cast<State&>(snap) = state_;
   snap.rng = rng_.state();
-  snap.budget_tokens = budget_tokens_;
-  snap.breaker_state = static_cast<std::uint8_t>(breaker_state_);
-  snap.breaker_opened_at = breaker_opened_at_;
-  snap.breaker_ring = breaker_ring_;
-  snap.breaker_ring_idx = breaker_ring_idx_;
-  snap.breaker_in_window = breaker_in_window_;
-  snap.breaker_failures = breaker_failures_;
-  snap.probes_issued = probes_issued_;
-  snap.probe_successes = probe_successes_;
-  snap.next_retry_seq = next_retry_seq_;
-  snap.client_requests = client_requests_;
-  snap.client_succeeded = client_succeeded_;
-  snap.client_failed = client_failed_;
-  snap.client_attempts = client_attempts_;
-  snap.client_retries = client_retries_;
-  snap.retry_budget_denied = retry_budget_denied_;
-  snap.client_timeouts = client_timeouts_;
-  snap.wasted_completions = wasted_completions_;
-  snap.breaker_opens = breaker_opens_;
-  snap.breaker_half_opens = breaker_half_opens_;
-  snap.breaker_closes = breaker_closes_;
-  snap.breaker_fast_fails = breaker_fast_fails_;
   for (const Record& record : records_) {
     if (record.stage == Stage::kFree) continue;
     const auto stamp = sim_.stamp(record.event);
@@ -335,29 +315,8 @@ RetryGateway::Snapshot RetryGateway::checkpoint() const {
 }
 
 void RetryGateway::restore(const Snapshot& snap) {
+  state_ = snap;
   rng_.set_state(snap.rng);
-  budget_tokens_ = snap.budget_tokens;
-  breaker_state_ = static_cast<BreakerState>(snap.breaker_state);
-  breaker_opened_at_ = snap.breaker_opened_at;
-  breaker_ring_ = snap.breaker_ring;
-  breaker_ring_idx_ = static_cast<std::size_t>(snap.breaker_ring_idx);
-  breaker_in_window_ = static_cast<std::size_t>(snap.breaker_in_window);
-  breaker_failures_ = static_cast<std::size_t>(snap.breaker_failures);
-  probes_issued_ = static_cast<std::size_t>(snap.probes_issued);
-  probe_successes_ = static_cast<std::size_t>(snap.probe_successes);
-  next_retry_seq_ = snap.next_retry_seq;
-  client_requests_ = snap.client_requests;
-  client_succeeded_ = snap.client_succeeded;
-  client_failed_ = snap.client_failed;
-  client_attempts_ = snap.client_attempts;
-  client_retries_ = snap.client_retries;
-  retry_budget_denied_ = snap.retry_budget_denied;
-  client_timeouts_ = snap.client_timeouts;
-  wasted_completions_ = snap.wasted_completions;
-  breaker_opens_ = snap.breaker_opens;
-  breaker_half_opens_ = snap.breaker_half_opens;
-  breaker_closes_ = snap.breaker_closes;
-  breaker_fast_fails_ = snap.breaker_fast_fails;
   records_.clear();
   free_ = kNil;
   in_flight_.clear();

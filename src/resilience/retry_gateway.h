@@ -61,27 +61,35 @@ class RetryGateway final : public RequestSink {
   void on_request(const Request& request) override;
 
   // --- accounting -------------------------------------------------------
-  std::uint64_t client_requests() const { return client_requests_; }
+  std::uint64_t client_requests() const { return state_.client_requests; }
   /// Logical requests whose some attempt completed within the client's
   /// patience (every completion when timeouts are off): the goodput
   /// numerator of the AB12 ablation.
-  std::uint64_t client_succeeded() const { return client_succeeded_; }
+  std::uint64_t client_succeeded() const { return state_.client_succeeded; }
   /// Logical requests the client gave up on (attempts, deadline, or budget
   /// exhausted).
-  std::uint64_t client_failed() const { return client_failed_; }
-  std::uint64_t client_attempts() const { return client_attempts_; }
-  std::uint64_t client_retries() const { return client_retries_; }
-  std::uint64_t retry_budget_denied() const { return retry_budget_denied_; }
-  std::uint64_t client_timeouts() const { return client_timeouts_; }
+  std::uint64_t client_failed() const { return state_.client_failed; }
+  std::uint64_t client_attempts() const { return state_.client_attempts; }
+  std::uint64_t client_retries() const { return state_.client_retries; }
+  std::uint64_t retry_budget_denied() const {
+    return state_.retry_budget_denied;
+  }
+  std::uint64_t client_timeouts() const { return state_.client_timeouts; }
   /// Completions the server delivered after the client had already timed
   /// the attempt out: pure wasted capacity.
-  std::uint64_t wasted_completions() const { return wasted_completions_; }
-  std::uint64_t breaker_opens() const { return breaker_opens_; }
-  std::uint64_t breaker_half_opens() const { return breaker_half_opens_; }
-  std::uint64_t breaker_closes() const { return breaker_closes_; }
-  std::uint64_t breaker_fast_fails() const { return breaker_fast_fails_; }
-  BreakerState breaker_state() const { return breaker_state_; }
-  double budget_tokens() const { return budget_tokens_; }
+  std::uint64_t wasted_completions() const {
+    return state_.wasted_completions;
+  }
+  std::uint64_t breaker_opens() const { return state_.breaker_opens; }
+  std::uint64_t breaker_half_opens() const {
+    return state_.breaker_half_opens;
+  }
+  std::uint64_t breaker_closes() const { return state_.breaker_closes; }
+  std::uint64_t breaker_fast_fails() const {
+    return state_.breaker_fast_fails;
+  }
+  BreakerState breaker_state() const { return state_.breaker_state; }
+  double budget_tokens() const { return state_.budget_tokens; }
 
   // --- checkpoint/restore (src/lookahead) -------------------------------
   /// An attempt sitting in the provisioner with a live client-timeout event.
@@ -100,10 +108,11 @@ class RetryGateway final : public RequestSink {
     SimTime prev_delay = 0.0;
     EventStamp event;
   };
-  struct Snapshot {
-    Rng::State rng;
+  /// Budget, breaker and counters: the state checkpoint() and restore()
+  /// copy whole.
+  struct State {
     double budget_tokens = 0.0;
-    std::uint8_t breaker_state = 0;
+    BreakerState breaker_state = BreakerState::kClosed;
     SimTime breaker_opened_at = 0.0;
     std::vector<std::uint8_t> breaker_ring;  ///< outcome ring, slot order
     std::uint64_t breaker_ring_idx = 0;
@@ -124,6 +133,9 @@ class RetryGateway final : public RequestSink {
     std::uint64_t breaker_half_opens = 0;
     std::uint64_t breaker_closes = 0;
     std::uint64_t breaker_fast_fails = 0;
+  };
+  struct Snapshot : State {
+    Rng::State rng;
     std::vector<InFlightEntry> in_flight;  ///< sorted by attempt_id
     std::vector<PendingRetry> retries;     ///< sorted by event seq
   };
@@ -180,33 +192,10 @@ class RetryGateway final : public RequestSink {
   Rng rng_;
   Telemetry* telemetry_;
 
-  double budget_tokens_;
-  BreakerState breaker_state_ = BreakerState::kClosed;
-  SimTime breaker_opened_at_ = 0.0;
-  std::vector<std::uint8_t> breaker_ring_;
-  std::size_t breaker_ring_idx_ = 0;
-  std::size_t breaker_in_window_ = 0;
-  std::size_t breaker_failures_ = 0;
-  std::size_t probes_issued_ = 0;
-  std::size_t probe_successes_ = 0;
-
-  std::uint64_t next_retry_seq_ = 0;
+  State state_;
   std::vector<Record> records_;
   std::uint32_t free_ = kNil;
   FlatIndex in_flight_;  ///< forwarded id -> record
-
-  std::uint64_t client_requests_ = 0;
-  std::uint64_t client_succeeded_ = 0;
-  std::uint64_t client_failed_ = 0;
-  std::uint64_t client_attempts_ = 0;
-  std::uint64_t client_retries_ = 0;
-  std::uint64_t retry_budget_denied_ = 0;
-  std::uint64_t client_timeouts_ = 0;
-  std::uint64_t wasted_completions_ = 0;
-  std::uint64_t breaker_opens_ = 0;
-  std::uint64_t breaker_half_opens_ = 0;
-  std::uint64_t breaker_closes_ = 0;
-  std::uint64_t breaker_fast_fails_ = 0;
 };
 
 const char* to_string(RetryGateway::BreakerState state);

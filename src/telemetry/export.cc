@@ -1,6 +1,8 @@
 #include "telemetry/export.h"
 
+#include <iterator>
 #include <ostream>
+#include <utility>
 
 #include "telemetry/telemetry.h"
 #include "util/csv.h"
@@ -8,6 +10,18 @@
 
 namespace cloudprov {
 namespace {
+
+// Every TelemetryTrack with the name its lane shows, in tid order.
+constexpr std::pair<TelemetryTrack, const char*> kTrackNames[] = {
+    {kTrackRequests, "requests"},     {kTrackVms, "vms"},
+    {kTrackPolicy, "policy"},         {kTrackEngine, "engine"},
+    {kTrackFaults, "faults"},         {kTrackSpans, "spans"},
+    {kTrackDrift, "drift"},           {kTrackSlo, "slo"},
+    {kTrackMarket, "market"},         {kTrackResilience, "resilience"},
+    {kTrackApptier, "apptier"},
+};
+static_assert(std::size(kTrackNames) == kTrackApptier,
+              "kTrackNames must name every TelemetryTrack");
 
 void write_metadata_event(std::ostream& out, const char* kind,
                           std::uint32_t tid, const std::string& label,
@@ -88,14 +102,9 @@ void write_chrome_trace(std::ostream& out, const TraceBuffer& trace,
       << ",\"dropped_events\":" << trace.dropped() << "},\n\"traceEvents\":[\n";
   bool first = true;
   write_metadata_event(out, "process_name", 0, process_name, first);
-  write_metadata_event(out, "thread_name", kTrackRequests, "requests", first);
-  write_metadata_event(out, "thread_name", kTrackVms, "vms", first);
-  write_metadata_event(out, "thread_name", kTrackPolicy, "policy", first);
-  write_metadata_event(out, "thread_name", kTrackEngine, "engine", first);
-  write_metadata_event(out, "thread_name", kTrackFaults, "faults", first);
-  write_metadata_event(out, "thread_name", kTrackSpans, "spans", first);
-  write_metadata_event(out, "thread_name", kTrackDrift, "drift", first);
-  write_metadata_event(out, "thread_name", kTrackSlo, "slo", first);
+  for (const auto& [track, name] : kTrackNames) {
+    write_metadata_event(out, "thread_name", track, name, first);
+  }
   for (const TraceEvent& event : trace.events()) {
     write_trace_event(out, event, first);
   }

@@ -48,7 +48,8 @@
 
 namespace cloudprov {
 
-/// Display lanes in the exported trace (Chrome "tid").
+/// Display lanes in the exported trace (Chrome "tid"), numbered from 1 with
+/// kTrackApptier last; export.cc names each one.
 enum TelemetryTrack : std::uint32_t {
   kTrackRequests = 1,
   kTrackVms = 2,

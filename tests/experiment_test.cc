@@ -3,6 +3,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "experiment/metrics.h"
 #include "experiment/report.h"
@@ -80,6 +82,44 @@ TEST(RunMetricsSchema, VisitorCoversEveryMember) {
     EXPECT_TRUE(names.insert(name).second) << "duplicate " << name;
   });
   EXPECT_EQ(sizeof(RunMetrics), sizeof(std::string) + 8 * names.size());
+}
+
+// metric_differences names exactly the field that changed, whichever it is.
+TEST(RunMetricsSchema, MetricDifferencesNamesEachChangedField) {
+  const RunMetrics base;
+  std::size_t fields = 0;
+  for_each_metric(base, [&](const char*, const auto&, MetricDirection) {
+    ++fields;
+  });
+  for (std::size_t k = 0; k < fields; ++k) {
+    RunMetrics changed = base;
+    std::string name;
+    std::size_t i = 0;
+    for_each_metric(changed, [&](const char* field, const auto& value,
+                                 MetricDirection) {
+      if (i++ != k) return;
+      name = field;
+      // `changed` is not const; for_each_metric only hands out const views.
+      using T = std::remove_cvref_t<decltype(value)>;
+      const_cast<T&>(value) += 1;
+    });
+    SCOPED_TRACE(name);
+    const std::vector<std::string> differences =
+        metric_differences(changed, base, {});
+    ASSERT_EQ(differences.size(), 1u);
+    EXPECT_EQ(differences[0].substr(0, name.size() + 2), name + ": ");
+    EXPECT_TRUE(metric_differences(changed, base, {name}).empty());
+  }
+
+  RunMetrics relabelled = base;
+  relabelled.policy = "other";
+  EXPECT_EQ(metric_differences(relabelled, base, {}),
+            std::vector<std::string>{"policy: other vs "});
+  EXPECT_TRUE(metric_differences(relabelled, base, {"policy"}).empty());
+
+  EXPECT_TRUE(metric_differences(base, base, {}).empty());
+  EXPECT_THROW(metric_differences(base, base, {"no_such_metric"}),
+               std::invalid_argument);
 }
 
 TEST(Runner, SameSeedSameResult) {

@@ -421,19 +421,22 @@ TEST(KernelGolden, TieredZipfSmokeIsBitIdentical) {
   EXPECT_EQ(fnv1a(bytes), 0x437982012dec1e7dULL);
   // The Chrome trace pins the apptier lane's cache_hit/cache_miss/cache_fill
   // instants, which the span CSV does not carry. Captured before the trace
-  // ring stored per-request events as compact records.
+  // ring stored per-request events as compact records; recaptured when the
+  // market, resilience and apptier lanes got their names (three metadata
+  // lines, 235 bytes, nothing else).
   std::ostringstream trace;
   write_chrome_trace(trace, out.telemetry->trace(), "cloudprov",
                      out.telemetry->spans());
-  EXPECT_EQ(trace.str().size(), 43682219u);
-  EXPECT_EQ(fnv1a(trace.str()), 0x86b00abad22af910ULL);
+  EXPECT_EQ(trace.str().size(), 43682454u);
+  EXPECT_EQ(fnv1a(trace.str()), 0x81f94114be3b525aULL);
 }
 
 // Layered web day (tests/layered_web.h) at scale 0.01, seed 42. Unlike the
 // neutral-gateway golden above, every admitted attempt here arms a client
 // timeout. The literals were captured before the event queue gained its
 // FIFO lane and before the gateway, the span tracer and the drift monitor
-// moved to flat tables.
+// moved to flat tables; the Chrome trace's were recaptured when the market,
+// resilience and apptier lanes got their names (three metadata lines).
 /// One pinned RunMetrics field: an integer, or a double held as its bits.
 struct PinnedField {
   template <typename T>
@@ -582,8 +585,8 @@ TEST(KernelGolden, LayeredWebIsBitIdentical) {
   EXPECT_EQ(fnv1a(checkpoint.str()), 0x40b7b30b473c273dULL);
   EXPECT_EQ(spans.str().size(), 14910487u);
   EXPECT_EQ(fnv1a(spans.str()), 0xf538c49b6752354aULL);
-  EXPECT_EQ(trace.str().size(), 57821871u);
-  EXPECT_EQ(fnv1a(trace.str()), 0xbd7ea841bf415323ULL);
+  EXPECT_EQ(trace.str().size(), 57822106u);
+  EXPECT_EQ(fnv1a(trace.str()), 0x836c4467dfaf7ac7ULL);
   EXPECT_EQ(drift.str().size(), 350531u);
   EXPECT_EQ(fnv1a(drift.str()), 0x9497b2d22fccbaceULL);
 }

@@ -457,6 +457,82 @@ TEST(Checkpoint, SameStateEncodesToSameBytes) {
   expect_same_checkpoint_bytes(layered, 3600.0);
 }
 
+/// Snapshots a world at `at`, encodes it, decodes it into a fresh World and
+/// snapshots that again without running: every field a snapshot carries
+/// must come back through restore(), or the second encoding differs.
+/// Returns the decoded state, so callers can check which layers were live.
+WorldState expect_restore_resnapshots_same_bytes(const ScenarioConfig& config,
+                                                 const PolicySpec& policy,
+                                                 std::uint64_t seed,
+                                                 SimTime at) {
+  SCOPED_TRACE(testing::Message() << "snapshot at t=" << at);
+  World world(config, policy, seed, std::nullopt);
+  world.start();
+  world.run_to(at);
+  const std::string bytes = encode_checkpoint(world.snapshot());
+  std::stringstream in(bytes, std::ios::in | std::ios::binary);
+  WorldState state = read_checkpoint(in);
+  const World restored(config, policy, seed, state);
+  const std::string again = encode_checkpoint(restored.snapshot());
+  EXPECT_EQ(again.size(), bytes.size());
+  EXPECT_TRUE(again == bytes) << "restored world re-snapshots differently";
+  return state;
+}
+
+TEST(Checkpoint, RestoredWorldResnapshotsToSameBytes) {
+  // Every layer live under the adaptive policy: the layered Zipf world of
+  // SameStateEncodesToSameBytes plus VM crashes, the reconciler, a retry
+  // budget and breaker, both shed modes, an outage and a host crash.
+  ScenarioConfig layered = zipf_scenario(0.01);
+  layered.apptier.enabled = true;
+  layered.apptier.flush_at = {600.0};
+  layered.apptier.cache_crash_at = {5000.0};
+  layered.market.enabled = true;
+  layered.market.acquisition.spot_fraction = 0.5;
+  layered.market.acquisition.bid = 0.7;
+  layered.fault.vm_mtbf = 2.0 * 3600.0;
+  layered.fault.degraded_mtbf = 1800.0;
+  layered.fault.outages.push_back({2000.0, 2600.0});
+  layered.fault.scripted.push_back(
+      {ScriptedFault::Kind::kHostCrash, 2100.0, 0});
+  layered.fault.scripted.push_back(
+      {ScriptedFault::Kind::kHostCrash, 5000.0, 0});
+  layered.reconciler.enabled = true;
+  layered.reconciler.interval = 60.0;
+  layered.resilience.enabled = true;
+  layered.resilience.attempt_timeout = 0.5;
+  layered.resilience.request_deadline = 1.0;
+  layered.resilience.retry.max_attempts = 3;
+  layered.resilience.budget.enabled = true;
+  layered.resilience.breaker.enabled = true;
+  layered.resilience.shed.deadline_enabled = true;
+  layered.resilience.shed.brownout_enabled = true;
+  layered.resilience.shed.brownout_utilization = 0.5;
+  for (const SimTime at : {3600.0, 6000.0}) {
+    const WorldState state = expect_restore_resnapshots_same_bytes(
+        layered, PolicySpec::adaptive(), 42, at);
+    // Otherwise the bytes pin empty counters.
+    ASSERT_TRUE(state.resilience.has_value());
+    EXPECT_GT(state.resilience->gateway.client_retries, 0u);
+    EXPECT_GT(state.resilience->shedding.shed_brownout, 0u);
+    ASSERT_TRUE(state.apptier.has_value());
+    EXPECT_GT(state.apptier->hits, 0u);
+    ASSERT_TRUE(state.market.has_value());
+    EXPECT_GT(state.market->purchases[static_cast<std::size_t>(
+                  PurchaseKind::kSpot)],
+              0u);
+  }
+
+  // A static pool keeps the reconciler healing (the adaptive policy re-sizes
+  // before it has to); the first snapshot lands inside the outage.
+  for (const SimTime at : {31000.0, 50411.3}) {
+    const WorldState state = expect_restore_resnapshots_same_bytes(
+        fault_smoke_config(), PolicySpec::fixed(50), 7, at);
+    ASSERT_TRUE(state.reconciler.has_value());
+    EXPECT_GT(state.reconciler->heals, 0u);
+  }
+}
+
 // A searching world resumed from a disk checkpoint ends in the same state as
 // the uninterrupted run. The forecast stream rides in the checkpoint
 // (WorldState::lookahead_rng): a lost or reseeded stream leaves the decision

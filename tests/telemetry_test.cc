@@ -510,6 +510,10 @@ TEST(Telemetry, TraceRequestsOffKeepsMetricsOnly) {
 // ---------------------------------------------------------------------------
 // Exporters.
 
+// A Chrome trace opens with the process name and one name per lane; the
+// lanes are numbered 1..kTrackApptier.
+constexpr std::size_t kMetadataEvents = 1 + kTrackApptier;
+
 TEST(Export, ChromeTraceJsonRoundTrips) {
   Telemetry telemetry(ring_options(64, true));
   telemetry.request_arrival(0.5, 1);
@@ -532,8 +536,8 @@ TEST(Export, ChromeTraceJsonRoundTrips) {
   EXPECT_DOUBLE_EQ(doc.at("otherData").at("dropped_events").number, 0.0);
 
   const auto& events = doc.at("traceEvents").array;
-  // 9 metadata events (process + 8 named tracks) + recorded events.
-  ASSERT_EQ(events.size(), 9u + telemetry.trace().size());
+  // Metadata events (the process and every named lane) + recorded events.
+  ASSERT_EQ(events.size(), kMetadataEvents + telemetry.trace().size());
   std::size_t metadata = 0;
   for (const auto& event : events) {
     ASSERT_EQ(event.type, Json::Type::kObject);
@@ -553,7 +557,7 @@ TEST(Export, ChromeTraceJsonRoundTrips) {
       EXPECT_TRUE(event.has("dur"));
     }
   }
-  EXPECT_EQ(metadata, 9u);
+  EXPECT_EQ(metadata, kMetadataEvents);
 
   // Span arithmetic survives the microsecond conversion: the request span
   // starts at arrival (0.5 s) and lasts the response time (0.4 s).
@@ -695,7 +699,7 @@ TEST(Telemetry, WebScenarioTraceExportsValidChromeJson) {
   write_chrome_trace(out, output.telemetry->trace());
   const Json doc = JsonParser(out.str()).parse();
   const auto& events = doc.at("traceEvents").array;
-  EXPECT_EQ(events.size(), 9u + output.telemetry->trace().size());
+  EXPECT_EQ(events.size(), kMetadataEvents + output.telemetry->trace().size());
   for (const auto& event : events) {
     ASSERT_EQ(event.type, Json::Type::kObject);
     ASSERT_TRUE(event.has("name"));
