@@ -32,9 +32,11 @@
 //                  --ttl 300 --cache-vm 4        # cache + backend tiers
 //   ./run_scenario --workload zipf --tiers --flush-at 43200
 //                  --cache-crash-at 21600        # TTL storm + warmup transient
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <string_view>
 
 #include "experiment/manifest.h"
 #include "experiment/multi_tenant.h"
@@ -45,6 +47,7 @@
 #include "profile/profile_export.h"
 #include "profile/wall_profiler.h"
 #include "telemetry/export.h"
+#include "util/check.h"
 #include "util/cli.h"
 #include "util/csv.h"
 #include "util/log.h"
@@ -240,7 +243,8 @@ ArgParser make_args() {
   args.add_flag("tenants", "0",
                 "multi-tenant mode: run this many independent applications "
                 "against one shared capacity pool instead of a single "
-                "scenario (0 = off; see --shards/--tenant-*)",
+                "scenario, rejecting the flags only a single scenario reads "
+                "(0 = off; see --shards/--tenant-*)",
                 "<int>");
   args.add_flag("shards", "1",
                 "worker shards for --tenants: tenants are partitioned across "
@@ -457,9 +461,34 @@ ArgParser make_args() {
   return args;
 }
 
+/// The flags the multi-tenant path reads. It builds every tenant's scenario
+/// itself, so any other flag would be silently ignored there.
+constexpr std::string_view kMultiTenantFlags[] = {
+    // the tenant population and its execution
+    "tenants", "shards", "tenant-capacity", "tenant-cap", "tenant-zipf-frac",
+    "tenant-tiers", "tenant-bot-frac", "tenant-scale", "traced-tenants",
+    "tenant-out",
+    // settings every tenant shares
+    "seed", "days", "interval", "market", "spot-frac", "bid",
+    "trace-sample-rate",
+    // run outputs
+    "profile", "profile-out", "profile-interval", "manifest-out", "log",
+    "log-file"};
+
 /// Runs the parsed command line. Bad input throws; main() maps the
 /// exception to an exit status.
 int run(const ArgParser& args) {
+  const std::int64_t tenant_count = args.get_int("tenants");
+  ensure_arg(tenant_count >= 0, "--tenants must be >= 0");
+  if (tenant_count > 0) {
+    for (const std::string& name : args.set_flags()) {
+      if (std::ranges::find(kMultiTenantFlags, name) ==
+          std::end(kMultiTenantFlags)) {
+        throw std::invalid_argument("--" + name +
+                                    " does not apply with --tenants");
+      }
+    }
+  }
   Logger::instance().set_level(Logger::parse_level(args.get_string("log")));
   if (const std::string path = args.get_string("log-file"); !path.empty()) {
     if (!Logger::instance().set_sink_file(path)) {
@@ -615,11 +644,10 @@ int run(const ArgParser& args) {
 
   // Multi-tenant mode is its own execution path: N applications, one shared
   // capacity pool, sharded window execution (src/experiment/multi_tenant).
-  // The single-scenario workload/policy/replication flags do not apply.
-  if (const auto tenants = static_cast<std::size_t>(args.get_int("tenants"));
-      tenants > 0) {
+  // run() rejected every flag it does not read (kMultiTenantFlags).
+  if (tenant_count > 0) {
     MultiTenantConfig mt;
-    mt.tenants = tenants;
+    mt.tenants = static_cast<std::size_t>(tenant_count);
     mt.seed = seed;
     if (const auto days = args.get_int("days"); days > 0) {
       mt.horizon = static_cast<double>(days) * 86400.0;

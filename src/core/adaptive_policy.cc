@@ -120,16 +120,23 @@ std::size_t AdaptivePolicy::search(SimTime t, double expected_rate,
   double best_cost = base.cost;
   std::size_t best_target = m;
   std::optional<double> best_bid;
+  // Every later fork is bounded by what it must beat, so the engine can stop
+  // a clone that provably loses; a dominated outcome is skipped like the
+  // infeasible or costlier full run it stands for.
+  spec.max_rejected = base.rejected;
+  spec.max_qos_violations = base.qos_violations;
   for (std::size_t bid_index = 0; bid_index < bids.size(); ++bid_index) {
     for (std::size_t target_index = 0; target_index < targets.size();
          ++target_index) {
       if (bid_index == 0 && target_index == 0) continue;  // the base
       spec.target_instances = targets[target_index];
       spec.bid = bids[bid_index];
+      spec.cost_to_beat = best_cost;
       const WhatIfOutcome outcome = engine.what_if(spec);
       // QoS-feasible := no worse than Algorithm 1's own choice on both
       // rejections and response-time violations over the horizon.
-      if (!outcome.valid || outcome.rejected > base.rejected ||
+      if (!outcome.valid || outcome.dominated ||
+          outcome.rejected > base.rejected ||
           outcome.qos_violations > base.qos_violations) {
         continue;
       }

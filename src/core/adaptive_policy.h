@@ -17,9 +17,17 @@
 // when none qualifies Algorithm 1's m stands, making the search a strict
 // refinement rather than a replacement. With candidates <= 1 and no bid
 // levels the engine is never consulted and no forecast seed is drawn.
+//
+// The search is a branch and bound: Algorithm 1's own candidate runs
+// unbounded, and every later fork carries that candidate's rejections and
+// QoS violations as maxima and the running best cost as the cost to beat.
+// The engine may stop a fork that provably breaks one; the search skips it
+// as it would skip the full run, so every decision is the same as with
+// unbounded forks.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -62,11 +70,21 @@ struct WhatIfSpec {
   std::uint64_t forecast_seed = 0;
   /// Absolute sim time the clone runs to.
   SimTime horizon = 0.0;
+  /// What the candidate must stay within to win the search: at most this
+  /// many rejections and QoS violations, and a cost strictly below
+  /// cost_to_beat. The defaults leave the clone unbounded.
+  std::uint64_t max_rejected = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t max_qos_violations =
+      std::numeric_limits<std::uint64_t>::max();
+  double cost_to_beat = std::numeric_limits<double>::infinity();
 };
 
 /// What the clone observed between the fork point and the horizon.
 struct WhatIfOutcome {
   bool valid = false;
+  /// The clone stopped before the horizon because its full run would break
+  /// a bound of its spec; the counts and cost below are then left at zero.
+  bool dominated = false;
   /// Billed cost over the clone's remaining run: the market ledger's total
   /// when the market layer is live, a VM-hours proxy otherwise.
   double cost = 0.0;
@@ -81,6 +99,10 @@ struct WhatIfOutcome {
 class WhatIfEngine {
  public:
   virtual ~WhatIfEngine() = default;
+  /// Runs the candidate to spec.horizon and reports what it observed. The
+  /// engine may stop the clone early and set `dominated` only when the full
+  /// run would break one of spec's bounds; otherwise it returns the full
+  /// outcome, exactly as if the spec had no bounds.
   virtual WhatIfOutcome what_if(const WhatIfSpec& spec) = 0;
   /// Applies a winning bid to the live market broker.
   virtual void commit_bid(double bid) = 0;

@@ -26,6 +26,12 @@
 namespace cloudprov {
 namespace {
 
+/// A bounded what-if clone checks its bounds this many times per analysis
+/// window (every 5 s of a 60 s window). In a one-day web search (scale
+/// 0.01, K = 3, H = 3) checks at window boundaries stopped 1,738 of the
+/// 2,879 losing clones; 5 s and 1 s steps both stopped all 2,879.
+constexpr double kBoundChecksPerWindow = 12.0;
+
 /// `profile` holds the scenario's periodic profile once built; the
 /// predictor returned for kProfile is a copy sharing its table.
 std::shared_ptr<ArrivalRatePredictor> make_predictor(
@@ -678,9 +684,39 @@ WhatIfOutcome World::what_if(const WhatIfSpec& spec) {
   const std::uint64_t rejected_before = clone.provisioner_->rejected();
   const std::uint64_t violations_before = clone.provisioner_->qos_violations();
   const std::uint64_t completed_before = clone.provisioner_->completed();
+  outcome.valid = true;
+
+  // Branch and bound: run the clone in steps of a twelfth of a window and
+  // stop it once it breaks a bound of the spec. The stop is exact:
+  //   1. run_to in steps executes the same events in the same (time, seq)
+  //      order as one run_to(horizon): each step runs the events at or
+  //      before its end and sets the clock there, nothing is scheduled
+  //      between steps, and a clone carries no telemetry or profiler.
+  //   2. rejected() and qos_violations() are counters that never decrease,
+  //      so a count over its maximum now is over it at the horizon.
+  //   3. vm_hours() sums lifetime_seconds(now) over the append-only VM list
+  //      in creation order and divides by 3600. Each term is nondecreasing
+  //      in now and IEEE addition and division round monotonically, so a
+  //      value that reached cost_to_beat still reaches it at the horizon,
+  //      and the search takes only a cost strictly below it.
+  // The market ledger's cost is not bounded: finalize() advances the spot
+  // price path, so a clone with a market stops on the counts alone. No check
+  // runs at the horizon itself: a clone that gets there reports in full.
+  const bool cost_bounded = !clone.market_.has_value();
+  const SimTime step =
+      config_.analyzer.analysis_interval / kBoundChecksPerWindow;
+  for (SimTime t = clone.now() + step; t < spec.horizon; t += step) {
+    clone.run_to(t);
+    if (clone.provisioner_->rejected() - rejected_before > spec.max_rejected ||
+        clone.provisioner_->qos_violations() - violations_before >
+            spec.max_qos_violations ||
+        (cost_bounded && clone.datacenter_->vm_hours() >= spec.cost_to_beat)) {
+      outcome.dominated = true;
+      return outcome;
+    }
+  }
   clone.run_to(spec.horizon);
 
-  outcome.valid = true;
   outcome.rejected = clone.provisioner_->rejected() - rejected_before;
   outcome.qos_violations =
       clone.provisioner_->qos_violations() - violations_before;

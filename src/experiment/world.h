@@ -17,7 +17,11 @@
 // candidate, runs it to the horizon, and reports cost/QoS. The live world is
 // untouched. A clone runs with telemetry and tail quantiles off and arrivals
 // replaced by a Poisson forecast, and it shares the parent's profile table
-// instead of rebuilding it: it pays only for the simulation it runs.
+// instead of rebuilding it: it pays only for the simulation it runs. A
+// clone runs in steps of a twelfth of an analysis window and stops,
+// reported dominated, after the first step that leaves it over the spec's
+// rejection or QoS-violation maximum or, without a market, at or above its
+// cost to beat: it would lose at the horizon too.
 #pragma once
 
 #include <chrono>
@@ -142,6 +146,9 @@ class World final : public WhatIfEngine {
   RunOutput finish();
 
   // --- WhatIfEngine (AdaptivePolicy's lookahead search) -------------------
+  /// Bounds only the counts when the world has a market: the ledger's cost
+  /// is final only after MarketBroker::finalize(), which advances the spot
+  /// price path.
   WhatIfOutcome what_if(const WhatIfSpec& spec) override;
   void commit_bid(double bid) override;
   std::optional<double> current_bid() const override;

@@ -120,6 +120,14 @@ bool ArgParser::was_set(const std::string& name) const {
   return find(name).value.has_value();
 }
 
+std::vector<std::string> ArgParser::set_flags() const {
+  std::vector<std::string> names;
+  for (const auto& [name, flag] : flags_) {
+    if (flag.value.has_value()) names.push_back(name);
+  }
+  return names;
+}
+
 std::string ArgParser::help() const {
   std::ostringstream out;
   out << description_ << "\n\nUsage: " << program_name_ << " [flags]\n\nFlags:\n";

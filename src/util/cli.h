@@ -31,6 +31,8 @@ class ArgParser {
   std::int64_t get_int(const std::string& name) const;
   bool get_bool(const std::string& name) const;
   bool was_set(const std::string& name) const;
+  /// Names of the flags given on the command line, in name order.
+  std::vector<std::string> set_flags() const;
 
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

@@ -355,6 +355,55 @@ TEST(KernelGolden, WhatIfOutcomesAreBitIdentical) {
   }
 }
 
+// Bid and market search: web at scale 0.01 for six hours with a live spot
+// market (half the pool on spot at a 0.70 bid), K = 5 pool sizes (the m ± 2
+// ring) crossed with two further bid levels over a one-window horizon, seed
+// 42. The what-if cost is the market ledger here, so only the rejection and
+// QoS-violation bounds can stop a fork early. Two windows commit a pool
+// other than Algorithm 1's m (1 -> 2 at 17,880 s, 2 -> 1 at 21,540 s). The
+// literals were captured before forks stopped early on a broken bound.
+TEST(KernelGolden, LookaheadBidSearchIsBitIdentical) {
+  ScenarioConfig config = web_scenario(0.01);
+  config.horizon = 6.0 * 3600.0;
+  config.web.horizon = config.horizon;
+  config.market.enabled = true;
+  config.market.acquisition.spot_fraction = 0.5;
+  config.market.acquisition.bid = 0.70;
+  const RunOutput out = run_scenario(
+      config,
+      PolicySpec::lookahead_spec(5, 1, PredictorKind::kProfile, {0.45, 1.0}),
+      42);
+
+  GoldenMetrics g{};
+  g.generated=148644; g.accepted=128263; g.rejected=20381; g.completed=128262; g.qos_violations=0;
+  g.avg_response_time=0x1.0a738342e31dbp-3; g.std_response_time=0x1.1cb8bc21ca88dp-5;
+  g.p95_response_time=0x1.9a6e744896d78p-3; g.p99_response_time=0x1.ad1e874fa39c3p-3;
+  g.min_instances=0x1p+0; g.max_instances=0x1p+1; g.avg_instances=0x1.2b60b60b60b61p+0;
+  g.vm_hours=0x1.c111111111111p+2; g.busy_vm_hours=0x1.dee9d330296fdp+1; g.utilization=0x1.1103c6d586e66p-1; g.rejection_rate=0x1.18ce9cf8b0da6p-3;
+  g.instance_failures=0; g.vm_crashes=0; g.host_crashes=0; g.boot_failures=0; g.boot_timeouts=0;
+  g.lost_requests=0; g.lost_to_vm_crashes=0; g.lost_to_host_crashes=0;
+  g.availability=0x1p+0; g.recoveries=0; g.mttr_mean=0x0p+0; g.mttr_max=0x0p+0;
+  g.reconciler_heals=0; g.reconciler_retries=0; g.reconciler_aborts=0; g.final_instances=1;
+  g.slo_response_alerts=0; g.slo_rejection_alerts=0; g.slo_worst_burn_rate=0x0p+0;
+  g.drift_windows=0; g.drift_response_mape=0x0p+0; g.drift_response_bias=0x0p+0; g.spans_traced=0;
+  g.simulated_events=277626;
+  expect_bit_identical(out.metrics, g);
+  EXPECT_EQ(out.metrics.billed_cost, 0x1.9798b826ac1e8p+2);
+
+  // The committed decision sequence, in LookaheadSearchIsBitIdentical's
+  // "time,target,achieved" format.
+  std::string log;
+  for (const AdaptivePolicy::DecisionRecord& d : out.decisions) {
+    char line[64];
+    std::snprintf(line, sizeof(line), "%a,%zu,%zu\n", d.time,
+                  d.target_instances, d.achieved_instances);
+    log += line;
+  }
+  EXPECT_EQ(out.decisions.size(), 361u);
+  EXPECT_EQ(log.size(), 5655u);
+  EXPECT_EQ(fnv1a(log), 0x99c13cdcba727110ULL);
+}
+
 // Tiered Zipf smoke: the cache tier's LRU/TTL directory and the Zipf key
 // sampler on the request path, with a hot-key shift, a cache-VM crash (slot
 // remaps -> invalidations) and a TTL storm (flush), every request traced.

@@ -15,13 +15,17 @@
 //   - AdaptivePolicy's lookahead search (the LookaheadPolicy suite): the
 //     disabled search (K = 1, no bids) is bit-identical to plain adaptive,
 //     and an enabled search only ever commits candidates that do not
-//     degrade QoS versus Algorithm 1's own choice.
+//     degrade QoS versus Algorithm 1's own choice,
+//   - bounded what-if forks: a fork stops early only when its full run
+//     would break a bound, and otherwise reports that full run bit for bit.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "experiment/runner.h"
 #include "experiment/world.h"
@@ -660,6 +664,94 @@ TEST(LookaheadPolicy, SearchNeverDegradesQosVersusAdaptive) {
   // drift (forecast vs realized arrivals) but not a different regime.
   EXPECT_LE(lookahead.rejection_rate,
             adaptive.rejection_rate + config.modeler.rejection_tolerance);
+}
+
+// --- bounded what-if forks --------------------------------------------------
+
+void expect_same_outcome(const WhatIfOutcome& actual,
+                         const WhatIfOutcome& expected) {
+  EXPECT_EQ(actual.valid, expected.valid);
+  EXPECT_EQ(actual.dominated, expected.dominated);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.cost),
+            std::bit_cast<std::uint64_t>(expected.cost));
+  EXPECT_EQ(actual.rejected, expected.rejected);
+  EXPECT_EQ(actual.qos_violations, expected.qos_violations);
+  EXPECT_EQ(actual.completed, expected.completed);
+}
+
+WhatIfSpec bounded_by(WhatIfSpec spec, const WhatIfOutcome& outcome) {
+  spec.max_rejected = outcome.rejected;
+  spec.max_qos_violations = outcome.qos_violations;
+  spec.cost_to_beat = outcome.cost;
+  return spec;
+}
+
+// The forks of KernelGolden.WhatIfOutcomesAreBitIdentical (6 h and 12 h,
+// pool sizes 1-4, forecast rate 10, seed 2024, three windows ahead), each
+// run unbounded, bounded by the target-2 outcome, and bounded by its own.
+// A bounded fork that runs to the horizon must report the unbounded outcome
+// bit for bit; one that stops early must stand for a full run that breaks a
+// bound. The cost bound holds only without a market, where the cost is the
+// VM-hours proxy. A fork bounded by its own outcome breaks no count bound
+// and ties its cost bound only at the horizon, where no check runs, so it
+// must never stop.
+void expect_bounded_forks_stop_only_when_they_lose(
+    const ScenarioConfig& config) {
+  const bool cost_bounded = !config.market.enabled;
+  World world(config, PolicySpec::lookahead_spec(3, 3), 42);
+  world.start();
+  std::size_t stopped = 0;
+  std::size_t ran = 0;
+  for (const SimTime at : {6.0 * 3600.0, 12.0 * 3600.0}) {
+    world.run_to(at);
+    WhatIfSpec spec;
+    spec.forecast_rate = 10.0;
+    spec.forecast_seed = 2024;
+    spec.horizon = at + 180.0;
+    std::vector<WhatIfOutcome> full;
+    for (std::size_t target = 1; target <= 4; ++target) {
+      spec.target_instances = target;
+      full.push_back(world.what_if(spec));
+      ASSERT_TRUE(full.back().valid);
+      ASSERT_FALSE(full.back().dominated);
+    }
+    const WhatIfOutcome& yardstick = full[1];  // target 2
+    for (std::size_t target = 1; target <= 4; ++target) {
+      SCOPED_TRACE(testing::Message() << "t=" << at << " target=" << target);
+      spec.target_instances = target;
+      const WhatIfOutcome& unbounded = full[target - 1];
+      expect_same_outcome(world.what_if(bounded_by(spec, unbounded)),
+                          unbounded);
+
+      const WhatIfOutcome outcome = world.what_if(bounded_by(spec, yardstick));
+      EXPECT_TRUE(outcome.valid);
+      if (!outcome.dominated) {
+        ++ran;
+        expect_same_outcome(outcome, unbounded);
+        continue;
+      }
+      ++stopped;
+      EXPECT_TRUE(unbounded.rejected > yardstick.rejected ||
+                  unbounded.qos_violations > yardstick.qos_violations ||
+                  (cost_bounded && unbounded.cost >= yardstick.cost));
+    }
+  }
+  EXPECT_GT(stopped, 0u);
+  EXPECT_GT(ran, 0u);
+}
+
+TEST(WhatIf, BoundedForkStopsOnlyWhenItLoses) {
+  expect_bounded_forks_stop_only_when_they_lose(web_scenario(0.01));
+}
+
+// With a live spot market the cost is the market ledger, which the fork
+// leaves unbounded: only the rejection and QoS-violation bounds stop it.
+TEST(WhatIf, BoundedMarketForkIgnoresTheCostBound) {
+  ScenarioConfig config = web_scenario(0.01);
+  config.market.enabled = true;
+  config.market.acquisition.spot_fraction = 0.5;
+  config.market.acquisition.bid = 0.70;
+  expect_bounded_forks_stop_only_when_they_lose(config);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/cli.h"
 #include "util/csv.h"
@@ -61,6 +63,15 @@ TEST(ArgParser, BareAndNegatedBooleans) {
     ASSERT_TRUE(parser.parse(2, argv));
     EXPECT_FALSE(parser.get_bool("verbose"));
   }
+}
+
+TEST(ArgParser, SetFlagsListsOnlyGivenFlagsInNameOrder) {
+  auto parser = make_parser();
+  const char* argv[] = {"prog", "--scale", "2", "--no-verbose", "--csv=x.csv"};
+  ASSERT_TRUE(parser.parse(5, argv));
+  EXPECT_EQ(parser.set_flags(),
+            (std::vector<std::string>{"csv", "scale", "verbose"}));
+  EXPECT_TRUE(make_parser().set_flags().empty());
 }
 
 TEST(ArgParser, BareBooleanFollowedByFlag) {
