@@ -202,10 +202,7 @@ void BM_WorldSnapshotClone(benchmark::State& state) {
   world.run_to(hours * 3600.0);
   std::uint64_t clones = 0;
   for (auto _ : state) {
-    World::SnapshotOptions options;
-    options.include_telemetry = false;
-    options.include_decisions = false;
-    const WorldState snap = world.snapshot(options);
+    const WorldState snap = world.snapshot(/*include_records=*/false);
     World clone(config, PolicySpec::adaptive(), 42, snap);
     benchmark::DoNotOptimize(clone.now());
     ++clones;

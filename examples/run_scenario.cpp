@@ -478,8 +478,7 @@ constexpr std::string_view kMultiTenantFlags[] = {
 /// Runs the parsed command line. Bad input throws; main() maps the
 /// exception to an exit status.
 int run(const ArgParser& args) {
-  const std::int64_t tenant_count = args.get_int("tenants");
-  ensure_arg(tenant_count >= 0, "--tenants must be >= 0");
+  const std::size_t tenant_count = args.get_count("tenants");
   if (tenant_count > 0) {
     for (const std::string& name : args.set_flags()) {
       if (std::ranges::find(kMultiTenantFlags, name) ==
@@ -499,20 +498,20 @@ int run(const ArgParser& args) {
 
   ScenarioConfig config =
       make_scenario(args.get_string("workload"), args.get_double("scale"));
-  if (const auto days = args.get_int("days"); days > 0) {
+  if (const std::size_t days = args.get_count("days"); days > 0) {
     config.horizon = static_cast<double>(days) * 86400.0;
     config.web.horizon = config.horizon;
     config.bot.horizon = config.horizon;
     config.zipf.horizon = config.horizon;
   }
   config.zipf.alpha = args.get_double("zipf");
-  config.zipf.num_keys = static_cast<std::uint64_t>(args.get_int("keys"));
+  config.zipf.num_keys = args.get_count("keys");
   config.apptier.enabled = args.get_bool("tiers") || args.was_set("ttl") ||
                            args.was_set("cache-vm") ||
                            args.was_set("flush-at") ||
                            args.was_set("cache-crash-at");
   config.apptier.ttl = args.get_double("ttl");
-  config.apptier.cache_vms = static_cast<std::size_t>(args.get_int("cache-vm"));
+  config.apptier.cache_vms = args.get_count("cache-vm");
   if (const std::string spec = args.get_string("flush-at"); !spec.empty()) {
     config.apptier.flush_at = parse_double_list(spec, "--flush-at");
   }
@@ -527,8 +526,8 @@ int run(const ArgParser& args) {
   if (const double tolerance = args.get_double("tolerance"); tolerance > 0.0) {
     config.modeler.rejection_tolerance = tolerance;
   }
-  if (const auto max_vms = args.get_int("max-vms"); max_vms > 0) {
-    config.modeler.max_vms = static_cast<std::size_t>(max_vms);
+  if (const std::size_t max_vms = args.get_count("max-vms"); max_vms > 0) {
+    config.modeler.max_vms = max_vms;
   }
   config.fault.vm_mtbf = args.get_double("vm-mtbf") * 3600.0;
   config.fault.host_mtbf = args.get_double("host-mtbf") * 3600.0;
@@ -574,8 +573,7 @@ int run(const ArgParser& args) {
                           !market_path.empty();
   config.market.acquisition.spot_fraction = args.get_double("spot-frac");
   config.market.acquisition.bid = args.get_double("bid");
-  config.market.acquisition.reserved_pool =
-      static_cast<std::size_t>(args.get_int("reserved"));
+  config.market.acquisition.reserved_pool = args.get_count("reserved");
   config.market.revocation.notice = args.get_double("spot-notice");
 
   const std::string policy_name = args.get_string("policy");
@@ -584,7 +582,7 @@ int run(const ArgParser& args) {
   }
   PolicySpec policy =
       policy_name == "static"
-          ? PolicySpec::fixed(static_cast<std::size_t>(args.get_int("instances")))
+          ? PolicySpec::fixed(args.get_count("instances"))
           : PolicySpec::adaptive(parse_predictor(args.get_string("predictor")));
   if (const std::string spec = args.get_string("lookahead"); !spec.empty()) {
     policy = parse_lookahead_spec(
@@ -595,14 +593,18 @@ int run(const ArgParser& args) {
     throw std::invalid_argument("--lookahead-bids requires --lookahead");
   }
 
-  const auto reps = static_cast<std::size_t>(args.get_int("reps"));
+  const std::size_t reps = args.get_count("reps", 1);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const auto parallelism = static_cast<std::size_t>(args.get_int("parallelism"));
+  const std::size_t parallelism = args.get_count("parallelism");
 
   const std::string checkpoint_path = args.get_string("checkpoint");
   const std::string restore_path = args.get_string("restore");
   double checkpoint_at = args.get_double("checkpoint-at");
-  if (checkpoint_at <= 0.0) checkpoint_at = config.horizon / 2.0;
+  ensure_arg(checkpoint_at >= 0.0 && checkpoint_at <= config.horizon,
+             "--checkpoint-at must be in [0, " + fmt(config.horizon, 0) +
+                 "] (the horizon in seconds), got " +
+                 args.get_string("checkpoint-at"));
+  if (checkpoint_at == 0.0) checkpoint_at = config.horizon / 2.0;
   if ((!checkpoint_path.empty() || !restore_path.empty()) && reps != 1) {
     std::cerr << "--checkpoint/--restore snapshot a single world; "
                  "use --reps 1\n";
@@ -624,8 +626,7 @@ int run(const ArgParser& args) {
   if (!trace_path.empty() || !metrics_path.empty() || !spans_path.empty() ||
       !drift_path.empty() || !slo_path.empty() || sample_rate > 0.0) {
     TelemetryOptions opts;
-    opts.trace_capacity =
-        static_cast<std::size_t>(args.get_int("trace-capacity"));
+    opts.trace_capacity = args.get_count("trace-capacity");
     opts.span_sample_rate = sample_rate;
     opts.span_seed = seed;
     opts.drift_enabled = !drift_path.empty();
@@ -647,9 +648,9 @@ int run(const ArgParser& args) {
   // run() rejected every flag it does not read (kMultiTenantFlags).
   if (tenant_count > 0) {
     MultiTenantConfig mt;
-    mt.tenants = static_cast<std::size_t>(tenant_count);
+    mt.tenants = tenant_count;
     mt.seed = seed;
-    if (const auto days = args.get_int("days"); days > 0) {
+    if (const std::size_t days = args.get_count("days"); days > 0) {
       mt.horizon = static_cast<double>(days) * 86400.0;
     }
     if (const double interval = args.get_double("interval"); interval > 0.0) {
@@ -660,16 +661,15 @@ int run(const ArgParser& args) {
     mt.zipf_tiers =
         args.get_bool("tenant-tiers") || args.was_set("tenant-zipf-frac");
     mt.tenant_scale = args.get_double("tenant-scale");
-    mt.capacity = static_cast<std::size_t>(args.get_int("tenant-capacity"));
-    mt.per_tenant_cap = static_cast<std::size_t>(args.get_int("tenant-cap"));
+    mt.capacity = args.get_count("tenant-capacity");
+    mt.per_tenant_cap = args.get_count("tenant-cap");
     mt.market_enabled = config.market.enabled;
     mt.spot_fraction = config.market.acquisition.spot_fraction;
     mt.bid = config.market.acquisition.bid;
 
     MultiTenantOptions options;
-    options.shards = static_cast<std::size_t>(args.get_int("shards"));
-    options.traced_tenants =
-        static_cast<std::size_t>(args.get_int("traced-tenants"));
+    options.shards = args.get_count("shards");
+    options.traced_tenants = args.get_count("traced-tenants");
     options.span_sample_rate = sample_rate > 0.0 ? sample_rate : 1.0;
     options.profiler = prof;
 

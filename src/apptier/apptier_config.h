@@ -25,15 +25,9 @@ struct ApptierConfig {
   /// Shape of a cache VM; cache VMs are deliberately cheap (paper-shape 1
   /// core) and sized by directory capacity, not compute.
   VmSpec cache_vm_spec;
-  /// Hosts backing the cache pool's private datacenter.
-  std::size_t cache_hosts = 200;
   /// Directory entries one cache VM holds; total capacity scales with the
   /// active cache pool, so scale-downs and crashes shed the LRU tail.
   std::size_t cache_capacity_per_vm = 4096;
-  /// Service demand of a cache hit: base x U(1, 1 + spread) — an order of
-  /// magnitude below a backend miss.
-  double cache_service_base = 0.010;
-  double cache_service_spread = 0.10;
   /// Tm seed for the cache pool before its first completion.
   double initial_cache_service_estimate = 0.011;
 

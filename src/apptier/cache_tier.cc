@@ -7,6 +7,14 @@
 #include "util/log.h"
 
 namespace cloudprov {
+namespace {
+
+/// Service demand of a cache hit: kCacheServiceBase x U(1, 1 +
+/// kCacheServiceSpread) seconds, an order of magnitude below a backend miss.
+constexpr double kCacheServiceBase = 0.010;
+constexpr double kCacheServiceSpread = 0.10;
+
+}  // namespace
 
 // --- CacheDirectory ---------------------------------------------------------
 
@@ -159,7 +167,7 @@ CacheTier::CacheTier(Simulation& sim, const ApptierConfig& config,
       backend_sink_(backend_sink),
       rng_(rng),
       telemetry_(telemetry),
-      cache_demand_(config.cache_service_base, config.cache_service_spread) {
+      cache_demand_(kCacheServiceBase, kCacheServiceSpread) {
   ensure_arg(config_.cache_capacity_per_vm > 0,
              "CacheTier: capacity per VM must be > 0");
   ensure_arg(config_.ttl > 0.0, "CacheTier: ttl must be > 0");

@@ -9,22 +9,6 @@ Broker::Broker(Simulation& sim, RequestSource& source, RequestSink& sink, Rng rn
 
 void Broker::start() { deliver_next(); }
 
-void Broker::record_rate_series(SimTime window) {
-  ensure_arg(window > 0.0, "Broker: rate window must be > 0");
-  record_rates_ = true;
-  rate_window_ = window;
-  window_start_ = now();
-}
-
-void Broker::flush_rate_window(SimTime arrival_time) {
-  while (arrival_time >= window_start_ + rate_window_) {
-    rate_series_.add(window_start_,
-                     static_cast<double>(window_count_) / rate_window_);
-    window_start_ += rate_window_;
-    window_count_ = 0;
-  }
-}
-
 void Broker::deliver_next() {
   const auto arrival = source_.next(rng_);
   if (!arrival) {
@@ -68,10 +52,6 @@ void Broker::fire_arrival() {
   request.deadline = a.deadline;
   request.key = a.key;
   ++generated_;
-  if (record_rates_) {
-    flush_rate_window(a.time);
-    ++window_count_;
-  }
   sink_.on_request(request);
   deliver_next();
 }

@@ -12,7 +12,6 @@
 #include <memory>
 
 #include "sim/entity.h"
-#include "stats/timeseries.h"
 #include "workload/request.h"
 #include "workload/source.h"
 
@@ -36,14 +35,9 @@ class Broker final : public Entity {
 
   std::uint64_t generated() const { return generated_; }
 
-  /// Arrival counts per fixed window, recorded for rate plots
-  /// (Figures 3 and 4). Disabled unless enabled explicitly.
-  void record_rate_series(SimTime window);
-  const SampledSeries& rate_series() const { return rate_series_; }
-
   // --- snapshot/restore (src/lookahead) ---------------------------------
   /// RNG stream, counters, and the one in-flight arrival with its event
-  /// stamp. Rate-series recording (plots only) is not checkpointed.
+  /// stamp.
   struct Snapshot {
     Rng::State rng;
     std::uint64_t generated = 0;
@@ -60,7 +54,6 @@ class Broker final : public Entity {
  private:
   void deliver_next();
   void fire_arrival();
-  void flush_rate_window(SimTime arrival_time);
 
   RequestSource& source_;
   RequestSink& sink_;
@@ -72,13 +65,6 @@ class Broker final : public Entity {
   // scenario schedules half a billion of these per replication.
   Arrival pending_arrival_;
   EventId pending_event_ = kInvalidEventId;
-
-  // Rate-series recording.
-  bool record_rates_ = false;
-  SimTime rate_window_ = 0.0;
-  SimTime window_start_ = 0.0;
-  std::uint64_t window_count_ = 0;
-  SampledSeries rate_series_;
 };
 
 }  // namespace cloudprov

@@ -428,19 +428,4 @@ void ApplicationProvisioner::restore(const Snapshot& snap) {
   bound_cache_completions_ = UINT64_MAX;
 }
 
-MonitoringSnapshot ApplicationProvisioner::snapshot() const {
-  MonitoringSnapshot snap;
-  snap.time = now();
-  snap.mean_service_time = monitored_service_time();
-  snap.completed_requests = state_.response_stats.count();
-  snap.active_instances = instances_.size();
-  // Pool utilization over the whole run so far (windowed utilization is the
-  // experiment harness's job via the data center accounting).
-  snap.pool_utilization = datacenter_.utilization();
-  const SimTime elapsed = now();
-  snap.observed_arrival_rate =
-      elapsed > 0.0 ? static_cast<double>(total_arrivals()) / elapsed : 0.0;
-  return snap;
-}
-
 }  // namespace cloudprov

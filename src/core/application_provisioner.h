@@ -22,7 +22,6 @@
 
 #include "cloud/broker.h"
 #include "cloud/datacenter.h"
-#include "cloud/monitor.h"
 #include "core/admission.h"
 #include "core/qos.h"
 #include "stats/quantile.h"
@@ -51,9 +50,7 @@ struct ProvisionerConfig {
   SimTime boot_timeout = 0.0;
 };
 
-class ApplicationProvisioner final : public Entity,
-                                     public RequestSink,
-                                     public MonitorSource {
+class ApplicationProvisioner final : public Entity, public RequestSink {
  public:
   ApplicationProvisioner(Simulation& sim, Datacenter& datacenter,
                          QosTargets qos, ProvisionerConfig config,
@@ -117,7 +114,6 @@ class ApplicationProvisioner final : public Entity,
   /// pool toward the last desired target; lowering it drains down. The
   /// default (SIZE_MAX) leaves single-tenant behavior bit-identical.
   void set_capacity_cap(std::size_t cap);
-  std::size_t capacity_cap() const { return capacity_cap_; }
   /// The last target requested through scale_to, before any cap clamping —
   /// what this application *wants*, which the arbiter reads at barriers.
   std::size_t desired_target() const { return desired_target_; }
@@ -137,8 +133,6 @@ class ApplicationProvisioner final : public Entity,
   }
 
   // --- monitoring ---------------------------------------------------------
-  MonitoringSnapshot snapshot() const override;
-
   /// Monitored average request execution time Tm (falls back to the
   /// configured estimate until the first completion).
   double monitored_service_time() const;
@@ -157,9 +151,6 @@ class ApplicationProvisioner final : public Entity,
   double rejection_rate() const;
   const RunningStats& response_time_stats() const {
     return state_.response_stats;
-  }
-  const RunningStats& service_time_stats() const {
-    return state_.service_stats;
   }
   double response_p95() const { return state_.p95.value(); }
   double response_p99() const { return state_.p99.value(); }

@@ -56,9 +56,6 @@ class SlaManager {
   /// `classes` ordered by increasing priority_threshold.
   explicit SlaManager(std::vector<SlaClass> classes);
 
-  std::size_t class_count() const { return classes_.size(); }
-  const SlaClass& sla_class(std::size_t index) const { return classes_.at(index); }
-
   /// Index of the class a request with this priority belongs to.
   std::size_t classify(int priority) const;
 

@@ -53,8 +53,6 @@ class WorkloadAnalyzer {
   void stop();
 
   double last_prediction() const { return last_prediction_; }
-  const ArrivalRatePredictor& predictor() const { return *predictor_; }
-  ArrivalRatePredictor& mutable_predictor() { return *predictor_; }
 
   // --- checkpoint support (src/lookahead) ---------------------------------
   /// Analyzer position: the last alerted prediction and the pending periodic

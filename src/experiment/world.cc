@@ -32,6 +32,9 @@ namespace {
 /// 2,879 losing clones; 5 s and 1 s steps both stopped all 2,879.
 constexpr double kBoundChecksPerWindow = 12.0;
 
+/// Hosts backing the cache pool's private datacenter.
+constexpr std::size_t kCacheHosts = 200;
+
 /// `profile` holds the scenario's periodic profile once built; the
 /// predictor returned for kProfile is a copy sharing its table.
 std::shared_ptr<ArrivalRatePredictor> make_predictor(
@@ -197,7 +200,7 @@ void World::build_platform(bool track_quantiles) {
     // (its VM ids would collide with the backend datacenter's); the pool's
     // size is observed through the apptier cache lane instead.
     DatacenterConfig cache_dc = config_.datacenter;
-    cache_dc.host_count = config_.apptier.cache_hosts;
+    cache_dc.host_count = kCacheHosts;
     cache_datacenter_.emplace(*sim_, cache_dc,
                               std::make_unique<LeastLoadedPlacement>());
 
@@ -404,6 +407,7 @@ void World::start() {
 
 void World::run_to(SimTime t) {
   ensure(started_, "World::run_to: start() first");
+  ensure_arg(t >= sim_->now(), "World::run_to: t lies before the world's clock");
   sim_->run(t);
 }
 
@@ -435,7 +439,7 @@ World::Counters World::counters() const {
   return c;
 }
 
-WorldState World::snapshot(const SnapshotOptions& options) const {
+WorldState World::snapshot(bool include_records) const {
   ProfileScope profile_snapshot(profiler_, ProfileCategory::kSnapshot);
   WorldState state;
   state.now = sim_->now();
@@ -447,11 +451,11 @@ WorldState World::snapshot(const SnapshotOptions& options) const {
   source_->save_state(state.source);
   if (adaptive_ != nullptr) {
     state.policy_present = true;
-    state.policy = adaptive_->checkpoint(options.include_decisions);
+    state.policy = adaptive_->checkpoint(include_records);
     state.lookahead_rng = adaptive_->forecast_rng_state();
   } else if (tiered_ != nullptr) {
     state.policy_present = true;
-    state.policy = tiered_->checkpoint(options.include_decisions);
+    state.policy = tiered_->checkpoint(include_records);
   }
   if (market_.has_value()) state.market = market_->checkpoint();
   if (faults_.has_value()) state.faults = faults_->checkpoint();
@@ -467,12 +471,12 @@ WorldState World::snapshot(const SnapshotOptions& options) const {
     apptier.cache_datacenter = cache_datacenter_->snapshot();
     apptier.cache_provisioner = cache_provisioner_->checkpoint();
     cache_tier_->capture(apptier);
-    if (tiered_ != nullptr && options.include_decisions) {
+    if (tiered_ != nullptr && include_records) {
       apptier.cache_decisions = tiered_->cache_decisions();
     }
     state.apptier = std::move(apptier);
   }
-  if (options.include_telemetry && telemetry_ != nullptr) {
+  if (include_records && telemetry_ != nullptr) {
     state.telemetry = telemetry_->clone();
   }
   clear_padding(state);
@@ -673,10 +677,7 @@ WhatIfOutcome World::what_if(const WhatIfSpec& spec) {
   // window forks from it.
   if (!whatif_base_.has_value() || whatif_base_->now != sim_->now() ||
       whatif_base_->executed_events != sim_->executed_events()) {
-    SnapshotOptions options;
-    options.include_telemetry = false;
-    options.include_decisions = false;
-    whatif_base_ = snapshot(options);
+    whatif_base_ = snapshot(/*include_records=*/false);
   }
 
   World clone(*this, *whatif_base_, spec);

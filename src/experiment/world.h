@@ -97,7 +97,9 @@ class World final : public WhatIfEngine {
 
   /// Initial policy sizing + component start processes. Fresh worlds only.
   void start();
-  /// Runs the engine until `t` (inclusive of events at t).
+  /// Runs the engine until `t` (inclusive of events at t). Throws
+  /// std::invalid_argument when `t` < now(): a world never runs backwards,
+  /// and finish() would report the metrics of the later clock.
   void run_to(SimTime t);
   SimTime now() const;
   const Simulation& sim() const { return *sim_; }
@@ -132,13 +134,10 @@ class World final : public WhatIfEngine {
     return gateway_.has_value() ? &*gateway_ : nullptr;
   }
 
-  struct SnapshotOptions {
-    bool include_telemetry = true;
-    /// Decision logs are replay bulk, not behavior; what-if forks drop them.
-    bool include_decisions = true;
-  };
-  WorldState snapshot(const SnapshotOptions& options) const;
-  WorldState snapshot() const { return snapshot(SnapshotOptions{}); }
+  /// The whole world as a value. `include_records` = false leaves out the
+  /// telemetry clone and the decision logs: they record the run but never
+  /// change it, and what-if forks drop them.
+  WorldState snapshot(bool include_records = true) const;
 
   /// Finalizes monitors/ledgers at the current clock and extracts the
   /// paper's output metrics. Call once, after the horizon was reached;

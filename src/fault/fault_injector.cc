@@ -6,6 +6,17 @@
 #include "util/log.h"
 
 namespace cloudprov {
+namespace {
+
+/// Straggler boots add a Pareto(kStragglerScale, kStragglerShape) delay:
+/// 30 s minimum, infinite variance.
+constexpr double kStragglerScale = 30.0;
+constexpr double kStragglerShape = 1.5;
+/// Re-check delay for a stochastic stream whose population is empty (no
+/// live VMs, no occupied hosts).
+constexpr SimTime kIdleRetry = 60.0;
+
+}  // namespace
 
 FaultInjector::FaultInjector(Simulation& sim, Datacenter& datacenter,
                              ApplicationProvisioner& provisioner,
@@ -60,7 +71,7 @@ void FaultInjector::schedule_vm_crash() {
   // in the pool arrives at rate live / MTBF, re-evaluated at every event.
   const SimTime delay =
       live == 0
-          ? plan_.idle_retry
+          ? kIdleRetry
           : vm_rng_.exponential(static_cast<double>(live) / plan_.vm_mtbf);
   pending_vm_ = sim_.schedule_in(
       delay, EventAction::method<&FaultInjector::fire_vm_crash>(this));
@@ -92,7 +103,7 @@ std::size_t FaultInjector::occupied_hosts() const {
 void FaultInjector::schedule_host_crash() {
   const std::size_t occupied = occupied_hosts();
   const SimTime delay =
-      occupied == 0 ? plan_.idle_retry
+      occupied == 0 ? kIdleRetry
                     : host_rng_.exponential(static_cast<double>(occupied) /
                                             plan_.host_mtbf);
   pending_host_ = sim_.schedule_in(
@@ -131,8 +142,8 @@ void FaultInjector::install_boot_sampler() {
         // one boot fault does not shift the other's sequence.
         if (plan_.straggler_prob > 0.0 &&
             boot_rng_.bernoulli(plan_.straggler_prob)) {
-          out.boot_delay = base_delay + boot_rng_.pareto(plan_.straggler_scale,
-                                                         plan_.straggler_shape);
+          out.boot_delay =
+              base_delay + boot_rng_.pareto(kStragglerScale, kStragglerShape);
           ++state_.stragglers;
           if (telemetry_ != nullptr) {
             telemetry_->boot_straggler(now, out.boot_delay);
@@ -152,7 +163,7 @@ void FaultInjector::install_boot_sampler() {
 void FaultInjector::schedule_degradation() {
   const std::size_t active = provisioner_.active_instances();
   const SimTime delay =
-      active == 0 ? plan_.idle_retry
+      active == 0 ? kIdleRetry
                   : degrade_rng_.exponential(static_cast<double>(active) /
                                              plan_.degraded_mtbf);
   pending_degrade_ = sim_.schedule_in(

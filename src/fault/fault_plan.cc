@@ -20,14 +20,11 @@ void FaultPlan::validate() const {
              "FaultPlan: boot_fail_prob must be in [0, 1]");
   ensure_arg(straggler_prob >= 0.0 && straggler_prob <= 1.0,
              "FaultPlan: straggler_prob must be in [0, 1]");
-  ensure_arg(straggler_scale > 0.0, "FaultPlan: straggler_scale must be > 0");
-  ensure_arg(straggler_shape > 0.0, "FaultPlan: straggler_shape must be > 0");
   ensure_arg(degraded_mtbf >= 0.0, "FaultPlan: degraded_mtbf must be >= 0");
   ensure_arg(degraded_factor > 0.0 && degraded_factor <= 1.0,
              "FaultPlan: degraded_factor must be in (0, 1]");
   ensure_arg(degraded_duration > 0.0,
              "FaultPlan: degraded_duration must be > 0");
-  ensure_arg(idle_retry > 0.0, "FaultPlan: idle_retry must be > 0");
   for (const OutageWindow& w : outages) {
     ensure_arg(w.begin >= 0.0 && w.end > w.begin,
                "FaultPlan: outage window must satisfy 0 <= begin < end");

@@ -51,10 +51,8 @@ struct FaultPlan {
   /// (BOOTING -> DESTROYED after its boot delay).
   double boot_fail_prob = 0.0;
   /// Probability that a boot is a straggler: the boot delay is stretched by
-  /// a Pareto(straggler_scale, straggler_shape) heavy-tailed extra delay.
+  /// a heavy-tailed Pareto extra delay (scale 30 s, shape 1.5).
   double straggler_prob = 0.0;
-  double straggler_scale = 30.0;
-  double straggler_shape = 1.5;
   /// Mean time between degradation episodes of one instance, seconds.
   /// A degraded instance runs at degraded_factor speed for
   /// degraded_duration seconds, then recovers (noisy-neighbour model).
@@ -65,10 +63,6 @@ struct FaultPlan {
   // --- deterministic script ----------------------------------------------
   std::vector<OutageWindow> outages;
   std::vector<ScriptedFault> scripted;
-
-  /// Re-check delay for the stochastic streams when their population is
-  /// empty (no live VMs / no occupied hosts).
-  SimTime idle_retry = 60.0;
 
   /// True when any fault source is configured; a disabled plan makes
   /// FaultInjector a no-op so fault-free runs stay byte-identical.

@@ -6,6 +6,16 @@
 #include "util/check.h"
 
 namespace cloudprov {
+namespace {
+
+/// Grid spacing in seconds: one OU step (and one regime check) per tick.
+constexpr SimTime kUpdateInterval = 60.0;
+/// Mean spike-regime duration, seconds (exponential).
+constexpr SimTime kSpikeMeanDuration = 900.0;
+/// Reversion target multiplier while the spike regime holds.
+constexpr double kSpikeMultiplier = 4.0;
+
+}  // namespace
 
 void SpotPriceConfig::validate() const {
   ensure_arg(initial > 0.0, "SpotPriceConfig: initial price must be > 0");
@@ -14,13 +24,7 @@ void SpotPriceConfig::validate() const {
   ensure_arg(volatility >= 0.0, "SpotPriceConfig: negative volatility");
   ensure_arg(floor >= 0.0, "SpotPriceConfig: negative floor");
   ensure_arg(ceiling >= floor, "SpotPriceConfig: ceiling below floor");
-  ensure_arg(update_interval > 0.0,
-             "SpotPriceConfig: update_interval must be > 0");
   ensure_arg(spike_rate_per_hour >= 0.0, "SpotPriceConfig: negative spike rate");
-  ensure_arg(spike_mean_duration > 0.0,
-             "SpotPriceConfig: spike duration must be > 0");
-  ensure_arg(spike_multiplier >= 1.0,
-             "SpotPriceConfig: spike multiplier must be >= 1");
 }
 
 SpotPriceProcess::SpotPriceProcess(SpotPriceConfig config, std::uint64_t seed)
@@ -31,8 +35,8 @@ SpotPriceProcess::SpotPriceProcess(SpotPriceConfig config, std::uint64_t seed)
 }
 
 void SpotPriceProcess::step() {
-  const SimTime t = path_.back().time + config_.update_interval;
-  const double dt_hours = config_.update_interval / duration::kHour;
+  const SimTime t = path_.back().time + kUpdateInterval;
+  const double dt_hours = kUpdateInterval / duration::kHour;
 
   // Regime update first, then the OU shock — a fixed draw order makes the
   // path a pure function of the seed.
@@ -40,10 +44,10 @@ void SpotPriceProcess::step() {
   if (!spike_ && config_.spike_rate_per_hour > 0.0 &&
       rng_.bernoulli(std::min(1.0, config_.spike_rate_per_hour * dt_hours))) {
     spike_ = true;
-    spike_until_ = t + rng_.exponential(1.0 / config_.spike_mean_duration);
+    spike_until_ = t + rng_.exponential(1.0 / kSpikeMeanDuration);
   }
   const double target =
-      config_.mean * (spike_ ? config_.spike_multiplier : 1.0);
+      config_.mean * (spike_ ? kSpikeMultiplier : 1.0);
 
   double price = path_.back().price;
   price += config_.reversion_per_hour * (target - price) * dt_hours;

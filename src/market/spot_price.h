@@ -25,7 +25,7 @@
 namespace cloudprov {
 
 /// One step of the piecewise-constant price path: `price` holds on
-/// [time, time + update_interval).
+/// [time, time + 60 s).
 struct PricePoint {
   SimTime time = 0.0;
   double price = 0.0;
@@ -44,16 +44,11 @@ struct SpotPriceConfig {
   /// Hard clamps (market floor / emergency cap).
   double floor = 0.05;
   double ceiling = 5.0;
-  /// Grid spacing in seconds: one OU step (and one regime check) per tick.
-  SimTime update_interval = 60.0;
 
   // --- regime-switching spike overlay (0 spike_rate disables) -------------
-  /// Calm -> spike transitions per hour.
+  /// Calm -> spike transitions per hour. A spike lasts an exponential
+  /// 900 s on average and quadruples the reversion target.
   double spike_rate_per_hour = 0.05;
-  /// Mean spike-regime duration, seconds (exponential).
-  SimTime spike_mean_duration = 900.0;
-  /// Reversion target multiplier while the spike regime holds.
-  double spike_multiplier = 4.0;
 
   void validate() const;
 };

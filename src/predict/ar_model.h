@@ -28,9 +28,6 @@ class ArPredictor final : public ArrivalRatePredictor {
   double predict(SimTime t) const override;
   std::string name() const override;
 
-  /// Last fitted coefficients [c, a_1..a_p]; empty before the first fit.
-  const std::vector<double>& coefficients() const { return coefficients_; }
-
   void save_state(std::vector<double>& out) const override;
   void load_state(const std::vector<double>& in) override;
 

@@ -24,7 +24,6 @@ EventId Simulation::schedule_in(SimTime delay, EventAction action) {
 }
 
 std::uint64_t Simulation::run(SimTime until) {
-  stop_requested_ = false;
   std::uint64_t count = 0;
   SimTime time = 0.0;
   EventAction action;
@@ -34,7 +33,7 @@ std::uint64_t Simulation::run(SimTime until) {
   ProfileScope profile_run(profiler_, ProfileCategory::kEngineRun);
   // Single-scan dispatch: pop_due() combines the empty / next_time / pop
   // checks, so each event costs one heap pop plus one indirect call.
-  while (!stop_requested_ && queue_.pop_due(until, time, action)) {
+  while (queue_.pop_due(until, time, action)) {
     now_ = time;
     action();
     action.reset();
@@ -53,8 +52,7 @@ std::uint64_t Simulation::run(SimTime until) {
   }
   // Advance the clock to the horizon even if the model went quiet earlier,
   // so time-weighted statistics cover the full observation window.
-  if (!stop_requested_ && until > now_ &&
-      until < std::numeric_limits<SimTime>::infinity()) {
+  if (until > now_ && until < std::numeric_limits<SimTime>::infinity()) {
     now_ = until;
   }
   return count;

@@ -6,6 +6,12 @@
 #include "util/check.h"
 
 namespace cloudprov {
+namespace {
+
+/// Closed windows retained for export (oldest dropped beyond this).
+constexpr std::size_t kMaxWindows = std::size_t{1} << 20;
+
+}  // namespace
 
 DriftMonitor::DriftMonitor(const MetricsRegistry& metrics, TraceBuffer& trace,
                            Config config)
@@ -17,7 +23,6 @@ DriftMonitor::DriftMonitor(const MetricsRegistry& metrics, TraceBuffer& trace,
       config_(config) {
   ensure_arg(config_.qos_max_response_time > 0.0,
              "DriftMonitor: Ts must be > 0");
-  ensure_arg(config_.max_windows >= 1, "DriftMonitor: need >= 1 window");
 }
 
 DriftMonitor::Observed DriftMonitor::observe() const {
@@ -87,7 +92,7 @@ void DriftMonitor::close_window(SimTime t, double vm_hours,
       record.observed_response_time <= config_.qos_max_response_time;
 
   ++closed_;
-  if (windows_.size() == config_.max_windows) {
+  if (windows_.size() == kMaxWindows) {
     windows_.erase(windows_.begin());
   }
   windows_.push_back(record);

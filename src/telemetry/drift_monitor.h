@@ -36,8 +36,6 @@ class DriftMonitor {
     /// Ts: the negotiated response-time target the k bound must guarantee;
     /// used for the coverage statistic.
     double qos_max_response_time = 0.250;
-    /// Closed windows retained for export (oldest dropped beyond this).
-    std::size_t max_windows = 1 << 20;
   };
 
   /// What the modeler promised for the upcoming window.
@@ -105,8 +103,9 @@ class DriftMonitor {
   /// Safe to call when no window is open.
   void finalize(SimTime t, double vm_hours, double busy_vm_hours);
 
+  /// The newest closed windows, at most 2^20 (older ones are dropped).
   const std::vector<WindowRecord>& windows() const { return windows_; }
-  /// Closed windows ever, including any evicted beyond max_windows.
+  /// Closed windows ever, including any dropped from windows().
   std::uint64_t closed_windows() const { return closed_; }
 
   ErrorStats response_error() const;

@@ -82,7 +82,6 @@ Telemetry::Telemetry(TelemetryOptions options)
     SpanTracer::Options span_options;
     span_options.sample_rate = options_.span_sample_rate;
     span_options.seed = options_.span_seed;
-    span_options.capacity = options_.span_capacity;
     spans_ = std::make_unique<SpanTracer>(span_options);
   }
   if (options_.drift_enabled) {

@@ -77,11 +77,10 @@ struct TelemetryOptions {
 
   /// Fraction of requests given full lifecycle spans (0 disables the span
   /// tracer entirely). Selection is a pure hash of (request id, span_seed),
-  /// so it is deterministic and perturbs no simulation RNG stream.
+  /// so it is deterministic and perturbs no simulation RNG stream. The
+  /// tracer keeps its default capacity of finished traces.
   double span_sample_rate = 0.0;
   std::uint64_t span_seed = 0;
-  /// Finished request traces retained (oldest dropped beyond this).
-  std::size_t span_capacity = 1 << 16;
 
   /// Model-drift observatory (predicted vs observed per analysis window).
   bool drift_enabled = false;

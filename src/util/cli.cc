@@ -108,6 +108,15 @@ std::int64_t ArgParser::get_int(const std::string& name) const {
   return value;
 }
 
+std::size_t ArgParser::get_count(const std::string& name,
+                                 std::size_t min) const {
+  const std::int64_t value = get_int(name);
+  ensure_arg(value >= 0 && static_cast<std::uint64_t>(value) >= min,
+             "--" + name + " must be >= " + std::to_string(min) + ", got " +
+                 std::to_string(value));
+  return static_cast<std::size_t>(value);
+}
+
 bool ArgParser::get_bool(const std::string& name) const {
   const std::string text = get_string(name);
   if (text == "true" || text == "1") return true;

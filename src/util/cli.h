@@ -6,6 +6,7 @@
 // loudly instead of silently running the default configuration.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -29,6 +30,10 @@ class ArgParser {
   std::string get_string(const std::string& name) const;
   double get_double(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
+  /// An integer flag that counts something: throws std::invalid_argument
+  /// naming the flag when the value is below `min`, so a negative count
+  /// never wraps to a huge std::size_t.
+  std::size_t get_count(const std::string& name, std::size_t min = 0) const;
   bool get_bool(const std::string& name) const;
   bool was_set(const std::string& name) const;
   /// Names of the flags given on the command line, in name order.

@@ -229,19 +229,6 @@ TEST(Provisioner, InstanceHistoryTracksScaling) {
   EXPECT_NEAR(history.time_average(), (10.0 * 4.0 + 10.0 * 1.0) / 20.0, 1e-9);
 }
 
-TEST(Provisioner, SnapshotExposesMonitoringData) {
-  Fixture f;
-  f.provisioner.scale_to(2);
-  f.provisioner.on_request(f.request(1, 0.1));
-  f.sim.run(10.0);
-  const MonitoringSnapshot snap = f.provisioner.snapshot();
-  EXPECT_EQ(snap.time, 10.0);
-  EXPECT_EQ(snap.active_instances, 2u);
-  EXPECT_EQ(snap.completed_requests, 1u);
-  EXPECT_NEAR(snap.mean_service_time, 0.1, 1e-12);
-  EXPECT_GT(snap.observed_arrival_rate, 0.0);
-}
-
 TEST(StaticPolicy, ProvisionsFixedPool) {
   Fixture f;
   StaticPolicy policy(7);

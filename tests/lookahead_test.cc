@@ -299,6 +299,24 @@ TEST(WorldClone, SnapshotFuzzAtArbitraryTimes) {
   expect_same_metrics(last.finish().metrics, full.metrics, {"wall_seconds"});
 }
 
+// A world never runs backwards: finish() reads the metrics at now(), so a
+// run_to that silently ignored an earlier target would report the later
+// clock's metrics as the target's. A restored world refuses the same way.
+TEST(WorldClone, RunToBeforeTheClockThrows) {
+  const ScenarioConfig config = fig5_config();
+  World world(config, PolicySpec::adaptive(), 11, std::nullopt);
+  world.start();
+  world.run_to(600.0);
+  world.run_to(600.0);  // the current instant is not in the past
+  EXPECT_THROW(world.run_to(599.0), std::invalid_argument);
+  EXPECT_EQ(world.now(), 600.0);
+
+  World restored(config, PolicySpec::adaptive(), 11, world.snapshot());
+  EXPECT_THROW(restored.run_to(300.0), std::invalid_argument);
+  restored.run_to(900.0);
+  EXPECT_EQ(restored.now(), 900.0);
+}
+
 // --- satellite: disk checkpoint roundtrip ---------------------------------
 
 TEST(Checkpoint, DiskRoundtripContinuesBitIdentical) {

@@ -150,21 +150,6 @@ TEST(Simulation, RunUntilExecutesBoundaryEventAndAdvancesClock) {
   EXPECT_EQ(sim.now(), 20.0);    // advanced to horizon past the last event
 }
 
-TEST(Simulation, StopInterruptsRun) {
-  Simulation sim;
-  int fired = 0;
-  sim.schedule_at(1.0, [&] {
-    ++fired;
-    sim.stop();
-  });
-  sim.schedule_at(2.0, [&] { ++fired; });
-  sim.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(sim.idle());
-  sim.run();
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(Simulation, StepExecutesSingleEvent) {
   Simulation sim;
   int fired = 0;

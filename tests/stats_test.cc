@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <vector>
 
 #include "stats/confidence.h"
-#include "stats/histogram.h"
 #include "stats/quantile.h"
 #include "stats/running_stats.h"
 #include "stats/timeseries.h"
@@ -143,42 +141,6 @@ TEST(P2Quantile, RejectsDegenerateQuantiles) {
   EXPECT_THROW(P2Quantile(1.0), std::invalid_argument);
 }
 
-TEST(Histogram, LinearBinning) {
-  Histogram h = Histogram::linear(0.0, 10.0, 5);
-  h.add(-1.0);   // underflow
-  h.add(0.0);    // bin 0
-  h.add(1.99);   // bin 0
-  h.add(2.0);    // bin 1
-  h.add(9.99);   // bin 4
-  h.add(10.0);   // overflow (half-open)
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_NEAR(h.cumulative_fraction(1), 0.75, 1e-12);
-}
-
-TEST(Histogram, LogarithmicBinsSpanDecades) {
-  Histogram h = Histogram::logarithmic(1.0, 1000.0, 3);
-  EXPECT_NEAR(h.bin_upper(0), 10.0, 1e-9);
-  EXPECT_NEAR(h.bin_upper(1), 100.0, 1e-6);
-  h.add(5.0);
-  h.add(50.0);
-  h.add(500.0);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(2), 1u);
-}
-
-TEST(Histogram, RenderProducesOneLinePerBin) {
-  Histogram h = Histogram::linear(0.0, 2.0, 2);
-  h.add(0.5);
-  const std::string text = h.render();
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
-}
-
 TEST(TimeWeightedValue, IntegralAndAverage) {
   TimeWeightedValue v(0.0, 2.0);
   v.update(10.0, 4.0);   // 2.0 held for 10 s
@@ -272,16 +234,6 @@ TEST(MeanConfidenceInterval, CoverageProperty) {
     if (ci.lower() <= 0.0 && 0.0 <= ci.upper()) ++covered;
   }
   EXPECT_NEAR(static_cast<double>(covered) / trials, 0.95, 0.02);
-}
-
-TEST(HistogramEdge, AllSamplesOutOfRange) {
-  Histogram h = Histogram::linear(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(7.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  // No in-range mass: cumulative fraction defined as 0.
-  EXPECT_EQ(h.cumulative_fraction(3), 0.0);
 }
 
 TEST(P2QuantileEdge, ConstantStreamIsExact) {

@@ -82,6 +82,25 @@ TEST(ArgParser, BareBooleanFollowedByFlag) {
   EXPECT_EQ(parser.get_int("reps"), 2);
 }
 
+TEST(ArgParser, CountRejectsValuesBelowItsMinimum) {
+  auto parser = make_parser();
+  const char* argv[] = {"prog", "--reps", "-1"};
+  ASSERT_TRUE(parser.parse(3, argv));
+  try {
+    parser.get_count("reps");
+    FAIL() << "a negative count must throw";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "--reps must be >= 0, got -1");
+  }
+
+  auto zero = make_parser();
+  const char* zero_argv[] = {"prog", "--reps", "0"};
+  ASSERT_TRUE(zero.parse(3, zero_argv));
+  EXPECT_EQ(zero.get_count("reps"), 0u);
+  EXPECT_THROW(zero.get_count("reps", 1), std::invalid_argument);
+  EXPECT_EQ(make_parser().get_count("reps", 1), 10u);
+}
+
 TEST(ArgParser, PositionalArguments) {
   auto parser = make_parser();
   const char* argv[] = {"prog", "input.csv", "--reps", "2", "more"};
