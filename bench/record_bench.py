@@ -8,18 +8,26 @@ prose. Re-running with an existing label replaces that entry in place, which
 keeps the file idempotent under repeated local runs.
 
 Usage:
-    python3 bench/record_bench.py --build-dir build --label after-slab-kernel
+    python3 bench/record_bench.py --build-dir build --label after-slab-kernel \
+        --repetitions 5
     python3 bench/record_bench.py --label ci-smoke --min-time 0.01 \
         --output /tmp/bench_check.json --no-compare
-    python3 bench/record_bench.py --check --min-time 0.01
+    python3 bench/record_bench.py --check --min-time 0.01 \
+        --anchor-label after-bare-request-path
+
+With --repetitions N (N > 1) every benchmark runs N times and the entry
+records the median of the N runs, so one noisy run cannot set a baseline.
 
 With --check the script becomes a regression gate instead of a recorder: it
 runs the benchmarks, compares items/s against the stored baseline entry in
 BENCH_kernel.json (the newest entry, or the one named by --baseline-label),
 and exits non-zero when any shared benchmark regresses by more than
---tolerance (default 15%). The trajectory file is never modified in this
-mode. Benchmarks present on only one side are reported but never fail the
-gate, so adding a new benchmark does not require re-recording first.
+--tolerance (default 15%). With --anchor-label it also compares against
+that pinned entry, so a slow drift that passes each step against the newest
+entry still fails once it adds up past the tolerance. The trajectory file is
+never modified in this mode. Benchmarks present on only one side are
+reported but never fail the gate, so adding a new benchmark does not require
+re-recording first.
 
 Exit status is non-zero when a benchmark binary is missing or fails, so CI
 can use this script as a smoke test for the perf tooling itself.
@@ -85,12 +93,15 @@ def compiler_info(build_dir: pathlib.Path) -> str:
     return compiler
 
 
-def run_benchmark(binary: pathlib.Path, min_time: str, bench_filter: str) -> dict:
+def run_benchmark(binary: pathlib.Path, min_time: str, bench_filter: str,
+                  repetitions: int) -> dict:
     cmd = [str(binary), "--benchmark_format=json"]
     if min_time:
         cmd.append(f"--benchmark_min_time={min_time}")
     if bench_filter:
         cmd.append(f"--benchmark_filter={bench_filter}")
+    if repetitions > 1:
+        cmd.append(f"--benchmark_repetitions={repetitions}")
     print(f"running {' '.join(cmd)}", file=sys.stderr)
     out = subprocess.run(cmd, capture_output=True, text=True, check=True)
     try:
@@ -102,31 +113,28 @@ def run_benchmark(binary: pathlib.Path, min_time: str, bench_filter: str) -> dic
         return {}
     results = {}
     for bench in report.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev) if repetitions were used.
-        if bench.get("run_type") == "aggregate":
+        if "items_per_second" not in bench:
             continue
-        if "items_per_second" in bench:
+        if repetitions > 1:
+            # Keep the median aggregate, under the benchmark's own name.
+            if bench.get("aggregate_name") == "median":
+                results[bench["run_name"]] = bench["items_per_second"]
+        elif bench.get("run_type") != "aggregate":
             results[bench["name"]] = bench["items_per_second"]
     return results
 
 
-def check_against_baseline(results: dict, trajectory: list,
-                           baseline_label: str, tolerance: float) -> int:
-    """Compare a fresh run against a stored entry; 1 on regression, else 0."""
-    if baseline_label:
-        matches = [e for e in trajectory if e["label"] == baseline_label]
-        if not matches:
-            print(f"error: no baseline entry labelled '{baseline_label}'",
-                  file=sys.stderr)
-            return 1
-        baseline = matches[-1]
-    else:
-        if not trajectory:
-            print("error: baseline trajectory file has no entries",
-                  file=sys.stderr)
-            return 1
-        baseline = trajectory[-1]
+def find_entry(trajectory: list, label: str):
+    """The newest entry labelled `label`, or the newest entry when empty."""
+    if not label:
+        return trajectory[-1] if trajectory else None
+    matches = [e for e in trajectory if e["label"] == label]
+    return matches[-1] if matches else None
 
+
+def check_against_baseline(results: dict, baseline: dict,
+                           tolerance: float) -> int:
+    """Compare a fresh run against a stored entry; 1 on regression, else 0."""
     shared = sorted(set(results) & set(baseline["results"]))
     if not shared:
         print("error: no benchmarks in common with the baseline",
@@ -183,16 +191,47 @@ def main() -> int:
     parser.add_argument("--baseline-label", default="",
                         help="with --check: baseline entry label "
                              "(default: newest entry)")
+    parser.add_argument("--anchor-label", default="",
+                        help="with --check: also compare against this "
+                             "pinned entry, so accumulated drift fails")
     parser.add_argument("--tolerance", type=float, default=0.15,
                         help="with --check: allowed items/s drop before "
                              "failing (default 0.15 = 15%%)")
+    parser.add_argument("--repetitions", type=int, default=1,
+                        help="forwarded as --benchmark_repetitions; above 1 "
+                             "the median of the repetitions is used")
     args = parser.parse_args()
     if not args.check and not args.label:
         parser.error("--label is required unless --check is given")
+    if args.anchor_label and not args.check:
+        parser.error("--anchor-label needs --check")
+    if args.repetitions < 1:
+        parser.error("--repetitions must be at least 1")
 
     build_dir = pathlib.Path(args.build_dir)
     if not build_dir.is_absolute():
         build_dir = REPO_ROOT / build_dir
+
+    output = pathlib.Path(args.output)
+    trajectory = []
+    if output.exists():
+        trajectory = json.loads(output.read_text())["entries"]
+    elif args.check:
+        print(f"error: baseline file not found: {output}", file=sys.stderr)
+        return 1
+    # With --check, find every baseline before spending time on a run.
+    baselines = []
+    if args.check:
+        labels = [args.baseline_label]
+        if args.anchor_label and args.anchor_label != args.baseline_label:
+            labels.append(args.anchor_label)
+        for label in labels:
+            baseline = find_entry(trajectory, label)
+            if baseline is None:
+                what = f"labelled '{label}'" if label else "(file is empty)"
+                print(f"error: no baseline entry {what}", file=sys.stderr)
+                return 1
+            baselines.append(baseline)
 
     results = {}
     for rel in args.benchmarks:
@@ -200,24 +239,18 @@ def main() -> int:
         if not binary.exists():
             print(f"error: benchmark binary not found: {binary}", file=sys.stderr)
             return 1
-        results.update(run_benchmark(binary, args.min_time, args.filter))
+        results.update(run_benchmark(binary, args.min_time, args.filter,
+                                     args.repetitions))
     if not results:
         print("error: no benchmark results collected", file=sys.stderr)
         return 1
 
-    output = pathlib.Path(args.output)
     if args.check:
-        trajectory = []
-        if output.exists():
-            trajectory = json.loads(output.read_text())["entries"]
-        else:
-            print(f"error: baseline file not found: {output}", file=sys.stderr)
-            return 1
-        return check_against_baseline(results, trajectory,
-                                      args.baseline_label, args.tolerance)
-    trajectory = []
-    if output.exists():
-        trajectory = json.loads(output.read_text())["entries"]
+        status = 0
+        for baseline in baselines:
+            status |= check_against_baseline(results, baseline,
+                                             args.tolerance)
+        return status
 
     # Machine/compiler provenance: numbers in the trajectory are only
     # comparable between entries recorded on the same machine with the same
@@ -231,6 +264,7 @@ def main() -> int:
         "machine": socket.gethostname(),
         "cpu": cpu_model(),
         "compiler": compiler_info(build_dir),
+        "repetitions": args.repetitions,
         "results": results,
     }
     previous = trajectory[-1] if trajectory else None

@@ -17,7 +17,7 @@ void Broker::deliver_next() {
   }
   ensure(arrival->time >= now(), "Broker: source produced a past arrival");
   pending_arrival_ = *arrival;
-  pending_event_ = sim().schedule_at(
+  pending_event_ = sim().schedule_fifo(
       arrival->time, EventAction::method<&Broker::fire_arrival>(this));
 }
 
@@ -37,7 +37,7 @@ void Broker::restore(const Snapshot& s) {
   next_request_id_ = s.next_request_id;
   pending_arrival_ = s.pending_arrival;
   if (s.pending_event.has_value()) {
-    pending_event_ = sim().schedule_stamped(
+    pending_event_ = sim().schedule_fifo_stamped(
         *s.pending_event, EventAction::method<&Broker::fire_arrival>(this));
   }
 }

@@ -2,9 +2,10 @@
 //
 // "Simulation model also contains one broker generating requests
 // representing several users" (Section V-A). The broker pulls arrivals from
-// the workload model one at a time (so only the next arrival is ever pending
-// in the event queue) and hands each to a RequestSink — the SaaS provider's
-// admission control in the full system.
+// the workload model one at a time (so each broker has one arrival pending,
+// on the event queue's FIFO lane: a source's arrival times never decrease)
+// and hands each to a RequestSink — the SaaS provider's admission control in
+// the full system.
 #pragma once
 
 #include <cstdint>

@@ -309,7 +309,7 @@ World::World(const ScenarioConfig& config, const PolicySpec& policy,
       wall_start_(std::chrono::steady_clock::now()),
       profiler_(profiler) {
   ProfileScope profile_build(profiler_, ProfileCategory::kWorldBuild);
-  restore(state, nullptr);
+  restore(state, nullptr, 0);
 }
 
 World::World(const World& parent, const WorldState& base,
@@ -320,12 +320,14 @@ World::World(const World& parent, const WorldState& base,
       streams_(parent.streams_),
       wall_start_(std::chrono::steady_clock::now()),
       profile_(parent.profile_) {
-  restore(base, &fork);
+  restore(base, &fork, parent.sim_->queue().slab_high_water());
 }
 
-void World::restore(const WorldState& state, const WhatIfSpec* fork) {
+void World::restore(const WorldState& state, const WhatIfSpec* fork,
+                    std::size_t event_capacity) {
   owned_sim_ = std::make_unique<Simulation>();
   sim_ = owned_sim_.get();
+  sim_->queue().reserve(event_capacity);
   if (state.telemetry != nullptr) telemetry_ = state.telemetry->clone();
   build_platform(/*track_quantiles=*/fork == nullptr);
   // Component restore order is free (each re-pushes under explicit stamps);
@@ -700,7 +702,7 @@ WhatIfOutcome World::what_if(const WhatIfSpec& spec) {
   //      in now and IEEE addition and division round monotonically, so a
   //      value that reached cost_to_beat still reaches it at the horizon,
   //      and the search takes only a cost strictly below it.
-  // The market ledger's cost is not bounded: finalize() advances the spot
+  // The market ledger's cost is not bounded: total_cost() advances the spot
   // price path, so a clone with a market stops on the counts alone. No check
   // runs at the horizon itself: a clone that gets there reports in full.
   const bool cost_bounded = !clone.market_.has_value();
@@ -726,7 +728,7 @@ WhatIfOutcome World::what_if(const WhatIfSpec& spec) {
     // Candidates share the pre-fork ledger prefix, so from-zero totals rank
     // them the same way deltas would.
     clone.market_->stop();
-    outcome.cost = clone.market_->finalize(clone.now()).total_cost;
+    outcome.cost = clone.market_->total_cost(clone.now());
   } else {
     outcome.cost = clone.datacenter_->vm_hours();
   }

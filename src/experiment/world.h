@@ -146,7 +146,7 @@ class World final : public WhatIfEngine {
 
   // --- WhatIfEngine (AdaptivePolicy's lookahead search) -------------------
   /// Bounds only the counts when the world has a market: the ledger's cost
-  /// is final only after MarketBroker::finalize(), which advances the spot
+  /// is final only after MarketBroker::total_cost(), which advances the spot
   /// price path.
   WhatIfOutcome what_if(const WhatIfSpec& spec) override;
   void commit_bid(double bid) override;
@@ -160,8 +160,11 @@ class World final : public WhatIfEngine {
   /// the market, and fork.target_instances commanded at the fork instant.
   World(const World& parent, const WorldState& base, const WhatIfSpec& fork);
   /// Restore body of both restoring constructors; `fork` is null for a
-  /// faithful resume.
-  void restore(const WorldState& state, const WhatIfSpec* fork);
+  /// faithful resume. The fresh kernel is sized for `event_capacity`
+  /// pending events: a clone passes its parent's slab high-water mark, so
+  /// its slab, heap and lane are allocated once.
+  void restore(const WorldState& state, const WhatIfSpec* fork,
+               std::size_t event_capacity);
   /// Shared wiring for every constructor: everything up to (but excluding)
   /// source/broker/policy construction and any restore call. What-if
   /// clones pass track_quantiles = false: no outcome reads their P² tails.

@@ -219,6 +219,33 @@ void MarketBroker::restore(const Snapshot& snap) {
   }
 }
 
+double MarketBroker::billed(const Entry& entry, SimTime end_time,
+                            SimTime horizon) const {
+  const PricingPolicy& pricing =
+      config_.catalog.classes[entry.class_index].pricing;
+  switch (entry.kind) {
+    case PurchaseKind::kOnDemand:
+      return billed_cost(end_time - entry.purchase_time, pricing);
+    case PurchaseKind::kReserved:
+      // Term commitment: billed to the horizon even if destroyed early.
+      return billed_cost(horizon - entry.purchase_time, pricing);
+    case PurchaseKind::kSpot: {
+      // Quantum-rounded usage billed at the realized market price: the
+      // integral of the piecewise-constant path over the billed window.
+      double span = std::max(end_time - entry.purchase_time,
+                             pricing.minimum_billed);
+      span = std::ceil(span / pricing.billing_quantum) *
+             pricing.billing_quantum;
+      return price_.has_value()
+                 ? price_->integrate(entry.purchase_time,
+                                     entry.purchase_time + span) /
+                       duration::kHour
+                 : span / duration::kHour * pricing.price_per_hour;
+    }
+  }
+  return 0.0;
+}
+
 MarketReport MarketBroker::finalize(SimTime horizon) {
   ensure_arg(horizon >= 0.0, "MarketBroker::finalize: negative horizon");
   MarketReport report;
@@ -229,7 +256,6 @@ MarketReport MarketBroker::finalize(SimTime horizon) {
     report.spot_price_max = price_->max_price(horizon);
   }
   for (const Entry& entry : entries_) {
-    const InstanceClass& cls = config_.catalog.classes[entry.class_index];
     MarketPurchase purchase;
     purchase.vm_id = entry.vm->id();
     purchase.class_index = entry.class_index;
@@ -238,33 +264,17 @@ MarketReport MarketBroker::finalize(SimTime horizon) {
     purchase.end_time = entry.vm->destruction_time().value_or(horizon);
     purchase.revoked = entry.revoked;
     purchase.hard_killed = entry.hard_killed;
-    const SimTime lifetime = purchase.end_time - purchase.purchase_time;
+    purchase.cost = billed(entry, purchase.end_time, horizon);
     switch (entry.kind) {
       case PurchaseKind::kOnDemand:
-        purchase.cost = billed_cost(lifetime, cls.pricing);
         report.on_demand_cost += purchase.cost;
         break;
       case PurchaseKind::kReserved:
-        // Term commitment: billed to the horizon even if destroyed early.
-        purchase.cost = billed_cost(horizon - purchase.purchase_time,
-                                    cls.pricing);
         report.reserved_cost += purchase.cost;
         break;
-      case PurchaseKind::kSpot: {
-        // Quantum-rounded usage billed at the realized market price: the
-        // integral of the piecewise-constant path over the billed window.
-        double billed = std::max(lifetime, cls.pricing.minimum_billed);
-        billed = std::ceil(billed / cls.pricing.billing_quantum) *
-                 cls.pricing.billing_quantum;
-        purchase.cost =
-            price_.has_value()
-                ? price_->integrate(purchase.purchase_time,
-                                    purchase.purchase_time + billed) /
-                      duration::kHour
-                : billed / duration::kHour * cls.pricing.price_per_hour;
+      case PurchaseKind::kSpot:
         report.spot_cost += purchase.cost;
         break;
-      }
     }
     report.total_cost += purchase.cost;
     report.ledger.push_back(purchase);
@@ -275,6 +285,17 @@ MarketReport MarketBroker::finalize(SimTime horizon) {
   report.revocations = state_.revocations;
   report.revocation_kills = state_.revocation_kills;
   return report;
+}
+
+double MarketBroker::total_cost(SimTime horizon) {
+  ensure_arg(horizon >= 0.0, "MarketBroker::total_cost: negative horizon");
+  if (price_.has_value()) price_->advance_to(horizon);
+  double total = 0.0;
+  for (const Entry& entry : entries_) {
+    total += billed(entry, entry.vm->destruction_time().value_or(horizon),
+                    horizon);
+  }
+  return total;
 }
 
 void write_market_csv(std::ostream& out, const MarketReport& report) {

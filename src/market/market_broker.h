@@ -121,6 +121,10 @@ class MarketBroker {
   /// realized price path over the billed quanta, reserved as a term
   /// commitment to the horizon. Call once, after the simulation ran.
   MarketReport finalize(SimTime horizon);
+  /// finalize()'s total_cost alone, bit-identical to it: advances the price
+  /// path to `horizon` and sums the same bills in ledger order, without
+  /// copying the path or building the ledger. What-if forks rank by it.
+  double total_cost(SimTime horizon);
 
   // --- live statistics ----------------------------------------------------
   std::uint64_t purchases(PurchaseKind kind) const {
@@ -190,6 +194,9 @@ class MarketBroker {
   void accrue(SimTime t);
   std::size_t live_count(PurchaseKind kind) const;
   double accrual_rate(const Entry& entry) const;  ///< currency per hour
+  /// The bill of one purchase that ended at `end_time`, closed at `horizon`;
+  /// the price path must already be advanced to the horizon.
+  double billed(const Entry& entry, SimTime end_time, SimTime horizon) const;
 
   Simulation& sim_;
   Datacenter& datacenter_;

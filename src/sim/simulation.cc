@@ -8,21 +8,6 @@
 
 namespace cloudprov {
 
-EventId Simulation::schedule_at(SimTime time, EventAction action) {
-  ensure_arg(time >= now_, "schedule_at: cannot schedule in the past");
-  return queue_.push(time, std::move(action));
-}
-
-EventId Simulation::schedule_fifo(SimTime time, EventAction action) {
-  ensure_arg(time >= now_, "schedule_fifo: cannot schedule in the past");
-  return queue_.push_fifo(time, std::move(action));
-}
-
-EventId Simulation::schedule_in(SimTime delay, EventAction action) {
-  ensure_arg(delay >= 0.0, "schedule_in: negative delay");
-  return queue_.push(now_ + delay, std::move(action));
-}
-
 std::uint64_t Simulation::run(SimTime until) {
   std::uint64_t count = 0;
   SimTime time = 0.0;
@@ -32,7 +17,7 @@ std::uint64_t Simulation::run(SimTime until) {
   // dispatched actions nest under it, so engine self time = loop minus them.
   ProfileScope profile_run(profiler_, ProfileCategory::kEngineRun);
   // Single-scan dispatch: pop_due() combines the empty / next_time / pop
-  // checks, so each event costs one heap pop plus one indirect call.
+  // checks, so each event costs one heap or lane pop plus one indirect call.
   while (queue_.pop_due(until, time, action)) {
     now_ = time;
     action();

@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "sim/event_queue.h"
+#include "util/check.h"
 #include "util/units.h"
 
 namespace cloudprov {
@@ -38,10 +39,16 @@ class alignas(64) Simulation {
   SimTime now() const { return now_; }
 
   /// Schedules `action` at absolute simulated time `time` (>= now()).
-  EventId schedule_at(SimTime time, EventAction action);
+  EventId schedule_at(SimTime time, EventAction&& action) {
+    ensure_arg(time >= now_, "schedule_at: cannot schedule in the past");
+    return queue_.push(time, std::move(action));
+  }
 
   /// Schedules `action` after `delay` seconds (>= 0).
-  EventId schedule_in(SimTime delay, EventAction action);
+  EventId schedule_in(SimTime delay, EventAction&& action) {
+    ensure_arg(delay >= 0.0, "schedule_in: negative delay");
+    return queue_.push(now_ + delay, std::move(action));
+  }
 
   /// Convenience overloads: wrap any callable in an EventAction (inline —
   /// zero-allocation — when it is small and trivially copyable, boxed on
@@ -58,9 +65,13 @@ class alignas(64) Simulation {
   }
 
   /// Schedules `action` at absolute time `time` (>= now()) on the event
-  /// queue's FIFO lane: for events scheduled a constant delay ahead, such as
-  /// client timeouts. Pop order is exactly as with schedule_at().
-  EventId schedule_fifo(SimTime time, EventAction action);
+  /// queue's FIFO lane: for events whose times arrive in non-decreasing
+  /// order, such as a broker's next arrival or client timeouts a constant
+  /// delay ahead. Pop order is exactly as with schedule_at().
+  EventId schedule_fifo(SimTime time, EventAction&& action) {
+    ensure_arg(time >= now_, "schedule_fifo: cannot schedule in the past");
+    return queue_.push_fifo(time, std::move(action));
+  }
   template <typename F>
     requires(!std::is_same_v<std::remove_cvref_t<F>, EventAction>)
   EventId schedule_fifo(SimTime time, F&& f) {
@@ -80,6 +91,7 @@ class alignas(64) Simulation {
   bool idle() const { return queue_.size() == 0; }
   std::uint64_t executed_events() const { return executed_; }
   EventQueue& queue() { return queue_; }
+  const EventQueue& queue() const { return queue_; }
 
   // --- snapshot/restore support (src/lookahead) --------------------------
 
@@ -88,7 +100,7 @@ class alignas(64) Simulation {
 
   /// Re-inserts an event captured by stamp() under its original
   /// (time, seq) into a restored world's queue.
-  EventId schedule_stamped(const EventStamp& stamp, EventAction action) {
+  EventId schedule_stamped(const EventStamp& stamp, EventAction&& action) {
     return queue_.push_stamped(stamp, std::move(action));
   }
   template <typename F>
@@ -97,6 +109,10 @@ class alignas(64) Simulation {
     return queue_.push_stamped(stamp, EventAction::make(std::forward<F>(f)));
   }
   /// schedule_stamped() for an event first scheduled with schedule_fifo().
+  EventId schedule_fifo_stamped(const EventStamp& stamp,
+                                EventAction&& action) {
+    return queue_.push_fifo_stamped(stamp, std::move(action));
+  }
   template <typename F>
     requires(!std::is_same_v<std::remove_cvref_t<F>, EventAction>)
   EventId schedule_fifo_stamped(const EventStamp& stamp, F&& f) {

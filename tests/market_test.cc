@@ -279,6 +279,34 @@ TEST(Revocation, ExpiredNoticeHardKillsAndReconcilerHealsOnDemand) {
   EXPECT_EQ(broker.purchases(PurchaseKind::kSpot), 1u);  // never spot again
 }
 
+// What-if forks rank market candidates by total_cost(), which must equal
+// finalize()'s total bit for bit: the same bills summed in ledger order over
+// a price path it advanced to the horizon itself.
+TEST(MarketBilling, TotalCostMatchesFinalizeBitForBit) {
+  World world;
+  ApplicationProvisioner provisioner(world.sim, world.datacenter, lenient_qos(),
+                                     provisioner_config());
+  MarketConfig config = revoking_market(100.0);
+  config.acquisition.spot_fraction = 0.5;
+  config.acquisition.reserved_pool = 1;
+  MarketBroker broker(world.sim, world.datacenter, config, 5);
+  broker.attach(provisioner);
+  broker.start();
+
+  provisioner.scale_to(4);  // one reserved, then spot under the cap
+  world.sim.schedule_at(200.0, [&] { provisioner.scale_to(2); });
+  world.sim.run(900.0);
+  broker.stop();
+  EXPECT_EQ(broker.purchases(PurchaseKind::kReserved), 1u);
+  EXPECT_GE(broker.purchases(PurchaseKind::kSpot), 1u);
+  EXPECT_GE(broker.purchases(PurchaseKind::kOnDemand), 1u);
+
+  const double cost = broker.total_cost(3600.0);  // past the last tick
+  const MarketReport report = broker.finalize(3600.0);
+  EXPECT_GT(cost, 0.0);
+  EXPECT_EQ(cost, report.total_cost);
+}
+
 TEST(Revocation, BootingInstanceIsDestroyedOutright) {
   World world(4, /*boot_delay=*/200.0);  // still BOOTING at the t=60 revoke
   ApplicationProvisioner provisioner(world.sim, world.datacenter, lenient_qos(),

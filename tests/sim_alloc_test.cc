@@ -201,7 +201,9 @@ TEST(ServePathAllocation, LayeredWebAllocatesNothingPerRequest) {
 // an already cached base snapshot. Restoring the clone, running it three
 // windows ahead and tearing it down allocates per component: the clone
 // neither allocates its 1000 hosts one by one nor rebuilds the web profile
-// table.
+// table, and its kernel reserves the slab, heap and lane once at the
+// parent's high-water mark. A fork made 38 allocations when the bound was
+// set; a clone kernel that grew one doubling at a time made 42.
 TEST(ServePathAllocation, WhatIfForkAllocationsAreBounded) {
   World world(web_scenario(0.01), PolicySpec::lookahead_spec(3, 3), 42);
   world.start();
@@ -222,7 +224,7 @@ TEST(ServePathAllocation, WhatIfForkAllocationsAreBounded) {
 
   EXPECT_TRUE(outcome.valid);
   EXPECT_GT(outcome.completed, 1000u);  // the clone really served traffic
-  EXPECT_LE(allocations_during, 64u)
+  EXPECT_LE(allocations_during, 40u)
       << allocations_during << " allocations in one fork";
 }
 

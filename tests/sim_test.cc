@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <queue>
 #include <vector>
 
+#include "cloud/broker.h"
 #include "sim/entity.h"
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
+#include "workload/poisson_source.h"
 
 namespace cloudprov {
 namespace {
@@ -134,6 +138,8 @@ TEST(Simulation, SchedulingInThePastThrows) {
   sim.run();
   EXPECT_THROW(sim.schedule_at(5.0, [] {}), std::invalid_argument);
   EXPECT_THROW(sim.schedule_in(-1.0, [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_fifo(5.0, [] {}), std::invalid_argument);
+  EXPECT_TRUE(sim.idle());
 }
 
 TEST(Simulation, RunUntilExecutesBoundaryEventAndAdvancesClock) {
@@ -241,6 +247,94 @@ TEST(EventQueueEdge, CancelledIdsAreNeverRevalidatedByReuse) {
   queue.cancel(a);  // stale: must be a no-op on b
   EXPECT_EQ(queue.size(), 1u);
   EXPECT_EQ(queue.pop().id, b);
+}
+
+// --- where broker arrivals live ---------------------------------------------
+
+class RecordingSink : public RequestSink {
+ public:
+  void on_request(const Request& request) override {
+    arrivals.push_back(request.arrival_time);
+  }
+  std::vector<SimTime> arrivals;
+};
+
+PoissonSource poisson(double rate, SimTime start = 0.0) {
+  return PoissonSource(rate, std::make_shared<DeterministicDistribution>(0.1),
+                       start);
+}
+
+// A broker's one pending arrival goes to the queue's FIFO lane: the heap
+// depth leaves it out, the live count includes it.
+TEST(BrokerLane, PendingArrivalIsOnTheLane) {
+  Simulation sim;
+  PoissonSource source = poisson(50.0);
+  RecordingSink sink;
+  Broker broker(sim, source, sink, Rng(3));
+  broker.start();
+  EXPECT_EQ(sim.queue().size(), 1u);
+  EXPECT_EQ(sim.queue().heap_depth(), 0u);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(sim.step());
+    EXPECT_EQ(sim.queue().size(), 1u);
+    EXPECT_EQ(sim.queue().heap_depth(), 0u);
+  }
+  EXPECT_EQ(sink.arrivals.size(), 100u);
+}
+
+// Broker::restore re-arms the pending arrival on the lane under its stamp.
+TEST(BrokerLane, RestoredArrivalIsOnTheLane) {
+  Simulation sim;
+  PoissonSource source = poisson(50.0);
+  RecordingSink sink;
+  Broker broker(sim, source, sink, Rng(3));
+  broker.start();
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(sim.step());
+  const Broker::Snapshot snap = broker.snapshot();
+  ASSERT_TRUE(snap.pending_event.has_value());
+
+  Simulation restored;
+  // The source resumes after the pending arrival, as a what-if fork's does.
+  PoissonSource restored_source = poisson(50.0, snap.pending_arrival.time);
+  RecordingSink restored_sink;
+  Broker twin(restored, restored_source, restored_sink, Rng(3));
+  twin.restore(snap);
+  restored.restore_clock(sim.now(), sim.executed_events(),
+                         sim.event_push_counter());
+  EXPECT_EQ(restored.queue().size(), 1u);
+  EXPECT_EQ(restored.queue().heap_depth(), 0u);
+  const auto stamp = twin.snapshot().pending_event;
+  ASSERT_TRUE(stamp.has_value());
+  EXPECT_EQ(stamp->time, snap.pending_event->time);
+  EXPECT_EQ(stamp->seq, snap.pending_event->seq);
+  ASSERT_TRUE(restored.step());
+  EXPECT_EQ(restored_sink.arrivals, (std::vector<SimTime>{stamp->time}));
+}
+
+// Two brokers on one kernel: whichever pushes second with an earlier time
+// than the lane's tail falls back to the heap, and arrivals still pop in
+// time order.
+TEST(BrokerLane, TwoBrokersPopInTimeOrderWithHeapFallback) {
+  Simulation sim;
+  PoissonSource source_a = poisson(40.0);
+  PoissonSource source_b = poisson(25.0);
+  RecordingSink sink;
+  Broker a(sim, source_a, sink, Rng(5));
+  Broker b(sim, source_b, sink, Rng(6));
+  a.start();
+  b.start();
+  std::size_t fell_back = 0;
+  std::size_t both_laned = 0;
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(sim.step());
+    EXPECT_EQ(sim.queue().size(), 2u);
+    ++(sim.queue().heap_depth() > 0 ? fell_back : both_laned);
+  }
+  EXPECT_GT(fell_back, 100u);
+  EXPECT_GT(both_laned, 100u);
+  EXPECT_EQ(a.generated() + b.generated(), 2000u);
+  EXPECT_GT(a.generated(), b.generated());
+  EXPECT_TRUE(std::is_sorted(sink.arrivals.begin(), sink.arrivals.end()));
 }
 
 }  // namespace
