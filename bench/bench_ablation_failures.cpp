@@ -12,13 +12,13 @@
 //   B. Correlated host crashes (fault domains). Five hosts of a deliberately
 //      small 20-host data center crash mid-run, each taking every VM placed
 //      on it. The reconciler restores the commanded pool within one check
-//      interval; the bare static pool shows the loss in final_m.
+//      interval; the bare static pool shows the loss in final_instances.
 //   C. Compound failure: VM crashes + boot failures + straggler boots +
 //      boot-timeout watchdog + a one-hour IaaS allocation outage. Heals
 //      attempted during the outage fall short, driving bounded
 //      backoff retries and (if the outage outlasts the budget) one abort —
-//      visible in the retries/aborts columns — with full recovery after the
-//      outage lifts.
+//      visible in the reconciler_retries/aborts rows — with full recovery
+//      after the outage lifts.
 #include <iostream>
 #include <vector>
 
@@ -34,8 +34,7 @@ ScenarioConfig base_scenario(bool smoke) {
   ScenarioConfig config = scientific_scenario(1.0);
   if (smoke) {
     // CI smoke: 4 simulated hours instead of a day.
-    config.horizon = 4.0 * 3600.0;
-    config.bot.horizon = config.horizon;
+    config.set_horizon(4.0 * 3600.0);
   }
   return config;
 }
@@ -73,6 +72,9 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 0;
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
   const bool smoke = args.get_bool("smoke");
+  // Each table puts QoS next to the fault and self-healing counters.
+  const std::vector<MetricGroup> groups{MetricGroup::kPaper,
+                                        MetricGroup::kFault};
 
   // --- A: stochastic VM-crash MTBF sweep ---------------------------------
   std::cout << "=== A. VM-crash MTBF sweep (exponential per-instance "
@@ -94,7 +96,7 @@ int main(int argc, char** argv) {
         rows.push_back(std::move(m));
       }
     }
-    print_fault_table(std::cout, rows);
+    print_metric_table(std::cout, rows, groups);
   }
 
   // --- B: correlated host crashes (fault domains) ------------------------
@@ -106,17 +108,18 @@ int main(int argc, char** argv) {
     // VM slots; losing 5 hosts still leaves room to re-place the pool.
     config.datacenter.host_count = 20;
     // Offset from the reconciler's 30 s tick grid so the repair window is
-    // visible in mttr_s instead of a same-timestamp heal.
+    // visible in mttr_mean instead of a same-timestamp heal.
     const SimTime crash_time = config.horizon / 4.0 + 7.0;
     for (std::size_t h = 0; h < 5; ++h) {
       config.fault.scripted.push_back(
           {ScriptedFault::Kind::kHostCrash, crash_time, h});
     }
-    print_fault_table(std::cout, run_policy_grid(config, seed));
+    print_metric_table(std::cout, run_policy_grid(config, seed), groups);
     std::cout << "\nReading: each crashed host kills every VM placed on it.\n"
                  "With the reconciler, the commanded pool is restored within\n"
-                 "one check interval (30 s; see mttr_s); the bare static\n"
-                 "pool never heals (final_m stays short by the killed VMs).\n"
+                 "one check interval (30 s; see mttr_mean); the bare static\n"
+                 "pool never heals (final_instances stays short by the\n"
+                 "killed VMs).\n"
                  "The adaptive loop heals by itself at its next analysis\n"
                  "tick, so +rec mainly tightens its repair time.\n";
   }
@@ -133,16 +136,16 @@ int main(int argc, char** argv) {
     config.fault.straggler_prob = 0.15;
     const SimTime outage_start = config.horizon / 3.0;
     config.fault.outages.push_back({outage_start, outage_start + 3600.0});
-    print_fault_table(std::cout, run_policy_grid(config, seed));
+    print_metric_table(std::cout, run_policy_grid(config, seed), groups);
     std::cout
         << "\nReading: during the one-hour outage create_vm fails, so heals\n"
            "fall short and the reconciler escalates through its bounded\n"
-           "exponential backoff (retries column); if the outage outlasts the\n"
-           "retry budget it aborts once and degrades to plain interval\n"
-           "cadence — no retry storm, no deadlock — then restores the pool\n"
-           "when the outage lifts. Boot failures and timed-out stragglers\n"
-           "show up in the boot/timeout columns and are replaced the same\n"
-           "way as crashes.\n";
+           "exponential backoff (reconciler_retries); if the outage\n"
+           "outlasts the retry budget it aborts once and degrades to plain\n"
+           "interval cadence — no retry storm, no deadlock — then restores\n"
+           "the pool when the outage lifts. Boot failures and timed-out\n"
+           "stragglers show up in the boot_failures/boot_timeouts rows and\n"
+           "are replaced the same way as crashes.\n";
   }
   return 0;
 }

@@ -106,9 +106,9 @@ int main(int argc, char** argv) {
 
   ScenarioConfig config =
       web_scenario(smoke ? 0.05 : args.get_double("scale"));
-  config.horizon = smoke ? 16.0 * 3600.0
-                         : static_cast<double>(args.get_int("days")) * 86400.0;
-  config.web.horizon = config.horizon;
+  config.set_horizon(smoke
+                         ? 16.0 * 3600.0
+                         : static_cast<double>(args.get_int("days")) * 86400.0);
 
   // One-hour spike starting 14:00, (factor-1)x the base rate on top.
   WebWorkload base_model(config.web);

@@ -44,8 +44,7 @@ ScenarioConfig base_scenario(bool smoke) {
   ScenarioConfig config = web_scenario(smoke ? 0.02 : 0.05);
   if (smoke) {
     // CI smoke: 6 simulated hours instead of a day.
-    config.horizon = 6.0 * 3600.0;
-    config.web.horizon = config.horizon;
+    config.set_horizon(6.0 * 3600.0);
   }
   return config;
 }

@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   // --- Section 0 (smoke only): disabled apptier config must be inert ------
   if (smoke) {
     ScenarioConfig plain = zipf_scenario(scale);
-    plain.horizon = plain.zipf.horizon = horizon;
+    plain.set_horizon(horizon);
     ScenarioConfig touched = plain;
     touched.apptier.ttl = 5.0;               // enabled stays false:
     touched.apptier.cache_vms = 64;          // none of this may matter
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   std::vector<RunMetrics> sized;
   for (const bool tiers : {false, true}) {
     ScenarioConfig config = tiers ? tiered_config(scale) : zipf_scenario(scale);
-    config.horizon = config.zipf.horizon = horizon;
+    config.set_horizon(horizon);
     RunOutput output = run_scenario(config, adaptive, seed);
     const RunMetrics& m = output.metrics;
     sizing.add_row({tiers ? "tiered" : "single-tier",
@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
             : std::vector<double>{0.005, 0.01, 0.02, 0.04, 0.08};
   for (const double s : sweep_scales) {
     ScenarioConfig config = tiered_config(s);
-    config.horizon = config.zipf.horizon = horizon;
+    config.set_horizon(horizon);
     const RunMetrics m = run_scenario(config, adaptive, seed).metrics;
     const double lambda = s * config.zipf.base_rate;
     curve.add_row({fmt(s, 3), fmt(lambda, 1), fmt(m.cache_hit_ratio, 3),
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
   std::cout << "--- warmup transient: cache-VM crash at t=" << horizon / 2.0
             << " s ---\n";
   ScenarioConfig crash_config = tiered_config(scale);
-  crash_config.horizon = crash_config.zipf.horizon = horizon;
+  crash_config.set_horizon(horizon);
   const SimTime crash_at = horizon / 2.0;
   crash_config.apptier.cache_crash_at = {crash_at};
   RunOutput crash_run = run_scenario(crash_config, adaptive, seed);
@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
   std::cout << "--- TTL storm: directory flush at t=" << horizon / 2.0
             << " s ---\n";
   ScenarioConfig storm_config = tiered_config(scale);
-  storm_config.horizon = storm_config.zipf.horizon = horizon;
+  storm_config.set_horizon(horizon);
   const SimTime flush_at = horizon / 2.0;
   storm_config.apptier.flush_at = {flush_at};
   RunOutput storm_run = run_scenario(storm_config, adaptive, seed);

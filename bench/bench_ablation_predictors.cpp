@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
 
   ScenarioConfig config = web_scenario(args.get_double("scale"));
   const double horizon = static_cast<double>(args.get_int("days")) * 86400.0;
-  config.horizon = horizon;
-  config.web.horizon = horizon;
+  config.set_horizon(horizon);
   const auto reps = static_cast<std::size_t>(args.get_int("reps"));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
 

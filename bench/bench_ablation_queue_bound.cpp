@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
                    "avg_resp_ms", "p99_resp_ms", "violations"});
   for (double ts_ms : {150.0, 250.0, 450.0, 850.0, 1650.0}) {
     ScenarioConfig config = web_scenario(args.get_double("scale"));
-    config.horizon = horizon;
-    config.web.horizon = horizon;
+    config.set_horizon(horizon);
     config.qos.max_response_time = ts_ms / 1000.0;
     const std::size_t k =
         queue_bound(config.qos.max_response_time,

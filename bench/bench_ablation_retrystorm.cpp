@@ -62,8 +62,7 @@ constexpr SimTime kTriggerEnd = 5400.0;
 /// pool after the heal: 8 cores per host).
 ScenarioConfig base_config(double scale, SimTime horizon) {
   ScenarioConfig config = web_scenario(scale);
-  config.horizon = horizon;
-  config.web.horizon = horizon;
+  config.set_horizon(horizon);
   config.datacenter.host_count = 5;
   // Impatient clients with unbounded retries: the naive default.
   config.resilience.enabled = true;

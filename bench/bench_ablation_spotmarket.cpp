@@ -36,8 +36,7 @@ ScenarioConfig base_scenario(bool smoke) {
   ScenarioConfig config = web_scenario(smoke ? 0.02 : 0.05);
   if (smoke) {
     // CI smoke: 6 simulated hours instead of a day.
-    config.horizon = 6.0 * 3600.0;
-    config.web.horizon = config.horizon;
+    config.set_horizon(6.0 * 3600.0);
   }
   return config;
 }
@@ -64,6 +63,9 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 0;
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
   const bool smoke = args.get_bool("smoke");
+  // The sweep tables put QoS next to the bill and the revocations.
+  const std::vector<MetricGroup> groups{MetricGroup::kPaper,
+                                        MetricGroup::kMarket};
   const PolicySpec policy = PolicySpec::adaptive();
 
   // --- A: pure on-demand market is a strict no-op ------------------------
@@ -109,12 +111,13 @@ int main(int argc, char** argv) {
       m.policy += " spot=" + fmt(frac, 2);
       rows.push_back(std::move(m));
     }
-    print_market_table(std::cout, rows);
+    print_metric_table(std::cout, rows, groups);
     std::cout << "\nReading: the spot share trades billed cost against QoS —\n"
                  "each price spike past the bid revokes the whole spot slice,\n"
                  "draining VMs finish their in-flight requests inside the\n"
-                 "notice window, stragglers are hard-killed (kills/lost\n"
-                 "columns), and the reconciler heals the deficit on-demand.\n";
+                 "notice window, stragglers are hard-killed\n"
+                 "(revocation_kills, lost_to_revocations), and the\n"
+                 "reconciler heals the deficit on-demand.\n";
   }
 
   // --- C: bid-strategy sweep at a fixed spot share -----------------------
@@ -130,7 +133,7 @@ int main(int argc, char** argv) {
       m.policy += " bid=" + fmt(bid, 2);
       rows.push_back(std::move(m));
     }
-    print_market_table(std::cout, rows);
+    print_metric_table(std::cout, rows, groups);
     std::cout << "\nReading: a bid near the calm price is revoked by every\n"
                  "minor fluctuation; raising it buys stability but chases the\n"
                  "realized spot price upward — above the spike ceiling the\n"

@@ -195,8 +195,7 @@ BENCHMARK(BM_ProfilerOverhead)->Arg(0)->Arg(1)
 void BM_WorldSnapshotClone(benchmark::State& state) {
   const auto hours = static_cast<double>(state.range(0));
   ScenarioConfig config = web_scenario(0.02);
-  config.horizon = 86400.0;
-  config.web.horizon = config.horizon;
+  config.set_horizon(86400.0);
   World world(config, PolicySpec::adaptive(), 42);
   world.start();
   world.run_to(hours * 3600.0);

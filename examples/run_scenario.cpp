@@ -305,9 +305,6 @@ ArgParser make_args() {
                 "seeded cache-VM crash times \"t0[,t1...]\" in seconds "
                 "(slot remap invalidates resident entries: warmup transient)",
                 "<spec>");
-  args.add_flag("apptier-out", "",
-                "write the per-replication cache-tier metrics as CSV here",
-                "<path>");
   args.add_flag("lookahead", "",
                 "model-predictive provisioning \"K,H\": at each analysis "
                 "window fork up to K what-if clones of the world, score each "
@@ -369,9 +366,6 @@ ArgParser make_args() {
                 "\"brownout[:util[:frac[:prio]]]\" (e.g. "
                 "deadline,brownout:0.9:0.5:1)",
                 "<spec>");
-  args.add_flag("resilience-out", "",
-                "write the per-replication resilience metrics as CSV here",
-                "<path>");
   args.add_flag("market", "false",
                 "buy capacity from the IaaS market (src/market) instead of "
                 "conjuring uniform VMs; implied by the other market flags");
@@ -394,6 +388,10 @@ ArgParser make_args() {
                 "replication 0 as CSV here",
                 "<path>");
   args.add_flag("csv", "", "write aggregate metrics CSV here", "<path>");
+  args.add_flag("runs-out", "",
+                "write every replication's metrics as CSV here: policy, then "
+                "each metric the manifest lists",
+                "<path>");
   args.add_flag("decisions", "", "write the adaptive decision timeline CSV here",
                 "<path>");
   args.add_flag("trace-out", "",
@@ -499,10 +497,7 @@ int run(const ArgParser& args) {
   ScenarioConfig config =
       make_scenario(args.get_string("workload"), args.get_double("scale"));
   if (const std::size_t days = args.get_count("days"); days > 0) {
-    config.horizon = static_cast<double>(days) * 86400.0;
-    config.web.horizon = config.horizon;
-    config.bot.horizon = config.horizon;
-    config.zipf.horizon = config.horizon;
+    config.set_horizon(static_cast<double>(days) * 86400.0);
   }
   config.zipf.alpha = args.get_double("zipf");
   config.zipf.num_keys = args.get_count("keys");
@@ -790,40 +785,32 @@ int run(const ArgParser& args) {
   std::cout << "\n95% CIs: rejection " << fmt_ci(agg.rejection_rate, 4)
             << ", utilization " << fmt_ci(agg.utilization, 3) << ", VM-hours "
             << fmt_ci(agg.vm_hours, 1) << '\n';
-  if (config.fault.enabled() || config.reconciler.enabled) {
-    std::cout << "\nfault injection / self-healing (per replication):\n";
-    print_fault_table(std::cout, runs);
+  const bool faults = config.fault.enabled() || config.reconciler.enabled;
+  std::vector<MetricGroup> layers;
+  if (faults) layers.push_back(MetricGroup::kFault);
+  if (config.market.enabled) layers.push_back(MetricGroup::kMarket);
+  if (config.resilience.enabled) layers.push_back(MetricGroup::kResilience);
+  if (config.apptier.enabled) layers.push_back(MetricGroup::kApptier);
+  if (!layers.empty()) {
+    std::cout << "\nenabled layers (per replication):\n";
+    print_metric_table(std::cout, runs, layers);
+  }
+  if (faults) {
     std::cout << "availability " << fmt_ci(agg.availability, 4) << " (95% CI)\n";
   }
   if (config.market.enabled) {
-    std::cout << "\nIaaS market (per replication):\n";
-    print_market_table(std::cout, runs);
     std::cout << "billed cost " << fmt_ci(agg.billed_cost, 2) << " (95% CI)\n";
-  }
-  if (config.resilience.enabled) {
-    std::cout << "\nrequest-path resilience (per replication):\n";
-    print_resilience_table(std::cout, runs);
-  }
-  if (const std::string path = args.get_string("resilience-out");
-      !path.empty()) {
-    std::ofstream out(path);
-    write_resilience_csv(out, runs);
-    std::cout << "resilience metrics written to " << path << '\n';
-  }
-  if (config.apptier.enabled) {
-    std::cout << "\nmulti-tier cache (per replication):\n";
-    print_apptier_table(std::cout, runs);
-  }
-  if (const std::string path = args.get_string("apptier-out"); !path.empty()) {
-    std::ofstream out(path);
-    write_apptier_csv(out, runs);
-    std::cout << "cache-tier metrics written to " << path << '\n';
   }
 
   if (const std::string path = args.get_string("csv"); !path.empty()) {
     std::ofstream out(path);
     write_policy_csv(out, {agg});
     std::cout << "metrics CSV written to " << path << '\n';
+  }
+  if (const std::string path = args.get_string("runs-out"); !path.empty()) {
+    std::ofstream out(path);
+    write_runs_csv(out, runs);
+    std::cout << "per-replication metrics written to " << path << '\n';
   }
   if (!decisions_path.empty() && !decisions.empty()) {
     write_decisions_csv(decisions_path, decisions);
@@ -836,7 +823,11 @@ int run(const ArgParser& args) {
               << market_report->spot_path.size() << " price points)\n";
   }
   if (telemetry != nullptr) {
-    print_observability_summary(std::cout, instrumented);
+    if (sample_rate > 0.0 || !drift_path.empty() || !slo_path.empty()) {
+      std::cout << "\nobservability (replication 0):\n";
+      print_metric_table(std::cout, {instrumented},
+                         {MetricGroup::kObservability});
+    }
     if (!trace_path.empty()) {
       ProfileScope profile_export(prof, ProfileCategory::kExportTrace);
       std::ofstream out(trace_path);

@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
   const int days = argc > 2 ? std::atoi(argv[2]) : 2;
 
   ScenarioConfig config = web_scenario(scale);
-  config.horizon = days * duration::kDay;
-  config.web.horizon = config.horizon;
+  config.set_horizon(days * duration::kDay);
 
   Simulation sim;
   Datacenter datacenter(sim, config.datacenter,

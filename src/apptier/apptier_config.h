@@ -11,9 +11,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "cloud/vm.h"
-#include "core/performance_modeler.h"
-#include "core/qos.h"
 #include "util/units.h"
 
 namespace cloudprov {
@@ -22,14 +19,9 @@ struct ApptierConfig {
   bool enabled = false;
 
   // --- cache pool (its own datacenter + provisioner) ----------------------
-  /// Shape of a cache VM; cache VMs are deliberately cheap (paper-shape 1
-  /// core) and sized by directory capacity, not compute.
-  VmSpec cache_vm_spec;
   /// Directory entries one cache VM holds; total capacity scales with the
   /// active cache pool, so scale-downs and crashes shed the LRU tail.
   std::size_t cache_capacity_per_vm = 4096;
-  /// Tm seed for the cache pool before its first completion.
-  double initial_cache_service_estimate = 0.011;
 
   /// Time-to-live of a cache fill (lazy expiry at lookup).
   SimTime ttl = 300.0;
@@ -37,19 +29,6 @@ struct ApptierConfig {
   /// Initial / static cache pool size (static policy keeps it fixed; the
   /// tiered provisioner re-plans it every analysis window).
   std::size_t cache_vms = 4;
-
-  /// Algorithm 1 configuration for the cache tier (the backend keeps the
-  /// scenario's main modeler config).
-  ModelerConfig cache_modeler;
-  /// Cache tier's own response-time target (hits should be fast).
-  QosTargets cache_qos{0.050, 0.0, 0.5};
-
-  /// EWMA weight of the latest window's hit ratio in the planning estimate
-  /// h that derives the backend offered load lambda_miss = lambda * (1 - h).
-  double hit_ewma_alpha = 0.3;
-  /// Planning hit ratio assumed for the cache pool before the first window
-  /// closes (the backend conservatively assumes h = 0 until then).
-  double assumed_hit_ratio = 0.5;
 
   // --- seeded chaos -------------------------------------------------------
   /// Crash one cache VM at each time (warmup-transient experiments: the

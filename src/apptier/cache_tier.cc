@@ -171,11 +171,6 @@ CacheTier::CacheTier(Simulation& sim, const ApptierConfig& config,
   ensure_arg(config_.cache_capacity_per_vm > 0,
              "CacheTier: capacity per VM must be > 0");
   ensure_arg(config_.ttl > 0.0, "CacheTier: ttl must be > 0");
-  ensure_arg(config_.hit_ewma_alpha > 0.0 && config_.hit_ewma_alpha <= 1.0,
-             "CacheTier: hit_ewma_alpha must be in (0, 1]");
-  ensure_arg(
-      config_.assumed_hit_ratio >= 0.0 && config_.assumed_hit_ratio < 1.0,
-      "CacheTier: assumed_hit_ratio must be in [0, 1)");
   // Chain completion listeners: the tier interposes after whatever is
   // already installed (the resilience gateway registers first), so both see
   // every completion in a fixed order — tier accounting/fill, then chain.
@@ -266,8 +261,7 @@ double CacheTier::fold_window() {
     state_.hit_ewma =
         state_.hit_ewma < 0.0
             ? ratio
-            : config_.hit_ewma_alpha * ratio +
-                  (1.0 - config_.hit_ewma_alpha) * state_.hit_ewma;
+            : kHitEwmaAlpha * ratio + (1.0 - kHitEwmaAlpha) * state_.hit_ewma;
     state_.window_hits = 0;
     state_.window_lookups = 0;
   }
@@ -290,7 +284,7 @@ double CacheTier::hit_ratio() const {
 }
 
 double CacheTier::planning_hit_ratio() const {
-  return state_.hit_ewma >= 0.0 ? state_.hit_ewma : config_.assumed_hit_ratio;
+  return state_.hit_ewma >= 0.0 ? state_.hit_ewma : kAssumedHitRatio;
 }
 
 void CacheTier::on_cache_complete(const Request& request,

@@ -173,6 +173,13 @@ class CacheDirectory {
 
 class CacheTier final : public RequestSink {
  public:
+  /// Planning hit ratio assumed for the cache pool before the first window
+  /// closes (the backend conservatively assumes h = 0 until then).
+  static constexpr double kAssumedHitRatio = 0.5;
+  /// EWMA weight of the latest window's hit ratio in the planning estimate
+  /// h that derives the backend offered load lambda_miss = lambda * (1 - h).
+  static constexpr double kHitEwmaAlpha = 0.3;
+
   /// `backend_sink` is where misses go (the resilience gateway when enabled,
   /// else the backend provisioner); `backend_pool` is the pool whose
   /// completion listener is wrapped for cache fills. The tier chains any

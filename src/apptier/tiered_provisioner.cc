@@ -30,7 +30,8 @@ void TieredProvisioner::bind(ApplicationProvisioner& backend,
   cache_ = &cache;
   tier_ = &tier;
   backend_modeler_.emplace(backend.qos(), backend_modeler_config_);
-  cache_modeler_.emplace(cache.qos(), config_.cache_modeler);
+  // The cache tier plans with Algorithm 1's default configuration.
+  cache_modeler_.emplace(cache.qos(), ModelerConfig{});
   analyzer_.emplace(
       sim_, [&tier] { return tier.take_window_arrivals(); }, predictor_,
       analyzer_config_);
@@ -74,8 +75,7 @@ void TieredProvisioner::on_rate_alert(SimTime t, double expected_rate) {
   const double ewma = tier_->fold_window();
   // The cache plans with the assumed warmup ratio until real windows exist;
   // the backend stays conservative (h = 0) so a cold cache cannot starve it.
-  const double h_cache =
-      ewma >= 0.0 ? ewma : config_.assumed_hit_ratio;
+  const double h_cache = ewma >= 0.0 ? ewma : CacheTier::kAssumedHitRatio;
   const double h_backend = ewma >= 0.0 ? ewma : 0.0;
 
   // --- cache tier: Algorithm 1 at the hit flow ---------------------------

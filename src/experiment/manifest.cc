@@ -4,6 +4,7 @@
 #include <sstream>
 #include <type_traits>
 
+#include "apptier/cache_tier.h"
 #include "experiment/multi_tenant.h"
 #include "lookahead/world_state.h"
 #include "profile/build_info.h"
@@ -49,7 +50,8 @@ class JsonObject {
 
 void write_metrics(JsonObject& obj, const RunMetrics& m) {
   obj.str("policy", m.policy);
-  for_each_metric(m, [&](const char* name, const auto& value, MetricDirection) {
+  for_each_metric(m, [&](const char* name, const auto& value, MetricDirection,
+                         MetricGroup) {
     if constexpr (std::is_same_v<std::decay_t<decltype(value)>, double>) {
       obj.num(name, value);
     } else {
@@ -62,7 +64,7 @@ void write_metrics(JsonObject& obj, const RunMetrics& m) {
 /// metric name lists of its own. Neutral metrics are omitted.
 void write_metric_directions(JsonObject& obj) {
   for_each_metric(RunMetrics{}, [&](const char* name, const auto&,
-                                    MetricDirection direction) {
+                                    MetricDirection direction, MetricGroup) {
     if (direction == MetricDirection::kHigherIsWorse) {
       obj.str(name, "higher_is_worse");
     } else if (direction == MetricDirection::kLowerIsWorse) {
@@ -96,7 +98,7 @@ void write_scenario(JsonObject& obj, const ScenarioConfig& config) {
     obj.num("cache_ttl", config.apptier.ttl);
     obj.uint("cache_vms", config.apptier.cache_vms);
     obj.uint("cache_capacity_per_vm", config.apptier.cache_capacity_per_vm);
-    obj.num("assumed_hit_ratio", config.apptier.assumed_hit_ratio);
+    obj.num("assumed_hit_ratio", CacheTier::kAssumedHitRatio);
     obj.uint("cache_flush_events", config.apptier.flush_at.size());
     obj.uint("cache_crash_events", config.apptier.cache_crash_at.size());
   }

@@ -59,12 +59,13 @@ std::vector<std::string> metric_differences(
     std::string text;
   };
   std::vector<Value> expected;
-  for_each_metric(b, [&](const char*, const auto& value, MetricDirection) {
+  for_each_metric(b, [&](const char*, const auto& value, MetricDirection,
+                         MetricGroup) {
     expected.push_back({metric_bits(value), metric_text(value)});
   });
   std::size_t i = 0;
   for_each_metric(a, [&](const char* name, const auto& value,
-                         MetricDirection) {
+                         MetricDirection, MetricGroup) {
     const Value& other = expected[i++];
     if (!allowed(name) && metric_bits(value) != other.bits) {
       differences.push_back(std::string(name) + ": " + metric_text(value) +

@@ -6,10 +6,12 @@
 // resource utilization — plus simulator-side diagnostics (events, wall time).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "stats/confidence.h"
@@ -142,99 +144,120 @@ struct RunMetrics {
 /// bookkeeping that just moves with the scenario.
 enum class MetricDirection { kNeutral, kHigherIsWorse, kLowerIsWorse };
 
-/// The RunMetrics schema: calls f(name, value, direction) for every numeric
-/// member, in declaration order, with value a const std::uint64_t& or
-/// const double&. The manifest's metrics and metric_directions blocks and
-/// the tests' bitwise equality helper walk it, so adding a metric is one
-/// member above plus one line here (a test fails if a member is missing).
-template <typename F>
-void for_each_metric(const RunMetrics& m, F&& f) {
+/// The layer a metric belongs to: the RunMetrics comment block it sits in.
+/// The report table prints the metrics of chosen groups.
+enum class MetricGroup {
+  kPaper,
+  kFault,
+  kObservability,
+  kMarket,
+  kResilience,
+  kTenancy,
+  kApptier,
+  kDiagnostics
+};
+
+/// The RunMetrics schema: calls f(name, value, direction, group) for every
+/// numeric member, in declaration order, with value a std::uint64_t& or
+/// double& (const when `m` is). The manifest's metrics and
+/// metric_directions blocks, the report tables and run CSVs, the
+/// multi-tenant rollup and the tests' bitwise equality helper walk it, so
+/// adding a metric is one member above plus one line here (a test fails if a
+/// member is missing).
+template <typename Metrics, typename F>
+  requires std::same_as<std::remove_cvref_t<Metrics>, RunMetrics>
+void for_each_metric(Metrics&& m, F&& f) {
   using enum MetricDirection;
-  f("seed", m.seed, kNeutral);
-  f("generated", m.generated, kNeutral);
-  f("accepted", m.accepted, kNeutral);
-  f("rejected", m.rejected, kHigherIsWorse);
-  f("completed", m.completed, kLowerIsWorse);
-  f("qos_violations", m.qos_violations, kHigherIsWorse);
-  f("avg_response_time", m.avg_response_time, kHigherIsWorse);
-  f("std_response_time", m.std_response_time, kHigherIsWorse);
-  f("p95_response_time", m.p95_response_time, kHigherIsWorse);
-  f("p99_response_time", m.p99_response_time, kHigherIsWorse);
-  f("min_instances", m.min_instances, kNeutral);
-  f("max_instances", m.max_instances, kNeutral);
-  f("avg_instances", m.avg_instances, kNeutral);
-  f("vm_hours", m.vm_hours, kNeutral);
-  f("busy_vm_hours", m.busy_vm_hours, kNeutral);
-  f("utilization", m.utilization, kLowerIsWorse);
-  f("rejection_rate", m.rejection_rate, kHigherIsWorse);
-  f("instance_failures", m.instance_failures, kNeutral);
-  f("vm_crashes", m.vm_crashes, kNeutral);
-  f("host_crashes", m.host_crashes, kNeutral);
-  f("boot_failures", m.boot_failures, kNeutral);
-  f("boot_timeouts", m.boot_timeouts, kNeutral);
-  f("lost_requests", m.lost_requests, kHigherIsWorse);
-  f("lost_to_vm_crashes", m.lost_to_vm_crashes, kNeutral);
-  f("lost_to_host_crashes", m.lost_to_host_crashes, kNeutral);
-  f("availability", m.availability, kLowerIsWorse);
-  f("recoveries", m.recoveries, kNeutral);
-  f("mttr_mean", m.mttr_mean, kNeutral);
-  f("mttr_max", m.mttr_max, kNeutral);
-  f("reconciler_heals", m.reconciler_heals, kNeutral);
-  f("reconciler_retries", m.reconciler_retries, kNeutral);
-  f("reconciler_aborts", m.reconciler_aborts, kNeutral);
-  f("final_instances", m.final_instances, kNeutral);
-  f("slo_response_alerts", m.slo_response_alerts, kHigherIsWorse);
-  f("slo_rejection_alerts", m.slo_rejection_alerts, kHigherIsWorse);
-  f("slo_worst_burn_rate", m.slo_worst_burn_rate, kNeutral);
-  f("drift_windows", m.drift_windows, kNeutral);
-  f("drift_response_mape", m.drift_response_mape, kHigherIsWorse);
-  f("drift_response_bias", m.drift_response_bias, kNeutral);
-  f("spans_traced", m.spans_traced, kNeutral);
-  f("billed_cost", m.billed_cost, kHigherIsWorse);
-  f("on_demand_cost", m.on_demand_cost, kNeutral);
-  f("spot_cost", m.spot_cost, kNeutral);
-  f("reserved_cost", m.reserved_cost, kNeutral);
-  f("on_demand_purchases", m.on_demand_purchases, kNeutral);
-  f("spot_purchases", m.spot_purchases, kNeutral);
-  f("reserved_purchases", m.reserved_purchases, kNeutral);
-  f("spot_revocations", m.spot_revocations, kNeutral);
-  f("revocation_kills", m.revocation_kills, kNeutral);
-  f("lost_to_revocations", m.lost_to_revocations, kNeutral);
-  f("spot_price_mean", m.spot_price_mean, kNeutral);
-  f("spot_price_max", m.spot_price_max, kNeutral);
-  f("client_requests", m.client_requests, kNeutral);
-  f("client_succeeded", m.client_succeeded, kLowerIsWorse);
-  f("client_failed", m.client_failed, kHigherIsWorse);
-  f("client_attempts", m.client_attempts, kNeutral);
-  f("client_retries", m.client_retries, kNeutral);
-  f("retry_budget_denied", m.retry_budget_denied, kHigherIsWorse);
-  f("client_timeouts", m.client_timeouts, kHigherIsWorse);
-  f("wasted_completions", m.wasted_completions, kNeutral);
-  f("breaker_opens", m.breaker_opens, kNeutral);
-  f("breaker_half_opens", m.breaker_half_opens, kNeutral);
-  f("breaker_closes", m.breaker_closes, kNeutral);
-  f("breaker_fast_fails", m.breaker_fast_fails, kHigherIsWorse);
-  f("shed_deadline", m.shed_deadline, kNeutral);
-  f("shed_brownout", m.shed_brownout, kNeutral);
-  f("capacity_clips", m.capacity_clips, kNeutral);
-  f("capacity_denied", m.capacity_denied, kNeutral);
-  f("cache_hits", m.cache_hits, kNeutral);
-  f("cache_misses", m.cache_misses, kNeutral);
-  f("cache_hit_ratio", m.cache_hit_ratio, kLowerIsWorse);
-  f("cache_fills", m.cache_fills, kNeutral);
-  f("cache_evictions", m.cache_evictions, kNeutral);
-  f("cache_expirations", m.cache_expirations, kNeutral);
-  f("cache_invalidations", m.cache_invalidations, kNeutral);
-  f("cache_flushes", m.cache_flushes, kNeutral);
-  f("cache_vm_hours", m.cache_vm_hours, kNeutral);
-  f("cache_utilization", m.cache_utilization, kNeutral);
-  f("cache_avg_instances", m.cache_avg_instances, kNeutral);
-  f("cache_final_instances", m.cache_final_instances, kNeutral);
-  f("lambda_miss_mean", m.lambda_miss_mean, kHigherIsWorse);
-  f("cache_avg_response_time", m.cache_avg_response_time, kNeutral);
-  f("backend_avg_response_time", m.backend_avg_response_time, kNeutral);
-  f("simulated_events", m.simulated_events, kNeutral);
-  f("wall_seconds", m.wall_seconds, kNeutral);
+  using enum MetricGroup;
+  f("seed", m.seed, kNeutral, kPaper);
+  f("generated", m.generated, kNeutral, kPaper);
+  f("accepted", m.accepted, kNeutral, kPaper);
+  f("rejected", m.rejected, kHigherIsWorse, kPaper);
+  f("completed", m.completed, kLowerIsWorse, kPaper);
+  f("qos_violations", m.qos_violations, kHigherIsWorse, kPaper);
+  f("avg_response_time", m.avg_response_time, kHigherIsWorse, kPaper);
+  f("std_response_time", m.std_response_time, kHigherIsWorse, kPaper);
+  f("p95_response_time", m.p95_response_time, kHigherIsWorse, kPaper);
+  f("p99_response_time", m.p99_response_time, kHigherIsWorse, kPaper);
+  f("min_instances", m.min_instances, kNeutral, kPaper);
+  f("max_instances", m.max_instances, kNeutral, kPaper);
+  f("avg_instances", m.avg_instances, kNeutral, kPaper);
+  f("vm_hours", m.vm_hours, kNeutral, kPaper);
+  f("busy_vm_hours", m.busy_vm_hours, kNeutral, kPaper);
+  f("utilization", m.utilization, kLowerIsWorse, kPaper);
+  f("rejection_rate", m.rejection_rate, kHigherIsWorse, kPaper);
+  f("instance_failures", m.instance_failures, kNeutral, kFault);
+  f("vm_crashes", m.vm_crashes, kNeutral, kFault);
+  f("host_crashes", m.host_crashes, kNeutral, kFault);
+  f("boot_failures", m.boot_failures, kNeutral, kFault);
+  f("boot_timeouts", m.boot_timeouts, kNeutral, kFault);
+  f("lost_requests", m.lost_requests, kHigherIsWorse, kFault);
+  f("lost_to_vm_crashes", m.lost_to_vm_crashes, kNeutral, kFault);
+  f("lost_to_host_crashes", m.lost_to_host_crashes, kNeutral, kFault);
+  f("availability", m.availability, kLowerIsWorse, kFault);
+  f("recoveries", m.recoveries, kNeutral, kFault);
+  f("mttr_mean", m.mttr_mean, kNeutral, kFault);
+  f("mttr_max", m.mttr_max, kNeutral, kFault);
+  f("reconciler_heals", m.reconciler_heals, kNeutral, kFault);
+  f("reconciler_retries", m.reconciler_retries, kNeutral, kFault);
+  f("reconciler_aborts", m.reconciler_aborts, kNeutral, kFault);
+  f("final_instances", m.final_instances, kNeutral, kFault);
+  f("slo_response_alerts", m.slo_response_alerts, kHigherIsWorse,
+    kObservability);
+  f("slo_rejection_alerts", m.slo_rejection_alerts, kHigherIsWorse,
+    kObservability);
+  f("slo_worst_burn_rate", m.slo_worst_burn_rate, kNeutral, kObservability);
+  f("drift_windows", m.drift_windows, kNeutral, kObservability);
+  f("drift_response_mape", m.drift_response_mape, kHigherIsWorse,
+    kObservability);
+  f("drift_response_bias", m.drift_response_bias, kNeutral, kObservability);
+  f("spans_traced", m.spans_traced, kNeutral, kObservability);
+  f("billed_cost", m.billed_cost, kHigherIsWorse, kMarket);
+  f("on_demand_cost", m.on_demand_cost, kNeutral, kMarket);
+  f("spot_cost", m.spot_cost, kNeutral, kMarket);
+  f("reserved_cost", m.reserved_cost, kNeutral, kMarket);
+  f("on_demand_purchases", m.on_demand_purchases, kNeutral, kMarket);
+  f("spot_purchases", m.spot_purchases, kNeutral, kMarket);
+  f("reserved_purchases", m.reserved_purchases, kNeutral, kMarket);
+  f("spot_revocations", m.spot_revocations, kNeutral, kMarket);
+  f("revocation_kills", m.revocation_kills, kNeutral, kMarket);
+  f("lost_to_revocations", m.lost_to_revocations, kNeutral, kMarket);
+  f("spot_price_mean", m.spot_price_mean, kNeutral, kMarket);
+  f("spot_price_max", m.spot_price_max, kNeutral, kMarket);
+  f("client_requests", m.client_requests, kNeutral, kResilience);
+  f("client_succeeded", m.client_succeeded, kLowerIsWorse, kResilience);
+  f("client_failed", m.client_failed, kHigherIsWorse, kResilience);
+  f("client_attempts", m.client_attempts, kNeutral, kResilience);
+  f("client_retries", m.client_retries, kNeutral, kResilience);
+  f("retry_budget_denied", m.retry_budget_denied, kHigherIsWorse, kResilience);
+  f("client_timeouts", m.client_timeouts, kHigherIsWorse, kResilience);
+  f("wasted_completions", m.wasted_completions, kNeutral, kResilience);
+  f("breaker_opens", m.breaker_opens, kNeutral, kResilience);
+  f("breaker_half_opens", m.breaker_half_opens, kNeutral, kResilience);
+  f("breaker_closes", m.breaker_closes, kNeutral, kResilience);
+  f("breaker_fast_fails", m.breaker_fast_fails, kHigherIsWorse, kResilience);
+  f("shed_deadline", m.shed_deadline, kNeutral, kResilience);
+  f("shed_brownout", m.shed_brownout, kNeutral, kResilience);
+  f("capacity_clips", m.capacity_clips, kNeutral, kTenancy);
+  f("capacity_denied", m.capacity_denied, kNeutral, kTenancy);
+  f("cache_hits", m.cache_hits, kNeutral, kApptier);
+  f("cache_misses", m.cache_misses, kNeutral, kApptier);
+  f("cache_hit_ratio", m.cache_hit_ratio, kLowerIsWorse, kApptier);
+  f("cache_fills", m.cache_fills, kNeutral, kApptier);
+  f("cache_evictions", m.cache_evictions, kNeutral, kApptier);
+  f("cache_expirations", m.cache_expirations, kNeutral, kApptier);
+  f("cache_invalidations", m.cache_invalidations, kNeutral, kApptier);
+  f("cache_flushes", m.cache_flushes, kNeutral, kApptier);
+  f("cache_vm_hours", m.cache_vm_hours, kNeutral, kApptier);
+  f("cache_utilization", m.cache_utilization, kNeutral, kApptier);
+  f("cache_avg_instances", m.cache_avg_instances, kNeutral, kApptier);
+  f("cache_final_instances", m.cache_final_instances, kNeutral, kApptier);
+  f("lambda_miss_mean", m.lambda_miss_mean, kHigherIsWorse, kApptier);
+  f("cache_avg_response_time", m.cache_avg_response_time, kNeutral, kApptier);
+  f("backend_avg_response_time", m.backend_avg_response_time, kNeutral,
+    kApptier);
+  f("simulated_events", m.simulated_events, kNeutral, kDiagnostics);
+  f("wall_seconds", m.wall_seconds, kNeutral, kDiagnostics);
 }
 
 /// One "name: a vs b" line per metric whose values in `a` and `b` differ:

@@ -4,8 +4,10 @@
 #include <chrono>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <utility>
 
+#include "experiment/report.h"
 #include "experiment/world.h"
 #include "profile/wall_profiler.h"
 #include "sim/shard_executor.h"
@@ -19,6 +21,30 @@ namespace {
 /// Salt for the shared spot-price stream, so the one market trajectory every
 /// tenant prices against is independent of any tenant's own streams.
 constexpr std::uint64_t kSharedMarketSalt = 0x5ca1'ab1e'0ddb'a11ULL;
+
+/// Sets every std::uint64_t metric of `into` to the tenants' sum.
+void sum_counters(const std::vector<TenantResult>& tenants, RunMetrics& into) {
+  std::vector<std::uint64_t> sums;  // in visit order
+  for (const TenantResult& tenant : tenants) {
+    std::size_t i = 0;
+    for_each_metric(tenant.metrics, [&](const char*, const auto& value,
+                                        MetricDirection, MetricGroup) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                   std::uint64_t>) {
+        if (i == sums.size()) sums.push_back(0);
+        sums[i++] += value;
+      }
+    });
+  }
+  std::size_t i = 0;
+  for_each_metric(into, [&](const char*, auto& value, MetricDirection,
+                            MetricGroup) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                 std::uint64_t>) {
+      value = sums[i++];
+    }
+  });
+}
 
 }  // namespace
 
@@ -69,7 +95,9 @@ std::vector<TenantSpec> multi_tenant_specs(const MultiTenantConfig& config) {
                     : zipf ? zipf_scenario(scale)
                            : web_scenario(scale);
     if (zipf && config.zipf_tiers) spec.scenario.apptier.enabled = true;
-    spec.scenario.horizon = config.horizon;
+    // Horizon 0 builds the tenants without running them; their sources then
+    // keep their default horizons (a source's horizon must be positive).
+    if (config.horizon > 0.0) spec.scenario.set_horizon(config.horizon);
     spec.scenario.qos.max_response_time *=
         jitter.uniform(1.0, 1.0 + config.qos_spread);
 
@@ -227,13 +255,8 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
       last = now;
     }
   };
-  const auto commit = [&](SimTime t) {
-    // Serial barrier section: every worker is parked (their barrier-enter
-    // scopes happened-before this through the barrier mutex), so reading
-    // desires, writing grants, and draining worker batches/profilers is
-    // race-free.
-    ProfileScope scope(options.profiler, ProfileCategory::kArbiter);
-    arbitrate_now();
+  // Moves every shard's pending batch into one fleet row stamped `t`.
+  const auto drain_batches = [&](SimTime t) {
     FleetWindowSample row;
     row.t = t;
     for (Shard& shard : shards) {
@@ -247,6 +270,15 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
       shard.batch = FleetWindowSample{};
     }
     window_series.push_back(row);
+  };
+  const auto commit = [&](SimTime t) {
+    // Serial barrier section: every worker is parked (their barrier-enter
+    // scopes happened-before this through the barrier mutex), so reading
+    // desires, writing grants, and draining worker batches/profilers is
+    // race-free.
+    ProfileScope scope(options.profiler, ProfileCategory::kArbiter);
+    arbitrate_now();
+    drain_batches(t);
     if (options.profiler != nullptr) {
       for (Shard& shard : shards) {
         shard.profiler->drain_into(*options.profiler);
@@ -269,21 +301,7 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
   // The executor never commits at the horizon itself, so the final
   // window's shard batches are still pending; workers have joined, making
   // this tail drain race-free. The series therefore has windows + 1 rows.
-  if (config.horizon > 0.0) {
-    FleetWindowSample tail;
-    tail.t = config.horizon;
-    for (Shard& shard : shards) {
-      tail.generated += shard.batch.generated;
-      tail.accepted += shard.batch.accepted;
-      tail.rejected += shard.batch.rejected;
-      tail.completed += shard.batch.completed;
-      tail.qos_violations += shard.batch.qos_violations;
-      tail.cache_hits += shard.batch.cache_hits;
-      tail.cache_misses += shard.batch.cache_misses;
-      shard.batch = FleetWindowSample{};
-    }
-    window_series.push_back(tail);
-  }
+  if (config.horizon > 0.0) drain_batches(config.horizon);
   result.window_series = std::move(window_series);
   result.shards = shard_count;
   result.capacity = arbiter.capacity();
@@ -319,17 +337,15 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
   // Cross-tenant rollup (see MultiTenantResult for the conventions).
   RunMetrics& agg = result.aggregate;
   agg.policy = "multi-tenant(" + std::to_string(tenant_count) + ")";
+  sum_counters(result.tenants, agg);
+  // The seed and the executed events are the run's, not the tenants' sum.
   agg.seed = config.seed;
+  agg.simulated_events = result.simulated_events;
   double response_sum = 0.0;
   double response_weight = 0.0;
   double availability_sum = 0.0;
   for (const TenantResult& tenant : result.tenants) {
     const RunMetrics& m = tenant.metrics;
-    agg.generated += m.generated;
-    agg.accepted += m.accepted;
-    agg.rejected += m.rejected;
-    agg.completed += m.completed;
-    agg.qos_violations += m.qos_violations;
     response_sum += m.avg_response_time * static_cast<double>(m.completed);
     response_weight += static_cast<double>(m.completed);
     agg.min_instances += m.min_instances;
@@ -337,26 +353,11 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
     agg.avg_instances += m.avg_instances;
     agg.vm_hours += m.vm_hours;
     agg.busy_vm_hours += m.busy_vm_hours;
-    agg.instance_failures += m.instance_failures;
-    agg.lost_requests += m.lost_requests;
     availability_sum += m.availability;
-    agg.final_instances += m.final_instances;
-    agg.capacity_clips += m.capacity_clips;
-    agg.capacity_denied += m.capacity_denied;
     agg.billed_cost += m.billed_cost;
     agg.on_demand_cost += m.on_demand_cost;
     agg.spot_cost += m.spot_cost;
     agg.reserved_cost += m.reserved_cost;
-    agg.on_demand_purchases += m.on_demand_purchases;
-    agg.spot_purchases += m.spot_purchases;
-    agg.reserved_purchases += m.reserved_purchases;
-    agg.spot_revocations += m.spot_revocations;
-    agg.revocation_kills += m.revocation_kills;
-    agg.lost_to_revocations += m.lost_to_revocations;
-    agg.spans_traced += m.spans_traced;
-    agg.cache_hits += m.cache_hits;
-    agg.cache_misses += m.cache_misses;
-    agg.cache_fills += m.cache_fills;
     agg.cache_vm_hours += m.cache_vm_hours;
   }
   if (agg.cache_hits + agg.cache_misses > 0) {
@@ -380,31 +381,18 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
     agg.spot_price_mean = result.tenants.front().metrics.spot_price_mean;
     agg.spot_price_max = result.tenants.front().metrics.spot_price_max;
   }
-  agg.simulated_events = result.simulated_events;
   agg.wall_seconds = result.wall_seconds;
   return result;
 }
 
 void write_tenant_csv(std::ostream& out, const MultiTenantResult& result) {
-  out << "tenant,kind,seed,generated,accepted,rejected,completed,"
-         "qos_violations,avg_response_time,p95_response_time,"
-         "p99_response_time,avg_instances,max_instances,final_instances,"
-         "vm_hours,utilization,rejection_rate,capacity_clips,"
-         "capacity_denied,billed_cost,spans_traced\n";
-  const auto precision = out.precision(17);
+  std::vector<RunMetrics> runs;
+  std::vector<std::vector<std::string>> keys;
   for (const TenantResult& tenant : result.tenants) {
-    const RunMetrics& m = tenant.metrics;
-    out << tenant.id << ',' << to_string(tenant.kind) << ',' << m.seed << ','
-        << m.generated << ',' << m.accepted << ',' << m.rejected << ','
-        << m.completed << ',' << m.qos_violations << ','
-        << m.avg_response_time << ',' << m.p95_response_time << ','
-        << m.p99_response_time << ',' << m.avg_instances << ','
-        << m.max_instances << ',' << m.final_instances << ',' << m.vm_hours
-        << ',' << m.utilization << ',' << m.rejection_rate << ','
-        << m.capacity_clips << ',' << m.capacity_denied << ','
-        << m.billed_cost << ',' << m.spans_traced << '\n';
+    runs.push_back(tenant.metrics);
+    keys.push_back({std::to_string(tenant.id), to_string(tenant.kind)});
   }
-  out.precision(precision);
+  write_runs_csv(out, runs, {"tenant", "kind"}, keys);
 }
 
 }  // namespace cloudprov

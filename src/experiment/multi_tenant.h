@@ -179,9 +179,11 @@ struct MultiTenantResult {
   std::uint64_t simulated_events = 0;
   double wall_seconds = 0.0;
 
-  /// Cross-tenant rollup: counters/costs/VM-hours are sums, response time
-  /// is the completion-weighted mean, instance stats are sums of per-tenant
-  /// stats (not time-aligned), percentiles are left 0 (not aggregatable).
+  /// Cross-tenant rollup: every counter but `seed` (the master seed) and
+  /// `simulated_events` (the kernels' total) is the tenants' sum, and so
+  /// are costs and VM-hours; response time is the completion-weighted mean,
+  /// instance stats are sums of per-tenant stats (not time-aligned), and
+  /// percentiles are left 0 (not aggregatable).
   RunMetrics aggregate;
 };
 
@@ -205,8 +207,8 @@ struct MultiTenantOptions {
 MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
                                    const MultiTenantOptions& options = {});
 
-/// Long-form per-tenant CSV (one row per tenant, headline metrics +
-/// contention counters).
+/// Per-tenant run CSV (write_runs_csv): one row per tenant, keyed by the
+/// `tenant` id and workload `kind` columns.
 void write_tenant_csv(std::ostream& out, const MultiTenantResult& result);
 
 }  // namespace cloudprov

@@ -90,144 +90,63 @@ void write_policy_csv(std::ostream& out,
   }
 }
 
-namespace {
-
-std::string fmt_u64(std::uint64_t value) {
-  return std::to_string(value);
-}
-
-}  // namespace
-
-void print_fault_table(std::ostream& out, const std::vector<RunMetrics>& runs) {
-  TextTable table({"policy", "fails", "vm", "host", "boot", "timeout", "lost",
-                   "avail", "mttr_s", "heals", "retries", "aborts",
-                   "final_m", "rejection"});
-  for (const RunMetrics& r : runs) {
-    table.add_row({r.policy, fmt_u64(r.instance_failures), fmt_u64(r.vm_crashes),
-                   fmt_u64(r.host_crashes), fmt_u64(r.boot_failures),
-                   fmt_u64(r.boot_timeouts), fmt_u64(r.lost_requests),
-                   fmt(r.availability, 4), fmt(r.mttr_mean, 1),
-                   fmt_u64(r.reconciler_heals), fmt_u64(r.reconciler_retries),
-                   fmt_u64(r.reconciler_aborts), fmt_u64(r.final_instances),
-                   fmt(r.rejection_rate, 4)});
-  }
-  table.print(out);
-}
-
-void print_market_table(std::ostream& out, const std::vector<RunMetrics>& runs) {
-  TextTable table({"policy", "cost", "od_cost", "spot_cost", "rsv_cost",
-                   "buys_od", "buys_spot", "revoked", "kills", "lost",
-                   "price_avg", "price_max", "qos_viol", "rejection"});
-  for (const RunMetrics& r : runs) {
-    table.add_row({r.policy, fmt(r.billed_cost, 2), fmt(r.on_demand_cost, 2),
-                   fmt(r.spot_cost, 2), fmt(r.reserved_cost, 2),
-                   fmt_u64(r.on_demand_purchases), fmt_u64(r.spot_purchases),
-                   fmt_u64(r.spot_revocations), fmt_u64(r.revocation_kills),
-                   fmt_u64(r.lost_to_revocations), fmt(r.spot_price_mean, 3),
-                   fmt(r.spot_price_max, 3), fmt_u64(r.qos_violations),
-                   fmt(r.rejection_rate, 4)});
-  }
-  table.print(out);
-}
-
 void print_claim(std::ostream& out, const std::string& claim, double paper_value,
                  double measured_value, int precision) {
   out << "  [claim] " << claim << ": paper=" << fmt(paper_value, precision)
       << " measured=" << fmt(measured_value, precision) << '\n';
 }
 
-void print_resilience_table(std::ostream& out,
-                            const std::vector<RunMetrics>& runs) {
-  TextTable table({"policy", "requests", "ok", "failed", "attempts", "retries",
-                   "budget_deny", "timeouts", "wasted", "br_open", "br_close",
-                   "fast_fail", "shed_ddl", "shed_brown"});
-  for (const RunMetrics& r : runs) {
-    table.add_row({r.policy, fmt_u64(r.client_requests),
-                   fmt_u64(r.client_succeeded), fmt_u64(r.client_failed),
-                   fmt_u64(r.client_attempts), fmt_u64(r.client_retries),
-                   fmt_u64(r.retry_budget_denied), fmt_u64(r.client_timeouts),
-                   fmt_u64(r.wasted_completions), fmt_u64(r.breaker_opens),
-                   fmt_u64(r.breaker_closes), fmt_u64(r.breaker_fast_fails),
-                   fmt_u64(r.shed_deadline), fmt_u64(r.shed_brownout)});
+namespace {
+
+std::string table_cell(double value) { return fmt(value, 4); }
+std::string table_cell(std::uint64_t value) { return std::to_string(value); }
+
+}  // namespace
+
+void print_metric_table(std::ostream& out, const std::vector<RunMetrics>& runs,
+                        const std::vector<MetricGroup>& groups) {
+  std::vector<std::string> header{"metric"};
+  for (const RunMetrics& run : runs) header.push_back(run.policy);
+  // for_each_metric walks one run, so the rows fill a column at a time.
+  std::vector<std::vector<std::string>> rows;
+  for (const RunMetrics& run : runs) {
+    std::size_t row = 0;
+    for_each_metric(run, [&](const char* name, const auto& value,
+                             MetricDirection, MetricGroup group) {
+      if (std::ranges::find(groups, group) == groups.end()) return;
+      if (row == rows.size()) rows.push_back({name});
+      rows[row++].push_back(table_cell(value));
+    });
   }
+  TextTable table(std::move(header));
+  for (std::vector<std::string>& row : rows) table.add_row(std::move(row));
   table.print(out);
 }
 
-void write_resilience_csv(std::ostream& out,
-                          const std::vector<RunMetrics>& runs) {
+void write_runs_csv(std::ostream& out, const std::vector<RunMetrics>& runs,
+                    const std::vector<std::string>& key_columns,
+                    const std::vector<std::vector<std::string>>& keys) {
+  ensure_arg(keys.size() == (key_columns.empty() ? 0 : runs.size()),
+             "write_runs_csv: need one row of keys per run");
+  std::vector<std::string> header = key_columns;
+  header.emplace_back("policy");
+  for_each_metric(RunMetrics{}, [&](const char* name, const auto&,
+                                    MetricDirection, MetricGroup) {
+    header.emplace_back(name);
+  });
   CsvWriter csv(out);
-  csv.write_header({"policy", "seed", "client_requests", "client_succeeded",
-                    "client_failed", "client_attempts", "client_retries",
-                    "retry_budget_denied", "client_timeouts",
-                    "wasted_completions", "breaker_opens", "breaker_half_opens",
-                    "breaker_closes", "breaker_fast_fails", "shed_deadline",
-                    "shed_brownout"});
-  for (const RunMetrics& r : runs) {
-    csv.write_row({r.policy, fmt_u64(r.seed), fmt_u64(r.client_requests),
-                   fmt_u64(r.client_succeeded), fmt_u64(r.client_failed),
-                   fmt_u64(r.client_attempts), fmt_u64(r.client_retries),
-                   fmt_u64(r.retry_budget_denied), fmt_u64(r.client_timeouts),
-                   fmt_u64(r.wasted_completions), fmt_u64(r.breaker_opens),
-                   fmt_u64(r.breaker_half_opens), fmt_u64(r.breaker_closes),
-                   fmt_u64(r.breaker_fast_fails), fmt_u64(r.shed_deadline),
-                   fmt_u64(r.shed_brownout)});
-  }
-}
-
-void print_apptier_table(std::ostream& out,
-                         const std::vector<RunMetrics>& runs) {
-  TextTable table({"policy", "hits", "misses", "hit_ratio", "fills", "evict",
-                   "expire", "invalid", "flush", "lambda_miss", "cache_vmh",
-                   "cache_util"});
-  for (const RunMetrics& r : runs) {
-    table.add_row({r.policy, fmt_u64(r.cache_hits), fmt_u64(r.cache_misses),
-                   fmt(r.cache_hit_ratio, 3), fmt_u64(r.cache_fills),
-                   fmt_u64(r.cache_evictions), fmt_u64(r.cache_expirations),
-                   fmt_u64(r.cache_invalidations), fmt_u64(r.cache_flushes),
-                   fmt(r.lambda_miss_mean, 2), fmt(r.cache_vm_hours, 1),
-                   fmt(r.cache_utilization, 3)});
-  }
-  table.print(out);
-}
-
-void write_apptier_csv(std::ostream& out, const std::vector<RunMetrics>& runs) {
-  CsvWriter csv(out);
-  csv.write_header({"policy", "seed", "cache_hits", "cache_misses",
-                    "cache_hit_ratio", "cache_fills", "cache_evictions",
-                    "cache_expirations", "cache_invalidations", "cache_flushes",
-                    "lambda_miss_mean", "cache_vm_hours", "cache_utilization",
-                    "cache_avg_instances", "cache_final_instances"});
-  for (const RunMetrics& r : runs) {
-    csv.write_row({r.policy, fmt_u64(r.seed), fmt_u64(r.cache_hits),
-                   fmt_u64(r.cache_misses),
-                   CsvWriter::format(r.cache_hit_ratio),
-                   fmt_u64(r.cache_fills), fmt_u64(r.cache_evictions),
-                   fmt_u64(r.cache_expirations),
-                   fmt_u64(r.cache_invalidations), fmt_u64(r.cache_flushes),
-                   CsvWriter::format(r.lambda_miss_mean),
-                   CsvWriter::format(r.cache_vm_hours),
-                   CsvWriter::format(r.cache_utilization),
-                   CsvWriter::format(r.cache_avg_instances),
-                   fmt_u64(r.cache_final_instances)});
-  }
-}
-
-void print_observability_summary(std::ostream& out, const RunMetrics& run) {
-  const bool any = run.slo_response_alerts > 0 || run.slo_rejection_alerts > 0 ||
-                   run.slo_worst_burn_rate > 0.0 || run.drift_windows > 0 ||
-                   run.spans_traced > 0;
-  if (!any) return;
-  out << "observability:\n"
-      << "  SLO alerts: " << run.slo_response_alerts << " response, "
-      << run.slo_rejection_alerts << " rejection (worst burn "
-      << fmt(run.slo_worst_burn_rate, 2) << "x budget)\n";
-  if (run.drift_windows > 0) {
-    out << "  model drift: " << run.drift_windows
-        << " windows, response MAPE " << fmt(run.drift_response_mape, 1)
-        << "%, bias " << fmt(run.drift_response_bias, 4) << " s\n";
-  }
-  if (run.spans_traced > 0) {
-    out << "  spans: " << run.spans_traced << " requests traced\n";
+  csv.write_header(header);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    std::vector<std::string> row = keys.empty() ? std::vector<std::string>{}
+                                                : keys[i];
+    row.push_back(runs[i].policy);
+    for_each_metric(runs[i], [&](const char*, const auto& value,
+                                 MetricDirection, MetricGroup) {
+      row.push_back(CsvWriter::format(value));
+    });
+    ensure_arg(row.size() == header.size(),
+               "write_runs_csv: a row of keys is not key_columns wide");
+    csv.write_row(row);
   }
 }
 

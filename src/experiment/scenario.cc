@@ -81,6 +81,13 @@ std::size_t ScenarioConfig::scaled_instances(std::size_t paper_scale_count) cons
       1.0, std::round(static_cast<double>(paper_scale_count) * scale)));
 }
 
+void ScenarioConfig::set_horizon(SimTime run_horizon) {
+  horizon = run_horizon;
+  web.horizon = run_horizon;
+  bot.horizon = run_horizon;
+  zipf.horizon = run_horizon;
+}
+
 ScenarioConfig web_scenario(double scale) {
   ensure_arg(scale > 0.0, "web_scenario: scale must be > 0");
   ScenarioConfig config;

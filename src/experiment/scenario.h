@@ -104,6 +104,10 @@ struct ScenarioConfig {
   /// Scales a paper-scale instance count to this scenario's scale,
   /// rounding to at least 1.
   std::size_t scaled_instances(std::size_t paper_scale_count) const;
+
+  /// Runs the scenario to `run_horizon`: sets `horizon` and every
+  /// workload's source horizon, so no source stops early or runs past it.
+  void set_horizon(SimTime run_horizon);
 };
 
 /// Web scenario (Section V-B1): 1-week Wikipedia-model workload,

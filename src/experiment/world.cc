@@ -34,6 +34,10 @@ constexpr double kBoundChecksPerWindow = 12.0;
 
 /// Hosts backing the cache pool's private datacenter.
 constexpr std::size_t kCacheHosts = 200;
+/// The cache tier's own QoS: hits should be fast.
+constexpr QosTargets kCacheQos{0.050, 0.0, 0.5};
+/// Tm seed for the cache pool before its first completion.
+constexpr double kInitialCacheServiceEstimate = 0.011;
 
 /// `profile` holds the scenario's periodic profile once built; the
 /// predictor returned for kProfile is a copy sharing its table.
@@ -204,13 +208,12 @@ void World::build_platform(bool track_quantiles) {
     cache_datacenter_.emplace(*sim_, cache_dc,
                               std::make_unique<LeastLoadedPlacement>());
 
+    // Cache VMs take the default 1-core shape: they are sized by directory
+    // capacity, not compute.
     ProvisionerConfig cache_prov;
-    cache_prov.vm_spec = config_.apptier.cache_vm_spec;
-    cache_prov.initial_service_time_estimate =
-        config_.apptier.initial_cache_service_estimate;
-    cache_provisioner_.emplace(*sim_, *cache_datacenter_,
-                               config_.apptier.cache_qos, cache_prov,
-                               std::make_unique<KBoundAdmission>());
+    cache_prov.initial_service_time_estimate = kInitialCacheServiceEstimate;
+    cache_provisioner_.emplace(*sim_, *cache_datacenter_, kCacheQos,
+                               cache_prov, std::make_unique<KBoundAdmission>());
     cache_provisioner_->set_telemetry(telemetry_.get());
     cache_provisioner_->set_cache_instance_lane(true);
 

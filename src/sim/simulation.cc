@@ -24,7 +24,8 @@ std::uint64_t Simulation::run(SimTime until) {
     action.reset();
     ++executed_;
     ++count;
-    if (telemetry_ != nullptr && executed_ % sample_stride_ == 0) {
+    if (telemetry_ != nullptr &&
+        (executed_ & (kEngineSampleStride - 1)) == 0) {
       telemetry_->engine_sample(now_, executed_, queue_.size());
     }
     if (profiler_ != nullptr &&
@@ -41,13 +42,6 @@ std::uint64_t Simulation::run(SimTime until) {
     now_ = until;
   }
   return count;
-}
-
-void Simulation::set_telemetry(Telemetry* telemetry,
-                               std::uint64_t sample_stride) {
-  ensure_arg(sample_stride >= 1, "set_telemetry: stride must be >= 1");
-  telemetry_ = telemetry;
-  sample_stride_ = sample_stride;
 }
 
 bool Simulation::step() {

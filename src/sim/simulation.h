@@ -133,11 +133,16 @@ class alignas(64) Simulation {
     queue_.set_push_counter(push_counter);
   }
 
-  /// Attaches an engine self-profile collector: every `sample_stride`
+  /// Events between two engine self-profile samples (a power of two, so
+  /// the run loop tests it with a mask).
+  static constexpr std::uint64_t kEngineSampleStride = 1024;
+  static_assert((kEngineSampleStride & (kEngineSampleStride - 1)) == 0);
+
+  /// Attaches an engine self-profile collector: every kEngineSampleStride
   /// executed events, run() records executed-event count and pending-queue
   /// depth. Null (the default) disables sampling; the run loop then pays a
   /// single predicted branch per event.
-  void set_telemetry(Telemetry* telemetry, std::uint64_t sample_stride = 1024);
+  void set_telemetry(Telemetry* telemetry) { telemetry_ = telemetry; }
   Telemetry* telemetry() const { return telemetry_; }
 
   /// Attaches a wall-clock profiler: run() wraps the dispatch loop in an
@@ -152,7 +157,6 @@ class alignas(64) Simulation {
   SimTime now_ = 0.0;
   std::uint64_t executed_ = 0;
   Telemetry* telemetry_ = nullptr;
-  std::uint64_t sample_stride_ = 1024;
   WallProfiler* profiler_ = nullptr;
   EventQueue queue_;  ///< last: the clock sits at a short offset
 };

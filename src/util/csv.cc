@@ -50,6 +50,10 @@ std::string CsvWriter::format(std::int64_t value) {
   return std::to_string(value);
 }
 
+std::string CsvWriter::format(std::uint64_t value) {
+  return std::to_string(value);
+}
+
 CsvReader::CsvReader(std::istream& in, char separator)
     : in_(in), separator_(separator) {}
 

@@ -23,6 +23,7 @@ class CsvWriter {
   /// Convenience: formats doubles with enough digits to round-trip.
   static std::string format(double value);
   static std::string format(std::int64_t value);
+  static std::string format(std::uint64_t value);
 
  private:
   std::string escape(const std::string& field) const;

@@ -231,7 +231,7 @@ struct TierFixture {
                 std::make_unique<KBoundAdmission>()),
         cache_dc(sim, small_dc(), std::make_unique<LeastLoadedPlacement>()),
         cache_pool(sim, cache_dc, loose_qos(),
-                   pool_config(apptier.initial_cache_service_estimate),
+                   pool_config(0.011),
                    std::make_unique<KBoundAdmission>()),
         config(apptier),
         tier(sim, apptier, loose_qos(), cache_pool, backend, backend, Rng(99),
@@ -379,7 +379,7 @@ TEST(CacheTier, ScheduledFlushEmptiesDirectory) {
 TEST(CacheTier, WindowFoldDrivesPlanningEwma) {
   TierFixture f;
   // Before any closed window the planner uses the configured assumption.
-  EXPECT_DOUBLE_EQ(f.tier.planning_hit_ratio(), f.config.assumed_hit_ratio);
+  EXPECT_DOUBLE_EQ(f.tier.planning_hit_ratio(), CacheTier::kAssumedHitRatio);
   EXPECT_LT(f.tier.fold_window(), 0.0);  // no lookups yet: EWMA unseeded
 
   // Window 1: one miss, one hit -> ratio 0.5 seeds the EWMA.
@@ -396,8 +396,8 @@ TEST(CacheTier, WindowFoldDrivesPlanningEwma) {
   f.tier.on_request(f.request(3, 7));
   f.tier.on_request(f.request(4, 7));
   f.sim.run();
-  const double expected =
-      f.config.hit_ewma_alpha * 1.0 + (1.0 - f.config.hit_ewma_alpha) * 0.5;
+  const double expected = CacheTier::kHitEwmaAlpha * 1.0 +
+                          (1.0 - CacheTier::kHitEwmaAlpha) * 0.5;
   EXPECT_DOUBLE_EQ(f.tier.fold_window(), expected);
   EXPECT_DOUBLE_EQ(f.tier.last_window_hit_ratio(), 1.0);
 }

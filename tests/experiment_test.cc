@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
 #include <set>
 #include <sstream>
 #include <string>
@@ -10,6 +12,7 @@
 #include "experiment/report.h"
 #include "experiment/runner.h"
 #include "experiment/scenario.h"
+#include "layered_web.h"
 #include "metrics_equality.h"
 #include "util/csv.h"
 
@@ -77,7 +80,7 @@ TEST(Runner, StaticScientificRunProducesPaperRejection) {
 TEST(RunMetricsSchema, VisitorCoversEveryMember) {
   std::set<std::string> names;
   for_each_metric(RunMetrics{}, [&](const char* name, const auto& value,
-                                    MetricDirection) {
+                                    MetricDirection, MetricGroup) {
     static_assert(sizeof(value) == 8);
     EXPECT_TRUE(names.insert(name).second) << "duplicate " << name;
   });
@@ -88,20 +91,19 @@ TEST(RunMetricsSchema, VisitorCoversEveryMember) {
 TEST(RunMetricsSchema, MetricDifferencesNamesEachChangedField) {
   const RunMetrics base;
   std::size_t fields = 0;
-  for_each_metric(base, [&](const char*, const auto&, MetricDirection) {
+  for_each_metric(base, [&](const char*, const auto&, MetricDirection,
+                            MetricGroup) {
     ++fields;
   });
   for (std::size_t k = 0; k < fields; ++k) {
     RunMetrics changed = base;
     std::string name;
     std::size_t i = 0;
-    for_each_metric(changed, [&](const char* field, const auto& value,
-                                 MetricDirection) {
+    for_each_metric(changed, [&](const char* field, auto& value,
+                                 MetricDirection, MetricGroup) {
       if (i++ != k) return;
       name = field;
-      // `changed` is not const; for_each_metric only hands out const views.
-      using T = std::remove_cvref_t<decltype(value)>;
-      const_cast<T&>(value) += 1;
+      value += 1;
     });
     SCOPED_TRACE(name);
     const std::vector<std::string> differences =
@@ -354,6 +356,69 @@ TEST(Report, PrintClaim) {
   std::ostringstream out;
   print_claim(out, "test claim", 0.26, 0.24);
   EXPECT_EQ(out.str(), "  [claim] test claim: paper=0.26 measured=0.24\n");
+}
+
+// One row per metric of the chosen groups, one column per run.
+TEST(Report, MetricTablePrintsChosenGroups) {
+  RunMetrics a;
+  a.policy = "A";
+  a.capacity_clips = 3;
+  RunMetrics b;
+  b.policy = "B";
+  b.capacity_denied = 7;
+  std::ostringstream out;
+  print_metric_table(out, {a, b}, {MetricGroup::kTenancy});
+  EXPECT_EQ(out.str(),
+            "metric           A  B  \n"
+            "-----------------------\n"
+            "capacity_clips   3  0  \n"
+            "capacity_denied  0  7  \n");
+}
+
+// The run CSV's header is `policy` plus each schema name once, in visit
+// order, and every cell parses back to the visited value bit for bit.
+TEST(RunCsv, RowsRoundTripEveryMetric) {
+  ScenarioConfig layered = layered_web_config(0.01);
+  layered.set_horizon(4.0 * 3600.0);
+  ScenarioConfig tiered = zipf_scenario(0.02);
+  tiered.set_horizon(2.0 * 3600.0);
+  tiered.apptier.enabled = true;
+  const std::vector<RunMetrics> runs{
+      run_scenario(layered, PolicySpec::adaptive(), 42,
+                   layered_web_telemetry(layered, 42))
+          .metrics,
+      run_scenario(tiered, PolicySpec::adaptive(), 42).metrics};
+  std::ostringstream out;
+  write_runs_csv(out, runs);
+
+  std::vector<std::string> header{"policy"};
+  for_each_metric(RunMetrics{}, [&](const char* name, const auto&,
+                                    MetricDirection, MetricGroup) {
+    header.emplace_back(name);
+  });
+  std::istringstream in(out.str());
+  CsvReader reader(in);
+  EXPECT_EQ(reader.next_row(), header);
+  for (const RunMetrics& run : runs) {
+    const auto row = reader.next_row();
+    ASSERT_TRUE(row.has_value());
+    ASSERT_EQ(row->size(), header.size());
+    EXPECT_EQ(row->front(), run.policy);
+    std::size_t column = 1;
+    for_each_metric(run, [&](const char* name, const auto& value,
+                             MetricDirection, MetricGroup) {
+      const std::string& cell = (*row)[column++];
+      std::remove_cvref_t<decltype(value)> parsed{};
+      const auto [end, error] =
+          std::from_chars(cell.data(), cell.data() + cell.size(), parsed);
+      EXPECT_EQ(error, std::errc{}) << name << " = " << cell;
+      EXPECT_EQ(end, cell.data() + cell.size()) << name << " = " << cell;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed),
+                std::bit_cast<std::uint64_t>(value))
+          << name << " = " << cell;
+    });
+  }
+  EXPECT_FALSE(reader.next_row().has_value());
 }
 
 }  // namespace

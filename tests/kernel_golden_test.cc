@@ -504,7 +504,7 @@ struct PinnedField {
 void expect_pinned(const RunMetrics& m, std::span<const PinnedField> golden) {
   std::size_t i = 0;
   for_each_metric(m, [&](const char* name, const auto& value,
-                         MetricDirection) {
+                         MetricDirection, MetricGroup) {
     if (std::string_view(name) == "wall_seconds") return;
     ASSERT_LT(i, golden.size()) << name << " is not pinned";
     const PinnedField& g = golden[i++];

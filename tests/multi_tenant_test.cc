@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "experiment/multi_tenant.h"
@@ -417,7 +419,59 @@ TEST(MultiTenant, TenantCsvHasOneRowPerTenant) {
   std::size_t rows = 0;
   for (const char c : csv) rows += c == '\n' ? 1u : 0u;
   EXPECT_EQ(rows, config.tenants + 1);  // header + one row per tenant
-  EXPECT_NE(csv.find("tenant,kind,seed"), std::string::npos);
+  EXPECT_NE(csv.find("tenant,kind,policy,seed,"), std::string::npos);
+}
+
+// The rollup sums every counter the schema visits, not a hand-picked subset:
+// a tiered Zipf population exercises the cache counters too.
+TEST(MultiTenant, AggregateSumsEveryCounter) {
+  MultiTenantConfig config = golden_config();
+  config.tenants = 3;
+  config.bot_fraction = 0.0;
+  config.zipf_fraction = 1.0;
+  config.zipf_tiers = true;
+  config.horizon = 900.0;
+  const MultiTenantResult result = run_multi_tenant(config, {});
+
+  std::vector<std::uint64_t> sums;
+  for (const TenantResult& tenant : result.tenants) {
+    std::size_t i = 0;
+    for_each_metric(tenant.metrics, [&](const char*, const auto& value,
+                                        MetricDirection, MetricGroup) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                   std::uint64_t>) {
+        if (i == sums.size()) sums.push_back(0);
+        sums[i++] += value;
+      }
+    });
+  }
+  std::size_t i = 0;
+  for_each_metric(result.aggregate, [&](const char* name, const auto& value,
+                                        MetricDirection, MetricGroup) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                 std::uint64_t>) {
+      const std::uint64_t sum = sums[i++];
+      const std::string_view metric(name);
+      if (metric == "seed" || metric == "simulated_events") return;
+      EXPECT_EQ(value, sum) << name;
+    }
+  });
+  EXPECT_EQ(result.aggregate.seed, config.seed);
+  EXPECT_EQ(result.aggregate.simulated_events, result.simulated_events);
+  EXPECT_GT(result.aggregate.cache_expirations, 0u);
+}
+
+// Every tenant's workload source runs to the population's horizon, whatever
+// the default horizon of its workload kind.
+TEST(MultiTenant, SpecsCarryTheHorizonIntoEveryWorkload) {
+  MultiTenantConfig config = golden_config();
+  config.horizon = 2.0 * 86400.0;
+  for (const TenantSpec& spec : multi_tenant_specs(config)) {
+    EXPECT_EQ(spec.scenario.horizon, 172800.0);
+    EXPECT_EQ(spec.scenario.web.horizon, 172800.0);
+    EXPECT_EQ(spec.scenario.bot.horizon, 172800.0);
+    EXPECT_EQ(spec.scenario.zipf.horizon, 172800.0);
+  }
 }
 
 }  // namespace
