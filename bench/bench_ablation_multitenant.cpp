@@ -2,8 +2,8 @@
 //
 // One datacenter's worth of shared instance capacity, N independent SaaS
 // tenants (mixed web serving and BoT/scientific, jittered QoS targets), one
-// shared spot market. Tenants are partitioned across worker shards, each
-// shard running its own event kernel; a conservative barrier at every 60 s
+// shared spot market. Each tenant runs on its own event kernel, and tenants
+// are partitioned across worker shards; a conservative barrier at every 60 s
 // analysis window runs the deterministic capacity arbiter (ascending
 // tenant-id order), so results are bit-identical for EVERY shard count.
 //

@@ -7,6 +7,12 @@ root, so kernel performance is tracked across PRs rather than asserted in
 prose. Re-running with an existing label replaces that entry in place, which
 keeps the file idempotent under repeated local runs.
 
+Beside `results` (items/s) an entry stores `cpu_results`: items per CPU
+second. The two differ only for UseRealTime() benchmarks, whose items/s are
+per wall second; with MeasureProcessCPUTime() their CPU time covers every
+thread, so a sharded benchmark's CPU rate stays meaningful on a host with
+fewer cores than shards.
+
 Usage:
     python3 bench/record_bench.py --build-dir build --label after-slab-kernel \
         --repetitions 5
@@ -38,6 +44,7 @@ import json
 import pathlib
 import re
 import socket
+import statistics
 import subprocess
 import sys
 
@@ -93,8 +100,29 @@ def compiler_info(build_dir: pathlib.Path) -> str:
     return compiler
 
 
+def entry_name(run_name: str) -> str:
+    """The key an entry stores a benchmark under. MeasureProcessCPUTime()
+    adds a /process_time segment to the google-benchmark name; the key drops
+    it, so the benchmark stays comparable with entries recorded before it
+    measured process CPU time (its items/s are wall-clock rates either way).
+    """
+    return run_name.replace("/process_time", "")
+
+
+def cpu_rate(bench: dict) -> float:
+    """Items per CPU second of one run: google-benchmark computes
+    items_per_second over real time for UseRealTime() benchmarks and over
+    CPU time otherwise."""
+    rate = bench["items_per_second"]
+    if bench["run_name"].endswith("/real_time") and bench["cpu_time"] > 0:
+        return rate * bench["real_time"] / bench["cpu_time"]
+    return rate
+
+
 def run_benchmark(binary: pathlib.Path, min_time: str, bench_filter: str,
-                  repetitions: int) -> dict:
+                  repetitions: int) -> tuple:
+    """Runs one binary; returns (items/s, CPU items/s), each name -> rate,
+    the median of the repetitions when there are several."""
     cmd = [str(binary), "--benchmark_format=json"]
     if min_time:
         cmd.append(f"--benchmark_min_time={min_time}")
@@ -110,18 +138,24 @@ def run_benchmark(binary: pathlib.Path, min_time: str, bench_filter: str,
         # google-benchmark exits 0 with non-JSON output when --benchmark_filter
         # matches nothing in this binary; treat that as an empty result set.
         print(f"warning: no parsable output from {binary.name}", file=sys.stderr)
-        return {}
+        return {}, {}
     results = {}
+    cpu_rates = {}  # name -> one rate per repetition
     for bench in report.get("benchmarks", []):
         if "items_per_second" not in bench:
             continue
-        if repetitions > 1:
+        name = entry_name(bench["run_name"])
+        if bench.get("run_type") == "aggregate":
             # Keep the median aggregate, under the benchmark's own name.
-            if bench.get("aggregate_name") == "median":
-                results[bench["run_name"]] = bench["items_per_second"]
-        elif bench.get("run_type") != "aggregate":
-            results[bench["name"]] = bench["items_per_second"]
-    return results
+            if repetitions > 1 and bench.get("aggregate_name") == "median":
+                results[name] = bench["items_per_second"]
+            continue
+        cpu_rates.setdefault(name, []).append(cpu_rate(bench))
+        if repetitions == 1:
+            results[name] = bench["items_per_second"]
+    cpu_results = {name: statistics.median(rates)
+                   for name, rates in cpu_rates.items() if name in results}
+    return results, cpu_results
 
 
 def find_entry(trajectory: list, label: str):
@@ -234,13 +268,16 @@ def main() -> int:
             baselines.append(baseline)
 
     results = {}
+    cpu_results = {}
     for rel in args.benchmarks:
         binary = build_dir / rel
         if not binary.exists():
             print(f"error: benchmark binary not found: {binary}", file=sys.stderr)
             return 1
-        results.update(run_benchmark(binary, args.min_time, args.filter,
-                                     args.repetitions))
+        rates, cpu_rates = run_benchmark(binary, args.min_time, args.filter,
+                                         args.repetitions)
+        results.update(rates)
+        cpu_results.update(cpu_rates)
     if not results:
         print("error: no benchmark results collected", file=sys.stderr)
         return 1
@@ -266,6 +303,7 @@ def main() -> int:
         "compiler": compiler_info(build_dir),
         "repetitions": args.repetitions,
         "results": results,
+        "cpu_results": cpu_results,
     }
     previous = trajectory[-1] if trajectory else None
     trajectory = [e for e in trajectory if e["label"] != args.label]
@@ -279,7 +317,8 @@ def main() -> int:
         for name in sorted(results):
             if name in previous["results"]:
                 ratio = results[name] / previous["results"][name]
-                print(f"  {name:45s} {results[name] / 1e6:8.2f}M  x{ratio:.2f}")
+                print(f"  {name:45s} {results[name] / 1e6:8.2f}M  x{ratio:.2f}"
+                      f"  (CPU {cpu_results[name] / 1e6:.2f}M)")
     return 0
 
 

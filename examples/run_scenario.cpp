@@ -247,9 +247,10 @@ ArgParser make_args() {
                 "(0 = off; see --shards/--tenant-*)",
                 "<int>");
   args.add_flag("shards", "1",
-                "worker shards for --tenants: tenants are partitioned across "
-                "this many event kernels, barrier-synced every analysis "
-                "window; results are bit-identical for every value",
+                "worker threads for --tenants: each tenant runs on its own "
+                "event kernel, and tenants are partitioned across this many "
+                "workers, barrier-synced every analysis window; results are "
+                "bit-identical for every value",
                 "<int>");
   args.add_flag("tenant-capacity", "0",
                 "shared instance slots arbitrated across all tenants per "
@@ -691,7 +692,8 @@ int run(const ArgParser& args) {
                                result.wall_seconds
                          : 0.0,
                      0)
-              << " events/s across " << result.shards << " kernel(s))\n";
+              << " events/s across " << result.tenants.size()
+              << " tenant kernels on " << result.shards << " worker(s))\n";
     if (const std::string path = args.get_string("tenant-out");
         !path.empty()) {
       std::ofstream out(path);

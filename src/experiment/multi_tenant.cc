@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <ostream>
 #include <string>
 #include <type_traits>
@@ -168,11 +169,10 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
   const std::size_t shard_count =
       std::clamp<std::size_t>(options.shards, 1, tenant_count);
 
-  // One kernel (and, when profiling, one private profiler) per shard. The
+  // One worker (and, when profiling, one private profiler) per shard. The
   // WallProfiler is single-threaded by design, so every worker samples into
   // its own instance; the serial commit drains them into the run profiler.
   struct Shard {
-    std::unique_ptr<Simulation> sim;
     std::unique_ptr<WallProfiler> profiler;
     /// Shard-local telemetry batch: this worker's residents' counter
     /// deltas for the current window. Written only by the owning worker
@@ -180,19 +180,20 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
     FleetWindowSample batch;
   };
   std::vector<Shard> shards(shard_count);
-  for (Shard& shard : shards) {
-    shard.sim = std::make_unique<Simulation>();
-    if (options.profiler != nullptr) {
+  if (options.profiler != nullptr) {
+    for (Shard& shard : shards) {
       shard.profiler = std::make_unique<WallProfiler>(
           options.profiler->snapshot_interval());
-      shard.sim->set_profiler(shard.profiler.get());
     }
   }
 
-  // Build every tenant world in ascending id order, each on its home
-  // shard's borrowed kernel (round-robin residency). Construction order
-  // is irrelevant to determinism (worlds are disjoint), but a fixed order
-  // keeps any shared-kernel push sequencing reproducible.
+  // Build every tenant world in ascending id order on a kernel of its own,
+  // which the world borrows; residency is round-robin. Kernels outlive
+  // their worlds (declared first, destroyed last). A kernel carries its
+  // shard's profiler: its run() is the engine.run scope, and the policy,
+  // market, fault and resilience hooks open their scopes through it.
+  std::vector<std::unique_ptr<Simulation>> kernels;
+  kernels.reserve(tenant_count);
   std::vector<std::unique_ptr<World>> worlds;
   worlds.reserve(tenant_count);
   const PolicySpec policy = PolicySpec::adaptive();
@@ -205,9 +206,11 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
       opts.span_seed = spec.seed;
       telemetry = opts;
     }
+    kernels.push_back(std::make_unique<Simulation>());
+    kernels.back()->set_profiler(home.profiler.get());
     worlds.push_back(std::make_unique<World>(spec.scenario, policy, spec.seed,
                                              telemetry, home.profiler.get(),
-                                             home.sim.get()));
+                                             kernels.back().get()));
   }
   for (std::unique_ptr<World>& world : worlds) world->start();
 
@@ -229,20 +232,20 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
     arbitrate_now();
   }
 
-  // Per-shard telemetry batching (the PR-9 scale-out headroom): each worker
-  // reads its own residents' monotone counters right after the window
-  // advance and accumulates the deltas into its shard-private batch. Only
-  // the serial commit touches the shared window series, so thousands of
-  // tenants add zero lock contention on any registry. `last_counters[i]` is
-  // only ever touched by tenant i's home-shard worker.
+  // Per-shard telemetry batching: each worker reads each resident's
+  // monotone counters right after advancing its kernel and accumulates the
+  // deltas into its shard-private batch. Only the serial commit touches the
+  // shared window series, so thousands of tenants add zero lock contention
+  // on any registry. `last_counters[i]` is only ever touched by tenant i's
+  // home-shard worker.
   std::vector<World::Counters> last_counters(tenant_count);
   std::vector<FleetWindowSample> window_series;
   const auto advance = [&](std::size_t shard, SimTime t) {
     ProfileScope scope(shards[shard].profiler.get(),
                        ProfileCategory::kShardRun);
-    shards[shard].sim->run(t);
     FleetWindowSample& batch = shards[shard].batch;
     for (std::size_t i = shard; i < tenant_count; i += shard_count) {
+      kernels[i]->run(t);
       const World::Counters now = worlds[i]->counters();
       World::Counters& last = last_counters[i];
       batch.generated += now.generated - last.generated;
@@ -327,46 +330,93 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
     tenant.telemetry = std::move(output.telemetry);
     result.tenants.push_back(std::move(tenant));
   }
-  for (const Shard& shard : shards) {
-    result.simulated_events += shard.sim->executed_events();
+  for (const std::unique_ptr<Simulation>& kernel : kernels) {
+    result.simulated_events += kernel->executed_events();
   }
   result.wall_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - wall_start)
                             .count();
 
-  // Cross-tenant rollup (see MultiTenantResult for the conventions).
-  RunMetrics& agg = result.aggregate;
-  agg.policy = "multi-tenant(" + std::to_string(tenant_count) + ")";
-  sum_counters(result.tenants, agg);
-  // The seed and the executed events are the run's, not the tenants' sum.
-  agg.seed = config.seed;
-  agg.simulated_events = result.simulated_events;
-  double response_sum = 0.0;
-  double response_weight = 0.0;
+  result.aggregate = tenant_rollup(result.tenants);
+  result.aggregate.policy =
+      "multi-tenant(" + std::to_string(tenant_count) + ")";
+  result.aggregate.seed = config.seed;
+  result.aggregate.wall_seconds = result.wall_seconds;
+  return result;
+}
+
+RunMetrics tenant_rollup(const std::vector<TenantResult>& tenants) {
+  RunMetrics agg;
+  if (tenants.empty()) return agg;
+  sum_counters(tenants, agg);
+
+  // Weighted means accumulate value * weight, then divide by the weights.
+  struct Mean {
+    double sum = 0.0;
+    double weight = 0.0;
+    void add(double value, double w) {
+      sum += value * w;
+      weight += w;
+    }
+    double get() const { return weight > 0.0 ? sum / weight : 0.0; }
+  };
+  const auto count = [](std::uint64_t n) { return static_cast<double>(n); };
+  Mean response, mttr, drift_mape, drift_bias, cache_response,
+      backend_response, cache_utilization;
   double availability_sum = 0.0;
-  for (const TenantResult& tenant : result.tenants) {
+  for (const TenantResult& tenant : tenants) {
     const RunMetrics& m = tenant.metrics;
-    response_sum += m.avg_response_time * static_cast<double>(m.completed);
-    response_weight += static_cast<double>(m.completed);
+    response.add(m.avg_response_time, count(m.completed));
+    mttr.add(m.mttr_mean, count(m.recoveries));
+    drift_mape.add(m.drift_response_mape, count(m.drift_windows));
+    drift_bias.add(m.drift_response_bias, count(m.drift_windows));
+    // A hit is served by the cache pool, a miss by the backend.
+    cache_response.add(m.cache_avg_response_time, count(m.cache_hits));
+    backend_response.add(m.backend_avg_response_time, count(m.cache_misses));
+    cache_utilization.add(m.cache_utilization, m.cache_vm_hours);
+    availability_sum += m.availability;
     agg.min_instances += m.min_instances;
     agg.max_instances += m.max_instances;
     agg.avg_instances += m.avg_instances;
     agg.vm_hours += m.vm_hours;
     agg.busy_vm_hours += m.busy_vm_hours;
-    availability_sum += m.availability;
     agg.billed_cost += m.billed_cost;
     agg.on_demand_cost += m.on_demand_cost;
     agg.spot_cost += m.spot_cost;
     agg.reserved_cost += m.reserved_cost;
     agg.cache_vm_hours += m.cache_vm_hours;
+    agg.cache_avg_instances += m.cache_avg_instances;
+    agg.lambda_miss_mean += m.lambda_miss_mean;
+    agg.mttr_max = std::max(agg.mttr_max, m.mttr_max);
+    agg.slo_worst_burn_rate =
+        std::max(agg.slo_worst_burn_rate, m.slo_worst_burn_rate);
   }
+  agg.avg_response_time = response.get();
+  agg.mttr_mean = mttr.get();
+  agg.drift_response_mape = drift_mape.get();
+  agg.drift_response_bias = drift_bias.get();
+  agg.cache_avg_response_time = cache_response.get();
+  agg.backend_avg_response_time = backend_response.get();
+  agg.cache_utilization = cache_utilization.get();
+
+  // Pooled sample variance over every completion: each tenant's own
+  // (n - 1) s^2 plus its mean's squared distance from the pooled mean.
+  if (agg.completed > 1) {
+    double squares = 0.0;
+    for (const TenantResult& tenant : tenants) {
+      const RunMetrics& m = tenant.metrics;
+      const double offset = m.avg_response_time - agg.avg_response_time;
+      squares += (count(m.completed) - 1.0) * m.std_response_time *
+                     m.std_response_time +
+                 count(m.completed) * offset * offset;
+    }
+    agg.std_response_time = std::sqrt(squares / count(agg.completed - 1));
+  }
+
   if (agg.cache_hits + agg.cache_misses > 0) {
     agg.cache_hit_ratio =
         static_cast<double>(agg.cache_hits) /
         static_cast<double>(agg.cache_hits + agg.cache_misses);
-  }
-  if (response_weight > 0.0) {
-    agg.avg_response_time = response_sum / response_weight;
   }
   agg.utilization =
       agg.vm_hours > 0.0 ? agg.busy_vm_hours / agg.vm_hours : 0.0;
@@ -374,15 +424,12 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
       agg.generated > 0
           ? static_cast<double>(agg.rejected) / static_cast<double>(agg.generated)
           : 0.0;
-  agg.availability = availability_sum / static_cast<double>(tenant_count);
-  if (config.market_enabled && !result.tenants.empty()) {
-    // Every tenant prices against the one shared trajectory, so any
-    // tenant's price statistics are the market's.
-    agg.spot_price_mean = result.tenants.front().metrics.spot_price_mean;
-    agg.spot_price_max = result.tenants.front().metrics.spot_price_max;
-  }
-  agg.wall_seconds = result.wall_seconds;
-  return result;
+  agg.availability = availability_sum / static_cast<double>(tenants.size());
+  // Every tenant prices against the one shared trajectory, so any tenant's
+  // price statistics are the market's (0 without a market).
+  agg.spot_price_mean = tenants.front().metrics.spot_price_mean;
+  agg.spot_price_max = tenants.front().metrics.spot_price_max;
+  return agg;
 }
 
 void write_tenant_csv(std::ostream& out, const MultiTenantResult& result) {

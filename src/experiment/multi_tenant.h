@@ -1,5 +1,6 @@
 // Multi-tenant scale-out: N independent SaaS applications on one shared
-// infrastructure, executed across per-shard event kernels.
+// infrastructure, each on an event kernel of its own, advanced by a pool of
+// shard worker threads.
 //
 // The paper provisions a single application; realistic cloud evaluation
 // needs many tenants contending for the same capacity. This module grows
@@ -11,18 +12,19 @@
 //    (which in turn derives its workload/fault/market/... streams). All of
 //    it is a pure function of MultiTenantConfig, so the tenant population
 //    is reproducible and independent of how the run is sharded.
-//  - Execution: tenants are partitioned round-robin across shards; each
-//    shard runs every resident tenant's World on ONE borrowed Simulation
-//    kernel (worlds share the shard's clock and event queue but own
-//    disjoint component state). Shards advance in lockstep windows under
-//    sim/shard_executor; at every window boundary the serial commit section
-//    runs the CapacityArbiter, which reconciles tenant desires against the
-//    shared instance capacity in ascending tenant-id order.
+//  - Execution: every tenant's World borrows a Simulation kernel of its own,
+//    and tenants are partitioned round-robin across shards. A shard is one
+//    worker thread: in each window it runs its residents' kernels to the
+//    boundary one after another, reading each one's counters. Shards advance
+//    in lockstep windows under sim/shard_executor; at every window boundary
+//    the serial commit section runs the CapacityArbiter, which reconciles
+//    tenant desires against the shared instance capacity in ascending
+//    tenant-id order.
 //
-// Determinism: within a shard, tenant event streams interleave on the
-// kernel's (time, push-seq) order — restricted to any one tenant that
-// order is identical whether the tenant shares the kernel with 0 or 100
-// neighbours, and tenants never touch each other's state between barriers.
+// Determinism: a tenant's events run in its own kernel's (time, push-seq)
+// order, on a push counter no other tenant touches, and tenants never
+// touch each other's state between barriers; so which worker runs a
+// tenant, and which tenants it runs before or after, cannot change it.
 // Cross-tenant interaction exists only inside the serial commit, which
 // walks tenants in id order against identical desires no matter how many
 // worker threads produced them. Hence per-tenant results are bit-identical
@@ -175,21 +177,38 @@ struct MultiTenantResult {
   std::uint64_t instances_denied = 0;
   std::size_t peak_granted = 0;
 
-  /// Sum over shard kernels (each kernel executes its residents' events).
+  /// Sum over the tenants' kernels: equal to the sum of the tenants'
+  /// simulated_events.
   std::uint64_t simulated_events = 0;
   double wall_seconds = 0.0;
 
-  /// Cross-tenant rollup: every counter but `seed` (the master seed) and
-  /// `simulated_events` (the kernels' total) is the tenants' sum, and so
-  /// are costs and VM-hours; response time is the completion-weighted mean,
-  /// instance stats are sums of per-tenant stats (not time-aligned), and
-  /// percentiles are left 0 (not aggregatable).
+  /// Cross-tenant rollup (tenant_rollup), with the run's policy label, its
+  /// master `seed` and its wall_seconds. Each tenant field rolls up by one
+  /// rule:
+  ///  - sums: every other counter (simulated_events included), costs,
+  ///    VM-hours, cache VM-hours, lambda_miss_mean (the backends' offered
+  ///    loads add up), and the instance statistics min/max/avg and
+  ///    cache_avg_instances (per-tenant statistics summed, not a
+  ///    time-aligned fleet series);
+  ///  - maxima: mttr_max and slo_worst_burn_rate;
+  ///  - means weighted over the tenants that carry them:
+  ///    avg_response_time by completed, mttr_mean by recoveries, both drift
+  ///    errors by drift_windows, cache_avg_response_time by cache_hits,
+  ///    backend_avg_response_time by cache_misses, cache_utilization by
+  ///    cache VM-hours; availability is the plain mean over tenants;
+  ///  - std_response_time: the pooled sample deviation over every
+  ///    completion (each tenant's variance plus its mean's spread);
+  ///  - ratios recomputed from the summed counters: utilization,
+  ///    rejection_rate, cache_hit_ratio;
+  ///  - the market's: spot_price_mean and spot_price_max are the first
+  ///    tenant's (every tenant prices against one shared trajectory);
+  ///  - not aggregatable, left 0: p95_response_time and p99_response_time.
   RunMetrics aggregate;
 };
 
 struct MultiTenantOptions {
-  /// Worker shards; clamped to [1, tenants]. Results are bit-identical for
-  /// every value (see file header).
+  /// Worker shards, one thread each; clamped to [1, tenants]. Results are
+  /// bit-identical for every value (see file header).
   std::size_t shards = 1;
   /// Tenants [0, traced_tenants) get span tracing at span_sample_rate and
   /// keep their Telemetry in the result.
@@ -198,7 +217,9 @@ struct MultiTenantOptions {
   /// Run-level profiler (output-only; may be null). Each shard worker gets
   /// a private WallProfiler that is drained into this one inside the serial
   /// barrier section — the per-worker-registry pattern, so --profile works
-  /// sharded instead of being silently sequential-only.
+  /// sharded instead of being silently sequential-only. A worker's window
+  /// is one shard.run scope around its residents' kernel runs, each an
+  /// engine.run scope on the shard's profiler.
   WallProfiler* profiler = nullptr;
 };
 
@@ -206,6 +227,11 @@ struct MultiTenantOptions {
 /// sharded window execution, then finishes every tenant in id order.
 MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
                                    const MultiTenantOptions& options = {});
+
+/// The cross-tenant rollup of `tenants` by the rules listed at
+/// MultiTenantResult::aggregate; `seed` is left as the tenants' sum and
+/// `policy` and `wall_seconds` empty, for the caller to set.
+RunMetrics tenant_rollup(const std::vector<TenantResult>& tenants);
 
 /// Per-tenant run CSV (write_runs_csv): one row per tenant, keyed by the
 /// `tenant` id and workload `kind` columns.

@@ -106,7 +106,14 @@ std::string table_cell(std::uint64_t value) { return std::to_string(value); }
 void print_metric_table(std::ostream& out, const std::vector<RunMetrics>& runs,
                         const std::vector<MetricGroup>& groups) {
   std::vector<std::string> header{"metric"};
-  for (const RunMetrics& run : runs) header.push_back(run.policy);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    // Columns that share a policy (the replications of one run) are told
+    // apart by their index.
+    const bool shared =
+        std::ranges::count(runs, runs[i].policy, &RunMetrics::policy) > 1;
+    header.push_back(shared ? runs[i].policy + " #" + std::to_string(i)
+                            : runs[i].policy);
+  }
   // for_each_metric walks one run, so the rows fill a column at a time.
   std::vector<std::vector<std::string>> rows;
   for (const RunMetrics& run : runs) {

@@ -42,7 +42,8 @@ void print_claim(std::ostream& out, const std::string& claim, double paper_value
                  double measured_value, int precision = 2);
 
 /// Prints the metrics of `groups` as one table in schema visit order: a row
-/// per metric, a column per run headed by its policy.
+/// per metric, a column per run headed by its policy, followed by " #i" (the
+/// run's index in `runs`) when another run has the same policy.
 void print_metric_table(std::ostream& out, const std::vector<RunMetrics>& runs,
                         const std::vector<MetricGroup>& groups);
 

@@ -142,9 +142,8 @@ std::unique_ptr<RequestSource> make_scenario_source(
 }
 
 void World::build_platform(bool track_quantiles) {
-  // A borrowed shard kernel is shared by many tenants: per-tenant telemetry
-  // and profiling cannot be attached at the engine level (the shard runner
-  // instruments the kernel itself), so engine hooks are owner-only.
+  // A borrowed kernel belongs to the multi-tenant runner, which attaches
+  // its shard worker's profiler itself, so engine hooks are owner-only.
   if (owns_sim()) {
     sim_->set_telemetry(telemetry_.get());
     sim_->set_profiler(profiler_);
@@ -648,10 +647,7 @@ RunOutput World::finish() {
     output.market = report;
   }
 
-  // A borrowed kernel executes every tenant in the shard; its event count
-  // is shard-global, so per-tenant metrics report 0 (the shard runner sums
-  // the kernels for the aggregate).
-  m.simulated_events = owns_sim() ? sim_->executed_events() : 0;
+  m.simulated_events = sim_->executed_events();
   m.wall_seconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - wall_start_)
                        .count();

@@ -73,11 +73,12 @@ class World final : public WhatIfEngine {
   /// parent's lookahead.fork scope.
   ///
   /// `engine` selects the event kernel: null (the default) makes the world
-  /// own a private Simulation, exactly as before. A non-null engine is
-  /// *borrowed* — multi-tenant sharding runs many Worlds on one per-shard
-  /// kernel — and the world then never attaches telemetry/profiler to the
-  /// engine, never drives it (run_to is the shard runner's job), and
-  /// reports simulated_events = 0 (the kernel's count is shard-global).
+  /// own a private Simulation. A non-null engine is *borrowed*: the
+  /// multi-tenant runner gives each tenant a kernel of its own, which its
+  /// shard's worker thread advances. The world then never attaches
+  /// telemetry or a profiler to the engine and never drives it: the runner
+  /// attaches its shard's profiler and runs the kernel. simulated_events is
+  /// the kernel's count either way.
   World(const ScenarioConfig& config, const PolicySpec& policy,
         std::uint64_t seed,
         const std::optional<TelemetryOptions>& telemetry_opts = std::nullopt,
@@ -103,7 +104,7 @@ class World final : public WhatIfEngine {
   void run_to(SimTime t);
   SimTime now() const;
   const Simulation& sim() const { return *sim_; }
-  /// False when this world runs on a borrowed (shared shard) kernel.
+  /// False when this world runs on a borrowed kernel.
   bool owns_sim() const { return owned_sim_ != nullptr; }
   Telemetry* telemetry() { return telemetry_.get(); }
 
@@ -188,10 +189,10 @@ class World final : public WhatIfEngine {
   WallProfiler* profiler_ = nullptr;
 
   std::unique_ptr<Telemetry> telemetry_;
-  /// Owned engine; null when the world runs on a borrowed shard kernel.
+  /// Owned engine; null when the world runs on a borrowed kernel.
   std::unique_ptr<Simulation> owned_sim_;
   /// The engine every component is wired against: owned_sim_.get() or the
-  /// borrowed shard kernel. Never null after construction.
+  /// borrowed kernel. Never null after construction.
   Simulation* sim_ = nullptr;
   std::optional<Datacenter> datacenter_;
   std::optional<ApplicationProvisioner> provisioner_;

@@ -1,21 +1,23 @@
-// Conservative parallel window execution over per-shard event kernels.
+// Conservative parallel window execution over shard worker threads.
 //
 // The paper's control loop makes time naturally window-structured: arrivals
 // are analyzed and Algorithm 1 decisions are committed once per analysis
 // window (60 s). Multi-tenant runs exploit that structure for parallelism:
-// tenants are partitioned across shards, each shard drives its own
-// Simulation kernel, and shards only ever interact inside a *serial commit
-// section* executed at every window boundary while all workers are parked
-// on a barrier. Within a window, shard state is disjoint by construction,
-// so this is a conservative PDES scheme: no rollbacks, no cross-shard event
-// traffic, and — because the commit section runs in a fixed deterministic
-// order regardless of which worker arrives last — results are bit-identical
-// for every shard count, including the threadless shards == 1 path.
+// tenants are partitioned across shards, each shard's worker drives its
+// residents' Simulation kernels (one per tenant), and shards only ever
+// interact inside a *serial commit section* executed at every window
+// boundary while all workers are parked on a barrier. Within a window,
+// shard state is disjoint by construction, so this is a conservative PDES
+// scheme: no rollbacks, no cross-shard event traffic, and — because the
+// commit section runs in a fixed deterministic order regardless of which
+// worker arrives last — results are bit-identical for every shard count,
+// including the threadless shards == 1 path.
 //
 // The executor is policy-free: it knows nothing about tenants, capacity, or
 // markets. Callers supply two callbacks:
-//   advance(shard, t) — advance shard's kernel to sim time t (inclusive),
-//                       called concurrently, one worker thread per shard;
+//   advance(shard, t) — advance the kernels of shard's residents to sim
+//                       time t (inclusive), one after another; called
+//                       concurrently, one worker thread per shard;
 //   commit(t)         — the serial barrier section at boundary t, run by
 //                       exactly one thread while every other worker is
 //                       parked (mutex + condvar, so it happens-before the
@@ -39,7 +41,7 @@ struct ShardExecutorHooks {
   std::function<void(std::size_t shard)> barrier_leave;
 };
 
-/// Drives `shards` kernels from t = 0 to `horizon` in lockstep windows of
+/// Drives `shards` workers from t = 0 to `horizon` in lockstep windows of
 /// `window` sim seconds: advance every shard to boundary k*window, run
 /// commit(k*window) serially, repeat, then advance every shard to the
 /// horizon (no commit fires at or beyond the horizon). Boundaries are

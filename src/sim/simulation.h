@@ -23,12 +23,13 @@ namespace cloudprov {
 class Telemetry;
 class WallProfiler;
 
-/// Cache-line aligned: a sharded run gives each worker thread its own
-/// kernel, and every event writes the clock and the queue's counters, so
-/// another thread's data must not share their lines. Unaligned, shard
-/// kernels beside other threads' data cost the 64-tenant benchmark a
-/// quarter or more of its CPU time on a 4-vCPU VM, depending on where the
-/// allocator put them.
+/// Cache-line aligned: a multi-tenant run gives each tenant its own kernel,
+/// allocated one after another, and neighbouring tenants run on different
+/// shard worker threads. Every event writes the clock and the queue's
+/// counters, so another thread's data must not share their lines. Measured
+/// with one kernel per shard, unaligned kernels beside other threads' data
+/// cost the 64-tenant benchmark a quarter or more of its CPU time on a
+/// 4-vCPU VM, depending on where the allocator put them.
 class alignas(64) Simulation {
  public:
   Simulation() = default;

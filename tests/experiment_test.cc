@@ -373,6 +373,18 @@ TEST(Report, MetricTablePrintsChosenGroups) {
             "-----------------------\n"
             "capacity_clips   3  0  \n"
             "capacity_denied  0  7  \n");
+
+  // Replications of one policy: each shared label gains the run's index.
+  b.policy = "A";
+  RunMetrics c;
+  c.policy = "C";
+  out.str("");
+  print_metric_table(out, {a, b, c}, {MetricGroup::kTenancy});
+  EXPECT_EQ(out.str(),
+            "metric           A #0  A #1  C  \n"
+            "--------------------------------\n"
+            "capacity_clips   3     0     0  \n"
+            "capacity_denied  0     7     0  \n");
 }
 
 // The run CSV's header is `policy` plus each schema name once, in visit

@@ -7,9 +7,14 @@
 // executable, following the kernel_golden_test.cc pattern.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <set>
 #include <sstream>
+#include <string>
 #include <string_view>
 #include <type_traits>
 #include <vector>
@@ -222,8 +227,7 @@ TEST(MultiTenantGolden, ShardedMatchesSequentialBitIdentically) {
           << " shards";
     }
     // Arbitration history and the aggregate roll up identically too
-    // (wall_seconds and the event split across kernels are the only
-    // legitimately shard-dependent outputs; total events are conserved).
+    // (wall_seconds is the only legitimately shard-dependent output).
     EXPECT_EQ(sharded.grant_clips, base.grant_clips);
     EXPECT_EQ(sharded.instances_denied, base.instances_denied);
     EXPECT_EQ(sharded.peak_granted, base.peak_granted);
@@ -316,6 +320,20 @@ TEST(MultiTenant, ProfiledShardedRunIsNeutralAndAttributed) {
   EXPECT_EQ(totals[static_cast<std::size_t>(ProfileCategory::kArbiter)].count,
             observed.windows + 1);
   EXPECT_GT(profiler.covered_seconds(), 0.0);
+
+  // Every tenant's kernel runs once per window and once to the horizon,
+  // each run an engine.run scope inside its worker's shard.run, and the
+  // policy's decisions nest inside those.
+  EXPECT_EQ(
+      totals[static_cast<std::size_t>(ProfileCategory::kEngineRun)].count,
+      config.tenants * (observed.windows + 1));
+  const std::vector<ProfileCategory> decision_path{
+      ProfileCategory::kShardRun, ProfileCategory::kEngineRun,
+      ProfileCategory::kPolicyDecision};
+  EXPECT_TRUE(std::ranges::any_of(
+      profiler.folded(), [&](const WallProfiler::PathStat& row) {
+        return row.path == decision_path;
+      }));
 }
 
 // --- per-shard telemetry batching ----------------------------------------
@@ -452,13 +470,179 @@ TEST(MultiTenant, AggregateSumsEveryCounter) {
                                  std::uint64_t>) {
       const std::uint64_t sum = sums[i++];
       const std::string_view metric(name);
-      if (metric == "seed" || metric == "simulated_events") return;
+      if (std::string_view(name) == "seed") return;
       EXPECT_EQ(value, sum) << name;
     }
   });
   EXPECT_EQ(result.aggregate.seed, config.seed);
   EXPECT_EQ(result.aggregate.simulated_events, result.simulated_events);
   EXPECT_GT(result.aggregate.cache_expirations, 0u);
+}
+
+/// Fails once per double that is nonzero in some tenant but 0 in
+/// `aggregate`, except the percentiles MultiTenantResult::aggregate lists as
+/// not aggregatable.
+void expect_doubles_roll_up(const std::vector<TenantResult>& tenants,
+                            const RunMetrics& aggregate) {
+  std::set<std::string_view> carried;
+  for (const TenantResult& tenant : tenants) {
+    for_each_metric(tenant.metrics, [&](const char* name, const auto& value,
+                                        MetricDirection, MetricGroup) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(value)>, double>) {
+        if (value != 0.0) carried.insert(name);
+      }
+    });
+  }
+  const std::set<std::string_view> not_aggregatable{"p95_response_time",
+                                                    "p99_response_time"};
+  for_each_metric(aggregate, [&](const char* name, const auto& value,
+                                 MetricDirection, MetricGroup) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(value)>, double>) {
+      if (carried.contains(name) && !not_aggregatable.contains(name)) {
+        EXPECT_NE(value, 0.0) << name;
+      }
+    }
+  });
+}
+
+// Every double has a rollup rule. Multi-tenant runs enable neither faults
+// nor the drift and SLO monitors, so synthetic tenants carry a value in
+// every field the run leaves 0; wall_seconds is the run's, set by
+// run_multi_tenant.
+TEST(MultiTenant, RollupCarriesEveryDoubleButThePercentiles) {
+  std::vector<TenantResult> tenants(3);
+  for (std::size_t t = 0; t < tenants.size(); ++t) {
+    for_each_metric(tenants[t].metrics, [&](const char* name, auto& value,
+                                            MetricDirection, MetricGroup) {
+      if (std::string_view(name) == "wall_seconds") return;
+      value = static_cast<std::remove_cvref_t<decltype(value)>>(t + 1);
+    });
+  }
+  expect_doubles_roll_up(tenants, tenant_rollup(tenants));
+  expect_same_metrics(tenant_rollup({}), RunMetrics{}, {"wall_seconds"});
+
+  // Two tenants of two completions each, {1, 1} and {3, 3}: the pooled
+  // sample deviation is that of {1, 1, 3, 3}; mttr_mean weighs by
+  // recoveries and mttr_max takes the larger.
+  std::vector<TenantResult> pair(2);
+  pair[0].metrics.completed = 2;
+  pair[0].metrics.avg_response_time = 1.0;
+  pair[0].metrics.recoveries = 1;
+  pair[0].metrics.mttr_mean = 10.0;
+  pair[0].metrics.mttr_max = 12.0;
+  pair[1].metrics.completed = 2;
+  pair[1].metrics.avg_response_time = 3.0;
+  pair[1].metrics.recoveries = 3;
+  pair[1].metrics.mttr_mean = 20.0;
+  pair[1].metrics.mttr_max = 30.0;
+  const RunMetrics rollup = tenant_rollup(pair);
+  EXPECT_DOUBLE_EQ(rollup.avg_response_time, 2.0);
+  EXPECT_DOUBLE_EQ(rollup.std_response_time, std::sqrt(4.0 / 3.0));
+  EXPECT_DOUBLE_EQ(rollup.mttr_mean, 17.5);
+  EXPECT_DOUBLE_EQ(rollup.mttr_max, 30.0);
+}
+
+// The same holds on a run: tiered Zipf and web tenants on a shared market.
+TEST(MultiTenant, RunAggregateCarriesEveryTenantDouble) {
+  MultiTenantConfig config = market_config();
+  config.tenants = 4;
+  config.zipf_fraction = 0.5;
+  config.zipf_tiers = true;
+  config.horizon = 900.0;
+  const MultiTenantResult result = run_multi_tenant(config, {});
+  EXPECT_GT(result.aggregate.cache_avg_instances, 0.0);
+  EXPECT_GT(result.aggregate.std_response_time, 0.0);
+  expect_doubles_roll_up(result.tenants, result.aggregate);
+}
+
+// --- pinned outputs: a mixed population at shards 1 and 3 ---------------
+
+/// Web, BoT and tiered-Zipf tenants under a shared capacity tight enough
+/// that the arbiter clips every few windows.
+MultiTenantConfig mixed_config() {
+  MultiTenantConfig config;
+  config.tenants = 9;
+  config.seed = 2026;
+  config.horizon = 1800.0;
+  config.window = 60.0;
+  config.bot_fraction = 0.3;
+  config.zipf_fraction = 0.3;
+  config.zipf_tiers = true;
+  config.tenant_scale = 0.05;
+  config.capacity = 24;
+  return config;
+}
+
+/// FNV-1a over every metric's name and bits, in visit order, except
+/// wall_seconds (the host's) and simulated_events (the kernels' count).
+std::uint64_t metrics_hash(const RunMetrics& m) {
+  std::string bytes;
+  for_each_metric(m, [&](const char* name, const auto& value,
+                         MetricDirection, MetricGroup) {
+    const std::string_view metric(name);
+    if (metric == "wall_seconds" || metric == "simulated_events") return;
+    using T = std::remove_cvref_t<decltype(value)>;
+    std::uint64_t bits = 0;
+    if constexpr (std::is_floating_point_v<T>) {
+      bits = double_bits(value);
+    } else {
+      bits = value;
+    }
+    bytes.append(metric);
+    bytes.append(reinterpret_cast<const char*>(&bits), sizeof(bits));
+  });
+  return fnv1a(bytes);
+}
+
+// Pinned before tenants had kernels of their own: every tenant's metrics,
+// the traced tenants' span CSVs and the arbiter's history must not move,
+// whatever the shard count.
+TEST(MultiTenantGolden, MixedPopulationOutputsArePinned) {
+  const MultiTenantConfig config = mixed_config();
+  std::size_t kinds[3] = {0, 0, 0};
+  for (const TenantSpec& spec : multi_tenant_specs(config)) {
+    ++kinds[static_cast<std::size_t>(spec.scenario.workload)];
+  }
+  ASSERT_GT(kinds[static_cast<std::size_t>(WorkloadKind::kWeb)], 0u);
+  ASSERT_GT(kinds[static_cast<std::size_t>(WorkloadKind::kScientific)], 0u);
+  ASSERT_GT(kinds[static_cast<std::size_t>(WorkloadKind::kZipf)], 0u);
+
+  static constexpr std::uint64_t kTenantHashes[] = {
+      0x42999f0bc1dd1b88ULL, 0x42d3c196099745f2ULL, 0xd496a09d73beb31bULL,
+      0x8f4125c9b13ae393ULL, 0x5bb820bcd0173524ULL, 0xa6104e196607f6f6ULL,
+      0x9c85866a6b00d9d1ULL, 0x846a2e1c1a391d8eULL, 0x18a5b82ceab0b5a6ULL};
+  static constexpr std::uint64_t kSpanHashes[] = {0x631b9182707bca9bULL,
+                                                  0x59696eb0cb16812aULL};
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    MultiTenantOptions options;
+    options.shards = shards;
+    options.traced_tenants = std::size(kSpanHashes);
+    const MultiTenantResult result = run_multi_tenant(config, options);
+    ASSERT_EQ(result.tenants.size(), std::size(kTenantHashes));
+    for (std::size_t i = 0; i < result.tenants.size(); ++i) {
+      EXPECT_EQ(metrics_hash(result.tenants[i].metrics), kTenantHashes[i])
+          << "tenant " << i << " hash 0x" << std::hex
+          << metrics_hash(result.tenants[i].metrics);
+    }
+    for (std::size_t i = 0; i < std::size(kSpanHashes); ++i) {
+      EXPECT_EQ(span_csv_hash(result.tenants[i]), kSpanHashes[i])
+          << "tenant " << i << " span hash 0x" << std::hex
+          << span_csv_hash(result.tenants[i]);
+    }
+    EXPECT_EQ(result.grant_clips, 31u);
+    EXPECT_EQ(result.instances_denied, 79u);
+    EXPECT_EQ(result.peak_granted, 24u);
+
+    // Each tenant counts its own events, and they make up the run's total.
+    std::uint64_t events = 0;
+    for (const TenantResult& tenant : result.tenants) {
+      EXPECT_GT(tenant.metrics.simulated_events, 0u) << tenant.id;
+      events += tenant.metrics.simulated_events;
+    }
+    EXPECT_EQ(events, result.simulated_events);
+  }
 }
 
 // Every tenant's workload source runs to the population's horizon, whatever
