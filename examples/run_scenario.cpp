@@ -204,6 +204,9 @@ RunOutput run_replication_zero(const ScenarioConfig& config,
                                const std::string& restore_path,
                                const std::string& checkpoint_path,
                                double checkpoint_at, WallProfiler* profiler) {
+  if (restore_path.empty() && checkpoint_path.empty()) {
+    return run_scenario(config, policy, seed, telemetry, profiler);
+  }
   if (!restore_path.empty()) {
     const WorldState state = read_checkpoint_file(restore_path);
     std::cerr << "restored " << restore_path << " at t=" << fmt(state.now, 1)
@@ -214,12 +217,10 @@ RunOutput run_replication_zero(const ScenarioConfig& config,
   }
   World world(config, policy, seed, telemetry, profiler);
   world.start();
-  if (!checkpoint_path.empty()) {
-    world.run_to(checkpoint_at);
-    write_checkpoint_file(checkpoint_path, world.snapshot());
-    std::cout << "checkpoint written to " << checkpoint_path << " (t="
-              << fmt(world.now(), 1) << " s)\n";
-  }
+  world.run_to(checkpoint_at);
+  write_checkpoint_file(checkpoint_path, world.snapshot());
+  std::cout << "checkpoint written to " << checkpoint_path << " (t="
+            << fmt(world.now(), 1) << " s)\n";
   world.run_to(config.horizon);
   return world.finish();
 }
@@ -724,60 +725,32 @@ int run(const ArgParser& args) {
     return 0;
   }
 
-  // Telemetry, the decision timeline, and the wall profile always describe
-  // replication 0, no matter how the batch is executed.
-  std::vector<RunMetrics> runs;
+  // Telemetry, the decision timeline, the market ledger and the wall
+  // profile describe replication 0, which this thread runs while workers
+  // take the other replications.
   std::vector<AdaptivePolicy::DecisionRecord> decisions;
   std::unique_ptr<Telemetry> telemetry;
-  std::optional<MarketReport> market_report;  // replication 0's ledger
-  RunMetrics instrumented;  // metrics of the telemetry-carrying run
-  const std::vector<std::uint64_t> seeds = replication_seeds(reps, seed);
-  // Pick the loop by the workers that would actually run: one replication
-  // always takes the sequential loop, which honours --checkpoint/--restore
-  // and runs replication 0 once.
-  if (effective_parallelism(parallelism, reps) == 1) {
-    for (std::size_t i = 0; i < reps; ++i) {
-      RunOutput output =
-          i == 0 && (!checkpoint_path.empty() || !restore_path.empty())
-              ? run_replication_zero(config, policy, seeds[i], telemetry_opts,
-                                     restore_path, checkpoint_path,
-                                     checkpoint_at, prof)
-              : run_scenario(config, policy, seeds[i],
-                             i == 0 ? telemetry_opts
-                                    : std::optional<TelemetryOptions>{},
-                             i == 0 ? prof : nullptr);
-      std::cerr << "rep " << i + 1 << "/" << reps << ": "
-                << output.metrics.generated << " requests in "
-                << fmt(output.metrics.wall_seconds, 1) << " s\n";
-      if (i == 0) {
+  std::optional<MarketReport> market_report;
+  std::size_t finished = 0;
+  const std::vector<RunMetrics> runs = run_replications(
+      config, policy, reps, seed,
+      [&](const RunMetrics& m) {
+        std::cerr << "rep " << ++finished << "/" << reps << " (seed " << m.seed
+                  << "): " << m.generated << " requests in "
+                  << fmt(m.wall_seconds, 1) << " s\n";
+      },
+      parallelism,
+      [&](std::uint64_t seed0) {
+        RunOutput output =
+            run_replication_zero(config, policy, seed0, telemetry_opts,
+                                 restore_path, checkpoint_path, checkpoint_at,
+                                 prof);
         decisions = std::move(output.decisions);
         telemetry = std::move(output.telemetry);
         market_report = std::move(output.market);
-        instrumented = output.metrics;
-      }
-      runs.push_back(std::move(output.metrics));
-    }
-  } else {
-    runs = run_replications(
-        config, policy, reps, seed,
-        [&](const RunMetrics& m) {
-          std::cerr << "rep seed=" << m.seed << ": " << m.generated
-                    << " requests in " << fmt(m.wall_seconds, 1) << " s\n";
-        },
-        parallelism);
-    // Instrumentation needs a dedicated sequential pass (the collector is
-    // per-replication and the workers only keep metrics; the profiler is
-    // single-threaded by design).
-    if (telemetry_opts.has_value() || !decisions_path.empty() ||
-        !market_path.empty() || prof != nullptr) {
-      RunOutput output =
-          run_scenario(config, policy, seeds[0], telemetry_opts, prof);
-      decisions = std::move(output.decisions);
-      telemetry = std::move(output.telemetry);
-      market_report = std::move(output.market);
-      instrumented = std::move(output.metrics);
-    }
-  }
+        return std::move(output.metrics);
+      });
+  const RunMetrics& instrumented = runs.front();
   const AggregateMetrics agg = aggregate(runs);
 
   std::cout << "scenario: " << to_string(config.workload) << " @ scale "
@@ -902,8 +875,6 @@ int run(const ArgParser& args) {
   if (!manifest_path.empty()) {
     {
       ProfileScope profile_export(prof, ProfileCategory::kExportManifest);
-      // --manifest-out implies --profile, so `instrumented` is always the
-      // profiled replication's metrics (replication 0's seed either way).
       std::ofstream out(manifest_path);
       write_run_manifest(out, config, policy.label(config.scale), seed, reps,
                          instrumented, prof);

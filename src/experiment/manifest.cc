@@ -239,6 +239,8 @@ void write_multi_tenant_manifest(std::ostream& out,
     obj.num("horizon", config.horizon);
     obj.num("window", config.window);
     obj.num("bot_fraction", config.bot_fraction);
+    obj.num("zipf_fraction", config.zipf_fraction);
+    obj.boolean("zipf_tiers", config.zipf_tiers);
     obj.num("tenant_scale", config.tenant_scale);
     obj.num("scale_spread", config.scale_spread);
     obj.num("qos_spread", config.qos_spread);

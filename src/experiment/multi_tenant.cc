@@ -9,10 +9,8 @@
 #include <utility>
 
 #include "experiment/report.h"
-#include "experiment/world.h"
 #include "profile/wall_profiler.h"
 #include "sim/shard_executor.h"
-#include "sim/simulation.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -177,7 +175,7 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
     /// Shard-local telemetry batch: this worker's residents' counter
     /// deltas for the current window. Written only by the owning worker
     /// between barriers, drained (and reset) inside the serial commit.
-    FleetWindowSample batch;
+    World::Counters batch;
   };
   std::vector<Shard> shards(shard_count);
   if (options.profiler != nullptr) {
@@ -187,13 +185,10 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
     }
   }
 
-  // Build every tenant world in ascending id order on a kernel of its own,
-  // which the world borrows; residency is round-robin. Kernels outlive
-  // their worlds (declared first, destroyed last). A kernel carries its
-  // shard's profiler: its run() is the engine.run scope, and the policy,
-  // market, fault and resilience hooks open their scopes through it.
-  std::vector<std::unique_ptr<Simulation>> kernels;
-  kernels.reserve(tenant_count);
+  // Build every tenant world in ascending id order; residency is
+  // round-robin. A world carries its shard's profiler: its kernel runs are
+  // engine.run scopes, and the policy, market, fault and resilience hooks
+  // open their scopes through it.
   std::vector<std::unique_ptr<World>> worlds;
   worlds.reserve(tenant_count);
   const PolicySpec policy = PolicySpec::adaptive();
@@ -206,11 +201,8 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
       opts.span_seed = spec.seed;
       telemetry = opts;
     }
-    kernels.push_back(std::make_unique<Simulation>());
-    kernels.back()->set_profiler(home.profiler.get());
     worlds.push_back(std::make_unique<World>(spec.scenario, policy, spec.seed,
-                                             telemetry, home.profiler.get(),
-                                             kernels.back().get()));
+                                             telemetry, home.profiler.get()));
   }
   for (std::unique_ptr<World>& world : worlds) world->start();
 
@@ -233,7 +225,7 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
   }
 
   // Per-shard telemetry batching: each worker reads each resident's
-  // monotone counters right after advancing its kernel and accumulates the
+  // monotone counters right after advancing its world and accumulates the
   // deltas into its shard-private batch. Only the serial commit touches the
   // shared window series, so thousands of tenants add zero lock contention
   // on any registry. `last_counters[i]` is only ever touched by tenant i's
@@ -243,19 +235,11 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
   const auto advance = [&](std::size_t shard, SimTime t) {
     ProfileScope scope(shards[shard].profiler.get(),
                        ProfileCategory::kShardRun);
-    FleetWindowSample& batch = shards[shard].batch;
     for (std::size_t i = shard; i < tenant_count; i += shard_count) {
-      kernels[i]->run(t);
+      worlds[i]->run_to(t);
       const World::Counters now = worlds[i]->counters();
-      World::Counters& last = last_counters[i];
-      batch.generated += now.generated - last.generated;
-      batch.accepted += now.accepted - last.accepted;
-      batch.rejected += now.rejected - last.rejected;
-      batch.completed += now.completed - last.completed;
-      batch.qos_violations += now.qos_violations - last.qos_violations;
-      batch.cache_hits += now.cache_hits - last.cache_hits;
-      batch.cache_misses += now.cache_misses - last.cache_misses;
-      last = now;
+      shards[shard].batch += now - last_counters[i];
+      last_counters[i] = now;
     }
   };
   // Moves every shard's pending batch into one fleet row stamped `t`.
@@ -263,14 +247,8 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
     FleetWindowSample row;
     row.t = t;
     for (Shard& shard : shards) {
-      row.generated += shard.batch.generated;
-      row.accepted += shard.batch.accepted;
-      row.rejected += shard.batch.rejected;
-      row.completed += shard.batch.completed;
-      row.qos_violations += shard.batch.qos_violations;
-      row.cache_hits += shard.batch.cache_hits;
-      row.cache_misses += shard.batch.cache_misses;
-      shard.batch = FleetWindowSample{};
+      row += shard.batch;
+      shard.batch = {};
     }
     window_series.push_back(row);
   };
@@ -312,14 +290,6 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
   result.instances_denied = arbiter.denied();
   result.peak_granted = arbiter.peak_granted();
 
-  // Workers have joined: drain the tail (including the final windows' wait
-  // scopes) into the run profiler.
-  if (options.profiler != nullptr) {
-    for (Shard& shard : shards) {
-      shard.profiler->drain_into(*options.profiler);
-    }
-  }
-
   result.tenants.reserve(tenant_count);
   for (std::size_t i = 0; i < tenant_count; ++i) {
     TenantResult tenant;
@@ -328,10 +298,17 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
     RunOutput output = worlds[i]->finish();
     tenant.metrics = std::move(output.metrics);
     tenant.telemetry = std::move(output.telemetry);
+    result.simulated_events += tenant.metrics.simulated_events;
     result.tenants.push_back(std::move(tenant));
   }
-  for (const std::unique_ptr<Simulation>& kernel : kernels) {
-    result.simulated_events += kernel->executed_events();
+
+  // Workers have joined and the tenants are finished: drain the tail (the
+  // final windows' wait scopes and the world.finish scopes) into the run
+  // profiler.
+  if (options.profiler != nullptr) {
+    for (Shard& shard : shards) {
+      shard.profiler->drain_into(*options.profiler);
+    }
   }
   result.wall_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - wall_start)

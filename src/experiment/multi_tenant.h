@@ -12,9 +12,9 @@
 //    (which in turn derives its workload/fault/market/... streams). All of
 //    it is a pure function of MultiTenantConfig, so the tenant population
 //    is reproducible and independent of how the run is sharded.
-//  - Execution: every tenant's World borrows a Simulation kernel of its own,
-//    and tenants are partitioned round-robin across shards. A shard is one
-//    worker thread: in each window it runs its residents' kernels to the
+//  - Execution: every tenant's World runs on its own event kernel, and
+//    tenants are partitioned round-robin across shards. A shard is one
+//    worker thread: in each window it runs its residents' worlds to the
 //    boundary one after another, reading each one's counters. Shards advance
 //    in lockstep windows under sim/shard_executor; at every window boundary
 //    the serial commit section runs the CapacityArbiter, which reconciles
@@ -39,6 +39,7 @@
 
 #include "experiment/metrics.h"
 #include "experiment/scenario.h"
+#include "experiment/world.h"
 #include "telemetry/telemetry.h"
 
 namespace cloudprov {
@@ -147,19 +148,13 @@ struct TenantResult {
 };
 
 /// One fleet-level telemetry row per barrier window: the sum of every
-/// tenant's counter deltas over that window. Accumulated shard-locally by
-/// each worker after its window advance and drained into the series inside
-/// the serial barrier commit — tenants never serialize on a shared registry
+/// tenant's counter deltas over that window (cache hits and misses come
+/// from tiered Zipf tenants only). Accumulated shard-locally by each worker
+/// after its window advance and drained into the series inside the serial
+/// barrier commit — tenants never serialize on a shared registry
 /// mid-window, so the pattern holds at thousands of tenants.
-struct FleetWindowSample {
+struct FleetWindowSample : World::Counters {
   SimTime t = 0.0;  ///< window-end barrier time
-  std::uint64_t generated = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t qos_violations = 0;
-  std::uint64_t cache_hits = 0;    ///< tiered (Zipf) tenants only
-  std::uint64_t cache_misses = 0;  ///< tiered (Zipf) tenants only
 };
 
 struct MultiTenantResult {
@@ -177,8 +172,7 @@ struct MultiTenantResult {
   std::uint64_t instances_denied = 0;
   std::size_t peak_granted = 0;
 
-  /// Sum over the tenants' kernels: equal to the sum of the tenants'
-  /// simulated_events.
+  /// The sum of the tenants' simulated_events.
   std::uint64_t simulated_events = 0;
   double wall_seconds = 0.0;
 
@@ -219,7 +213,8 @@ struct MultiTenantOptions {
   /// barrier section — the per-worker-registry pattern, so --profile works
   /// sharded instead of being silently sequential-only. A worker's window
   /// is one shard.run scope around its residents' kernel runs, each an
-  /// engine.run scope on the shard's profiler.
+  /// engine.run scope on the shard's profiler; a tenant's world.build and
+  /// world.finish scopes land there too.
   WallProfiler* profiler = nullptr;
 };
 

@@ -1,9 +1,11 @@
 #include "experiment/runner.h"
 
+#include <algorithm>
 #include <atomic>
+#include <exception>
+#include <memory>
 #include <mutex>
 #include <thread>
-#include <memory>
 
 #include "experiment/world.h"
 #include "util/check.h"
@@ -13,8 +15,9 @@ namespace cloudprov {
 namespace {
 
 // Scoped sim-time log prefix: while a telemetry-instrumented replication
-// runs, CLOUDPROV_LOG lines carry [t=...] so they correlate with trace
-// events. Never installed for batch/parallel runs (the provider is global).
+// runs, the lines its thread logs carry [t=...] so they correlate with trace
+// events. The provider is per-thread, so replications running beside it on
+// other threads log without one.
 class ScopedLogTime {
  public:
   explicit ScopedLogTime(const Simulation& sim) {
@@ -47,21 +50,17 @@ std::vector<std::uint64_t> replication_seeds(std::size_t replications,
   return seeds;
 }
 
-std::size_t effective_parallelism(std::size_t parallelism,
-                                  std::size_t replications) {
-  if (parallelism == 0) {
-    parallelism = std::max(1u, std::thread::hardware_concurrency());
-  }
-  return std::min(parallelism, replications);
-}
-
 std::vector<RunMetrics> run_replications(
     const ScenarioConfig& config, const PolicySpec& policy,
     std::size_t replications, std::uint64_t base_seed,
     const std::function<void(const RunMetrics&)>& progress,
-    std::size_t parallelism) {
+    std::size_t parallelism,
+    const std::function<RunMetrics(std::uint64_t seed)>& replication_zero) {
   ensure_arg(replications >= 1, "run_replications: need at least one run");
-  parallelism = effective_parallelism(parallelism, replications);
+  if (parallelism == 0) {
+    parallelism = std::max(1u, std::thread::hardware_concurrency());
+  }
+  parallelism = std::min(parallelism, replications);
 
   // Seeds are fixed up front so the result set does not depend on worker
   // scheduling; each replication is fully self-contained (own Simulation,
@@ -70,32 +69,37 @@ std::vector<RunMetrics> run_replications(
       replication_seeds(replications, base_seed);
 
   std::vector<RunMetrics> runs(replications);
-  if (parallelism == 1) {
-    for (std::size_t i = 0; i < replications; ++i) {
-      runs[i] = run_scenario(config, policy, seeds[i]).metrics;
-      if (progress) progress(runs[i]);
-    }
-    return runs;
-  }
-
-  std::atomic<std::size_t> next_index{0};
-  std::mutex progress_mutex;
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next_index.fetch_add(1);
-      if (i >= replications) return;
-      RunMetrics metrics = run_scenario(config, policy, seeds[i]).metrics;
-      if (progress) {
-        std::scoped_lock lock(progress_mutex);
-        progress(metrics);
+  std::mutex mutex;  // serializes `progress` and guards `failure`
+  std::exception_ptr failure;
+  // Replication 0 is the caller's; each thread then claims the next index.
+  std::atomic<std::size_t> next_index{1};
+  const auto run_from = [&](std::size_t i) {
+    try {
+      for (; i < replications; i = next_index.fetch_add(1)) {
+        RunMetrics metrics = i == 0 && replication_zero
+                                 ? replication_zero(seeds[0])
+                                 : run_scenario(config, policy, seeds[i]).metrics;
+        if (progress) {
+          std::scoped_lock lock(mutex);
+          progress(metrics);
+        }
+        runs[i] = std::move(metrics);
       }
-      runs[i] = std::move(metrics);
+    } catch (...) {
+      next_index = replications;  // the others stop after their current run
+      std::scoped_lock lock(mutex);
+      if (failure == nullptr) failure = std::current_exception();
     }
   };
-  std::vector<std::thread> workers;
-  workers.reserve(parallelism);
-  for (std::size_t w = 0; w < parallelism; ++w) workers.emplace_back(worker);
-  for (std::thread& thread : workers) thread.join();
+  {
+    std::vector<std::jthread> workers;  // joined at the end of this block
+    workers.reserve(parallelism - 1);
+    for (std::size_t w = 1; w < parallelism; ++w) {
+      workers.emplace_back([&] { run_from(next_index.fetch_add(1)); });
+    }
+    run_from(0);
+  }
+  if (failure != nullptr) std::rethrow_exception(failure);
   return runs;
 }
 

@@ -36,26 +36,30 @@ RunOutput run_scenario(const ScenarioConfig& config, const PolicySpec& policy,
                        WallProfiler* profiler = nullptr);
 
 /// Seeds used by run_replications for `replications` runs from `base_seed`
-/// (splitmix64 sequence): lets callers re-run any single replication —
-/// e.g. replication 0 with telemetry attached — outside the batch.
+/// (splitmix64 sequence): lets callers reproduce any single replication
+/// outside the batch.
 std::vector<std::uint64_t> replication_seeds(std::size_t replications,
                                              std::uint64_t base_seed);
 
-/// The number of workers run_replications uses: `parallelism` (0 = one per
-/// hardware thread), capped at `replications`.
-std::size_t effective_parallelism(std::size_t parallelism,
-                                  std::size_t replications);
-
 /// Runs `replications` independent seeds and returns the per-run metrics in
-/// seed order. `progress` (optional) is invoked after each completed run
-/// (serialized). `parallelism` = 0 uses one worker per hardware thread;
-/// results are identical for any parallelism level because every
-/// replication's seed is fixed up front and no state is shared between runs.
+/// seed order. The calling thread runs replication 0 while
+/// min(parallelism, replications) - 1 worker threads (`parallelism` 0 =
+/// one per hardware thread) take the others; the caller then takes what is
+/// left and joins them. `replication_zero` (optional) runs replication 0
+/// in place of run_scenario, given its seed: an instrumented run whose
+/// telemetry, profiler and thread-local log prefix stay on the calling
+/// thread. `progress` (optional) is invoked after each completed run
+/// (serialized). Results are identical for any parallelism level because
+/// every replication's seed is fixed up front and no state is shared
+/// between runs. The first exception a run throws is rethrown here once
+/// every thread has stopped.
 std::vector<RunMetrics> run_replications(
     const ScenarioConfig& config, const PolicySpec& policy,
     std::size_t replications, std::uint64_t base_seed = 42,
     const std::function<void(const RunMetrics&)>& progress = {},
-    std::size_t parallelism = 1);
+    std::size_t parallelism = 1,
+    const std::function<RunMetrics(std::uint64_t seed)>& replication_zero =
+        {});
 
 /// Samples a workload's realized arrival-rate curve (no serving system):
 /// used by the Figure 3 / Figure 4 reproductions. Returns one point per

@@ -142,13 +142,9 @@ std::unique_ptr<RequestSource> make_scenario_source(
 }
 
 void World::build_platform(bool track_quantiles) {
-  // A borrowed kernel belongs to the multi-tenant runner, which attaches
-  // its shard worker's profiler itself, so engine hooks are owner-only.
-  if (owns_sim()) {
-    sim_->set_telemetry(telemetry_.get());
-    sim_->set_profiler(profiler_);
-  }
-  datacenter_.emplace(*sim_, config_.datacenter,
+  sim_.set_telemetry(telemetry_.get());
+  sim_.set_profiler(profiler_);
+  datacenter_.emplace(sim_, config_.datacenter,
                       std::make_unique<LeastLoadedPlacement>());
   datacenter_->set_telemetry(telemetry_.get());
 
@@ -167,14 +163,14 @@ void World::build_platform(bool track_quantiles) {
   } else {
     admission = std::make_unique<KBoundAdmission>();
   }
-  provisioner_.emplace(*sim_, *datacenter_, config_.qos, prov_config,
+  provisioner_.emplace(sim_, *datacenter_, config_.qos, prov_config,
                        std::move(admission));
   provisioner_->set_telemetry(telemetry_.get());
 
   // The market broker is attached before any policy commands capacity so
   // even the initial pool is bought on the market.
   if (config_.market.enabled) {
-    market_.emplace(*sim_, *datacenter_, config_.market,
+    market_.emplace(sim_, *datacenter_, config_.market,
                     config_.market.price_seed_override != 0
                         ? config_.market.price_seed_override
                         : streams_.market);
@@ -182,16 +178,16 @@ void World::build_platform(bool track_quantiles) {
     market_->attach(*provisioner_);
   }
   if (config_.fault.enabled()) {
-    faults_.emplace(*sim_, *datacenter_, *provisioner_, config_.fault,
+    faults_.emplace(sim_, *datacenter_, *provisioner_, config_.fault,
                     streams_.fault);
     faults_->set_telemetry(telemetry_.get());
   }
   if (config_.reconciler.enabled) {
-    reconciler_.emplace(*sim_, *provisioner_, config_.reconciler);
+    reconciler_.emplace(sim_, *provisioner_, config_.reconciler);
     reconciler_->set_telemetry(telemetry_.get());
   }
   if (config_.resilience.enabled) {
-    gateway_.emplace(*sim_, *provisioner_, config_.resilience,
+    gateway_.emplace(sim_, *provisioner_, config_.resilience,
                      Rng(streams_.resilience), telemetry_.get());
   }
 
@@ -204,21 +200,21 @@ void World::build_platform(bool track_quantiles) {
     // size is observed through the apptier cache lane instead.
     DatacenterConfig cache_dc = config_.datacenter;
     cache_dc.host_count = kCacheHosts;
-    cache_datacenter_.emplace(*sim_, cache_dc,
+    cache_datacenter_.emplace(sim_, cache_dc,
                               std::make_unique<LeastLoadedPlacement>());
 
     // Cache VMs take the default 1-core shape: they are sized by directory
     // capacity, not compute.
     ProvisionerConfig cache_prov;
     cache_prov.initial_service_time_estimate = kInitialCacheServiceEstimate;
-    cache_provisioner_.emplace(*sim_, *cache_datacenter_, kCacheQos,
+    cache_provisioner_.emplace(sim_, *cache_datacenter_, kCacheQos,
                                cache_prov, std::make_unique<KBoundAdmission>());
     cache_provisioner_->set_telemetry(telemetry_.get());
     cache_provisioner_->set_cache_instance_lane(true);
 
     // Built after the gateway so the tier's completion-listener chaining
     // wraps whatever the gateway installed. Misses go to request_sink().
-    cache_tier_.emplace(*sim_, config_.apptier, config_.qos,
+    cache_tier_.emplace(sim_, config_.apptier, config_.qos,
                         *cache_provisioner_, *provisioner_, request_sink(),
                         Rng(streams_.apptier), telemetry_.get());
   }
@@ -243,7 +239,7 @@ void World::build_policy(const WorldState* restored, const WhatIfSpec* fork) {
     // its checkpoint is shape-compatible with AdaptivePolicy::State, so the
     // restore path reuses the policy state verbatim.
     tiered_ = std::make_unique<TieredProvisioner>(
-        *sim_, make_predictor(config_, policy_.predictor, *source_, profile_),
+        sim_, make_predictor(config_, policy_.predictor, *source_, profile_),
         config_.modeler, config_.analyzer, config_.apptier);
     tiered_->set_telemetry(telemetry_.get());
     if (policy_state != nullptr) {
@@ -263,7 +259,7 @@ void World::build_policy(const WorldState* restored, const WhatIfSpec* fork) {
   }
 
   auto owned = std::make_unique<AdaptivePolicy>(
-      *sim_, make_predictor(config_, policy_.predictor, *source_, profile_),
+      sim_, make_predictor(config_, policy_.predictor, *source_, profile_),
       config_.modeler, config_.analyzer);
   adaptive_ = owned.get();
   adaptive_->set_telemetry(telemetry_.get());
@@ -282,7 +278,7 @@ void World::build_policy(const WorldState* restored, const WhatIfSpec* fork) {
 World::World(const ScenarioConfig& config, const PolicySpec& policy,
              std::uint64_t seed,
              const std::optional<TelemetryOptions>& telemetry_opts,
-             WallProfiler* profiler, Simulation* engine)
+             WallProfiler* profiler)
     : config_(config),
       policy_(policy),
       seed_(seed),
@@ -290,14 +286,12 @@ World::World(const ScenarioConfig& config, const PolicySpec& policy,
       wall_start_(std::chrono::steady_clock::now()),
       profiler_(profiler) {
   ProfileScope profile_build(profiler_, ProfileCategory::kWorldBuild);
-  if (engine == nullptr) owned_sim_ = std::make_unique<Simulation>();
-  sim_ = engine != nullptr ? engine : owned_sim_.get();
   if (telemetry_opts.has_value()) {
     telemetry_ = std::make_unique<Telemetry>(*telemetry_opts);
   }
   build_platform(/*track_quantiles=*/true);
   source_ = make_scenario_source(config_);
-  broker_.emplace(*sim_, *source_, front_door(), Rng(streams_.workload));
+  broker_.emplace(sim_, *source_, front_door(), Rng(streams_.workload));
   build_policy(nullptr, nullptr);
 }
 
@@ -322,14 +316,12 @@ World::World(const World& parent, const WorldState& base,
       streams_(parent.streams_),
       wall_start_(std::chrono::steady_clock::now()),
       profile_(parent.profile_) {
-  restore(base, &fork, parent.sim_->queue().slab_high_water());
+  restore(base, &fork, parent.sim_.queue().slab_high_water());
 }
 
 void World::restore(const WorldState& state, const WhatIfSpec* fork,
                     std::size_t event_capacity) {
-  owned_sim_ = std::make_unique<Simulation>();
-  sim_ = owned_sim_.get();
-  sim_->queue().reserve(event_capacity);
+  sim_.queue().reserve(event_capacity);
   if (state.telemetry != nullptr) telemetry_ = state.telemetry->clone();
   build_platform(/*track_quantiles=*/fork == nullptr);
   // Component restore order is free (each re-pushes under explicit stamps);
@@ -368,7 +360,7 @@ void World::restore(const WorldState& state, const WhatIfSpec* fork,
     source_ = make_scenario_source(config_);
     source_->load_state(state.source);
   }
-  broker_.emplace(*sim_, *source_, front_door(), Rng(streams_.workload));
+  broker_.emplace(sim_, *source_, front_door(), Rng(streams_.workload));
   broker_->restore(broker_snap);
 
   build_policy(&state, fork);
@@ -376,7 +368,7 @@ void World::restore(const WorldState& state, const WhatIfSpec* fork,
     tiered_->restore_cache_decisions(state.apptier->cache_decisions);
   }
 
-  sim_->restore_clock(state.now, state.executed_events, state.push_counter);
+  sim_.restore_clock(state.now, state.executed_events, state.push_counter);
   started_ = true;
 
   // The candidate acts only after the clock is back, so any VM churn it
@@ -411,11 +403,11 @@ void World::start() {
 
 void World::run_to(SimTime t) {
   ensure(started_, "World::run_to: start() first");
-  ensure_arg(t >= sim_->now(), "World::run_to: t lies before the world's clock");
-  sim_->run(t);
+  ensure_arg(t >= sim_.now(), "World::run_to: t lies before the world's clock");
+  sim_.run(t);
 }
 
-SimTime World::now() const { return sim_->now(); }
+SimTime World::now() const { return sim_.now(); }
 
 std::size_t World::desired_instances() const {
   return provisioner_->desired_target();
@@ -446,9 +438,9 @@ World::Counters World::counters() const {
 WorldState World::snapshot(bool include_records) const {
   ProfileScope profile_snapshot(profiler_, ProfileCategory::kSnapshot);
   WorldState state;
-  state.now = sim_->now();
-  state.executed_events = sim_->executed_events();
-  state.push_counter = sim_->event_push_counter();
+  state.now = sim_.now();
+  state.executed_events = sim_.executed_events();
+  state.push_counter = sim_.event_push_counter();
   state.datacenter = datacenter_->snapshot();
   state.provisioner = provisioner_->checkpoint();
   state.broker = broker_->snapshot();
@@ -493,11 +485,11 @@ RunOutput World::finish() {
     // Close the drift observatory's trailing window and take a final SLO
     // reading at the horizon (both purely observational).
     if (DriftMonitor* drift = telemetry_->drift(); drift != nullptr) {
-      drift->finalize(sim_->now(), datacenter_->vm_hours(),
+      drift->finalize(sim_.now(), datacenter_->vm_hours(),
                       datacenter_->busy_vm_hours());
     }
     if (SloMonitor* slo = telemetry_->slo(); slo != nullptr) {
-      slo->evaluate(sim_->now());
+      slo->evaluate(sim_.now());
     }
   }
 
@@ -505,11 +497,14 @@ RunOutput World::finish() {
   RunMetrics& m = output.metrics;
   m.policy = policy_.label(config_.scale);
   m.seed = seed_;
-  m.generated = broker_->generated();
-  m.accepted = provisioner_->accepted();
-  m.rejected = provisioner_->rejected();
-  m.completed = provisioner_->completed();
-  m.qos_violations = provisioner_->qos_violations();
+  const Counters counted = counters();
+  m.generated = counted.generated;
+  m.accepted = counted.accepted;
+  m.rejected = counted.rejected;
+  m.completed = counted.completed;
+  m.qos_violations = counted.qos_violations;
+  m.cache_hits = counted.cache_hits;
+  m.cache_misses = counted.cache_misses;
   m.avg_response_time = provisioner_->response_time_stats().mean();
   m.std_response_time = provisioner_->response_time_stats().stddev();
   m.p95_response_time = provisioner_->response_p95();
@@ -517,7 +512,7 @@ RunOutput World::finish() {
 
   // Advance the time-weighted instance series to the horizon, then read it.
   TimeWeightedValue history = provisioner_->instance_history();
-  history.advance(sim_->now());
+  history.advance(sim_.now());
   m.min_instances = history.min();
   m.max_instances = history.max();
   m.avg_instances = history.time_average();
@@ -535,8 +530,8 @@ RunOutput World::finish() {
   m.lost_requests = provisioner_->lost_to_failures();
   m.lost_to_vm_crashes = provisioner_->lost_by_cause(FaultCause::kVmCrash);
   m.lost_to_host_crashes = provisioner_->lost_by_cause(FaultCause::kHostCrash);
-  m.availability = sim_->now() > 0.0
-                       ? 1.0 - provisioner_->deficit_seconds() / sim_->now()
+  m.availability = sim_.now() > 0.0
+                       ? 1.0 - provisioner_->deficit_seconds() / sim_.now()
                        : 1.0;
   m.recoveries = provisioner_->recovery_time_stats().count();
   m.mttr_mean = provisioner_->recovery_time_stats().empty()
@@ -555,13 +550,8 @@ RunOutput World::finish() {
   m.capacity_denied = provisioner_->capacity_denied();
 
   if (cache_tier_.has_value()) {
-    // Headline request accounting spans BOTH pools: the tier owns the
-    // end-to-end response statistics (neither pool sees every completion),
-    // and admission totals are the sums of the two pools.
-    m.accepted = provisioner_->accepted() + cache_provisioner_->accepted();
-    m.rejected = provisioner_->rejected() + cache_provisioner_->rejected();
-    m.completed = provisioner_->completed() + cache_provisioner_->completed();
-    m.qos_violations = cache_tier_->qos_violations();
+    // The tier owns the end-to-end response statistics: neither pool sees
+    // every completion (counters() sums the two pools' admissions).
     m.avg_response_time = cache_tier_->response_time_stats().mean();
     m.std_response_time = cache_tier_->response_time_stats().stddev();
     m.p95_response_time = cache_tier_->response_p95();
@@ -572,8 +562,6 @@ RunOutput World::finish() {
             ? static_cast<double>(m.rejected) / static_cast<double>(arrivals)
             : 0.0;
 
-    m.cache_hits = cache_tier_->hits();
-    m.cache_misses = cache_tier_->misses();
     m.cache_hit_ratio = cache_tier_->hit_ratio();
     m.cache_fills = cache_tier_->fills();
     m.cache_evictions = cache_tier_->evictions();
@@ -583,7 +571,7 @@ RunOutput World::finish() {
     m.cache_vm_hours = cache_datacenter_->vm_hours();
     m.cache_utilization = cache_datacenter_->utilization();
     TimeWeightedValue cache_history = cache_provisioner_->instance_history();
-    cache_history.advance(sim_->now());
+    cache_history.advance(sim_.now());
     m.cache_avg_instances = cache_history.time_average();
     m.cache_final_instances = cache_provisioner_->active_instances();
     m.lambda_miss_mean = cache_tier_->lambda_miss_mean();
@@ -630,7 +618,7 @@ RunOutput World::finish() {
 
   if (market_.has_value()) {
     market_->stop();
-    const MarketReport report = market_->finalize(sim_->now());
+    const MarketReport report = market_->finalize(sim_.now());
     m.billed_cost = report.total_cost;
     m.on_demand_cost = report.on_demand_cost;
     m.spot_cost = report.spot_cost;
@@ -647,15 +635,15 @@ RunOutput World::finish() {
     output.market = report;
   }
 
-  m.simulated_events = sim_->executed_events();
+  m.simulated_events = sim_.executed_events();
   m.wall_seconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - wall_start_)
                        .count();
-  if (profiler_ != nullptr && owns_sim()) {
+  if (profiler_ != nullptr) {
     // Final engine sample so short runs (and the tail since the last
     // periodic snapshot) always appear in the exported profile.
-    const EventQueue& q = sim_->queue();
-    profiler_->force_snapshot(sim_->now(), sim_->executed_events(), q.size(),
+    const EventQueue& q = sim_.queue();
+    profiler_->force_snapshot(sim_.now(), sim_.executed_events(), q.size(),
                               q.heap_depth(), q.heap_high_water(),
                               q.slab_high_water(), q.stale_drops(),
                               q.boxed_pushed_count());
@@ -673,11 +661,11 @@ WhatIfOutcome World::what_if(const WhatIfSpec& spec) {
   // lookahead.fork self time: the in-run per-fork cost signal.
   ProfileScope profile_fork(profiler_, ProfileCategory::kLookaheadFork);
   WhatIfOutcome outcome;
-  if (spec.horizon <= sim_->now()) return outcome;
+  if (spec.horizon <= sim_.now()) return outcome;
   // One base snapshot per frozen instant; every candidate of a search
   // window forks from it.
-  if (!whatif_base_.has_value() || whatif_base_->now != sim_->now() ||
-      whatif_base_->executed_events != sim_->executed_events()) {
+  if (!whatif_base_.has_value() || whatif_base_->now != sim_.now() ||
+      whatif_base_->executed_events != sim_.executed_events()) {
     whatif_base_ = snapshot(/*include_records=*/false);
   }
 

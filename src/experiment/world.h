@@ -71,18 +71,10 @@ class World final : public WhatIfEngine {
   /// profiler (borrowed, output-only) attributes the replication's wall
   /// time; what-if clones never inherit it, so fork cost lands in the
   /// parent's lookahead.fork scope.
-  ///
-  /// `engine` selects the event kernel: null (the default) makes the world
-  /// own a private Simulation. A non-null engine is *borrowed*: the
-  /// multi-tenant runner gives each tenant a kernel of its own, which its
-  /// shard's worker thread advances. The world then never attaches
-  /// telemetry or a profiler to the engine and never drives it: the runner
-  /// attaches its shard's profiler and runs the kernel. simulated_events is
-  /// the kernel's count either way.
   World(const ScenarioConfig& config, const PolicySpec& policy,
         std::uint64_t seed,
         const std::optional<TelemetryOptions>& telemetry_opts = std::nullopt,
-        WallProfiler* profiler = nullptr, Simulation* engine = nullptr);
+        WallProfiler* profiler = nullptr);
 
   /// Restored world: resumes from `state` at state.now. The triple
   /// (config, policy, seed) must match the world the snapshot was taken
@@ -103,9 +95,7 @@ class World final : public WhatIfEngine {
   /// and finish() would report the metrics of the later clock.
   void run_to(SimTime t);
   SimTime now() const;
-  const Simulation& sim() const { return *sim_; }
-  /// False when this world runs on a borrowed kernel.
-  bool owns_sim() const { return owned_sim_ != nullptr; }
+  const Simulation& sim() const { return sim_; }
   Telemetry* telemetry() { return telemetry_.get(); }
 
   // --- multi-tenant capacity arbitration seam -----------------------------
@@ -117,8 +107,9 @@ class World final : public WhatIfEngine {
   void apply_capacity_grant(std::size_t grant);
   /// Cheap monotone progress counters, readable mid-run without finalizing
   /// anything: the shard-local telemetry batches of the multi-tenant
-  /// executor read these after every window advance. Tiered worlds fold
-  /// both pools in (and report the tier's end-to-end QoS accounting).
+  /// executor read these after every window advance, and finish() reports
+  /// them. Tiered worlds fold both pools in (and report the tier's
+  /// end-to-end QoS accounting).
   struct Counters {
     std::uint64_t generated = 0;
     std::uint64_t accepted = 0;
@@ -127,6 +118,27 @@ class World final : public WhatIfEngine {
     std::uint64_t qos_violations = 0;
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
+
+    Counters& operator+=(const Counters& other) {
+      generated += other.generated;
+      accepted += other.accepted;
+      rejected += other.rejected;
+      completed += other.completed;
+      qos_violations += other.qos_violations;
+      cache_hits += other.cache_hits;
+      cache_misses += other.cache_misses;
+      return *this;
+    }
+    /// What accrued since `earlier`, a reading of the same world.
+    Counters operator-(const Counters& earlier) const {
+      return {generated - earlier.generated,
+              accepted - earlier.accepted,
+              rejected - earlier.rejected,
+              completed - earlier.completed,
+              qos_violations - earlier.qos_violations,
+              cache_hits - earlier.cache_hits,
+              cache_misses - earlier.cache_misses};
+    }
   };
   Counters counters() const;
   /// Live resilience gateway (nullptr when the layer is disabled): lets the
@@ -161,9 +173,9 @@ class World final : public WhatIfEngine {
   /// the market, and fork.target_instances commanded at the fork instant.
   World(const World& parent, const WorldState& base, const WhatIfSpec& fork);
   /// Restore body of both restoring constructors; `fork` is null for a
-  /// faithful resume. The fresh kernel is sized for `event_capacity`
-  /// pending events: a clone passes its parent's slab high-water mark, so
-  /// its slab, heap and lane are allocated once.
+  /// faithful resume. The kernel is sized for `event_capacity` pending
+  /// events: a clone passes its parent's slab high-water mark, so its slab,
+  /// heap and lane are allocated once.
   void restore(const WorldState& state, const WhatIfSpec* fork,
                std::size_t event_capacity);
   /// Shared wiring for every constructor: everything up to (but excluding)
@@ -181,6 +193,10 @@ class World final : public WhatIfEngine {
   /// clone (`fork` non-null).
   void build_policy(const WorldState* restored, const WhatIfSpec* fork);
 
+  /// The event kernel every component is wired against. Declared first,
+  /// so it is destroyed last: components cancel their pending events in
+  /// their destructors.
+  Simulation sim_;
   ScenarioConfig config_;
   PolicySpec policy_;
   std::uint64_t seed_;
@@ -189,11 +205,6 @@ class World final : public WhatIfEngine {
   WallProfiler* profiler_ = nullptr;
 
   std::unique_ptr<Telemetry> telemetry_;
-  /// Owned engine; null when the world runs on a borrowed kernel.
-  std::unique_ptr<Simulation> owned_sim_;
-  /// The engine every component is wired against: owned_sim_.get() or the
-  /// borrowed kernel. Never null after construction.
-  Simulation* sim_ = nullptr;
   std::optional<Datacenter> datacenter_;
   std::optional<ApplicationProvisioner> provisioner_;
   std::optional<MarketBroker> market_;

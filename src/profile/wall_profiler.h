@@ -29,8 +29,9 @@
 // sim-time-per-wall-second speedup.
 //
 // Single-threaded by design, like Telemetry: attach one profiler to one
-// replication (parallel replication batches profile a dedicated sequential
-// rerun, exactly as the telemetry collector does).
+// replication (a parallel replication batch profiles its replication 0,
+// which the calling thread runs, exactly as it does the telemetry
+// collector).
 #pragma once
 
 #include <array>

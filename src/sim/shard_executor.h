@@ -3,8 +3,8 @@
 // The paper's control loop makes time naturally window-structured: arrivals
 // are analyzed and Algorithm 1 decisions are committed once per analysis
 // window (60 s). Multi-tenant runs exploit that structure for parallelism:
-// tenants are partitioned across shards, each shard's worker drives its
-// residents' Simulation kernels (one per tenant), and shards only ever
+// tenants are partitioned across shards, each shard's worker advances its
+// residents (each on an event kernel of its own), and shards only ever
 // interact inside a *serial commit section* executed at every window
 // boundary while all workers are parked on a barrier. Within a window,
 // shard state is disjoint by construction, so this is a conservative PDES
@@ -15,8 +15,8 @@
 //
 // The executor is policy-free: it knows nothing about tenants, capacity, or
 // markets. Callers supply two callbacks:
-//   advance(shard, t) — advance the kernels of shard's residents to sim
-//                       time t (inclusive), one after another; called
+//   advance(shard, t) — advance shard's residents to sim time t
+//                       (inclusive), one after another; called
 //                       concurrently, one worker thread per shard;
 //   commit(t)         — the serial barrier section at boundary t, run by
 //                       exactly one thread while every other worker is

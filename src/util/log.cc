@@ -7,6 +7,9 @@
 namespace cloudprov {
 namespace {
 
+/// The calling thread's sim-time source; empty = no [t=...] prefix.
+thread_local std::function<double()> t_time_provider;
+
 const char* level_name(LogLevel level) {
   switch (level) {
     case LogLevel::kTrace: return "TRACE";
@@ -43,8 +46,7 @@ bool Logger::set_sink_file(const std::string& path) {
 }
 
 void Logger::set_time_provider(std::function<double()> provider) {
-  std::scoped_lock lock(mutex_);
-  time_provider_ = std::move(provider);
+  t_time_provider = std::move(provider);
 }
 
 void Logger::write(LogLevel level, const std::string& message) {
@@ -52,7 +54,7 @@ void Logger::write(LogLevel level, const std::string& message) {
   std::scoped_lock lock(mutex_);
   std::ostream& out = sink_ != nullptr ? *sink_ : std::cerr;
   out << '[' << level_name(level) << "] ";
-  if (time_provider_) out << "[t=" << time_provider_() << "] ";
+  if (t_time_provider) out << "[t=" << t_time_provider() << "] ";
   out << message << '\n';
 }
 

@@ -9,8 +9,8 @@
 //
 // The sink defaults to stderr and can be redirected to any std::ostream or
 // a file. An optional sim-time provider prefixes lines with [t=...] so log
-// output correlates with telemetry trace events; it is global, so only
-// install one for single-replication (non-parallel) runs.
+// output correlates with telemetry trace events; each thread has its own,
+// so replications running side by side never stamp each other's lines.
 #pragma once
 
 #include <fstream>
@@ -40,8 +40,9 @@ class Logger {
   /// leaves the sink unchanged when the file cannot be opened.
   bool set_sink_file(const std::string& path);
 
-  /// Installs a sim-time source; when set, every line is prefixed with
-  /// [t=<seconds>]. Pass nullptr to remove.
+  /// Installs the calling thread's sim-time source; when set, every line
+  /// that thread writes is prefixed with [t=<seconds>]. Pass nullptr to
+  /// remove.
   void set_time_provider(std::function<double()> provider);
 
   /// Writes one formatted line to the current sink (thread-safe).
@@ -56,7 +57,6 @@ class Logger {
   std::mutex mutex_;
   std::ostream* sink_ = nullptr;  ///< null = stderr
   std::ofstream file_;
-  std::function<double()> time_provider_;
 };
 
 namespace detail {

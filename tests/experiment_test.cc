@@ -4,7 +4,9 @@
 #include <charconv>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -180,67 +182,53 @@ TEST(Runner, ParallelReplicationsAreElementWiseIdenticalAcrossAllFields) {
   const auto parallel = run_replications(config, PolicySpec::adaptive(), 4,
                                          13, {}, /*parallelism=*/4);
   ASSERT_EQ(sequential.size(), parallel.size());
-#define EXPECT_REP_FIELD_EQ(field) \
-  EXPECT_EQ(sequential[i].field, parallel[i].field) << #field << " rep " << i
   for (std::size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_REP_FIELD_EQ(policy);
-    EXPECT_REP_FIELD_EQ(seed);
-    EXPECT_REP_FIELD_EQ(generated);
-    EXPECT_REP_FIELD_EQ(accepted);
-    EXPECT_REP_FIELD_EQ(rejected);
-    EXPECT_REP_FIELD_EQ(completed);
-    EXPECT_REP_FIELD_EQ(qos_violations);
-    EXPECT_REP_FIELD_EQ(avg_response_time);
-    EXPECT_REP_FIELD_EQ(std_response_time);
-    EXPECT_REP_FIELD_EQ(p95_response_time);
-    EXPECT_REP_FIELD_EQ(p99_response_time);
-    EXPECT_REP_FIELD_EQ(min_instances);
-    EXPECT_REP_FIELD_EQ(max_instances);
-    EXPECT_REP_FIELD_EQ(avg_instances);
-    EXPECT_REP_FIELD_EQ(vm_hours);
-    EXPECT_REP_FIELD_EQ(busy_vm_hours);
-    EXPECT_REP_FIELD_EQ(utilization);
-    EXPECT_REP_FIELD_EQ(rejection_rate);
-    EXPECT_REP_FIELD_EQ(instance_failures);
-    EXPECT_REP_FIELD_EQ(vm_crashes);
-    EXPECT_REP_FIELD_EQ(host_crashes);
-    EXPECT_REP_FIELD_EQ(boot_failures);
-    EXPECT_REP_FIELD_EQ(boot_timeouts);
-    EXPECT_REP_FIELD_EQ(lost_requests);
-    EXPECT_REP_FIELD_EQ(lost_to_vm_crashes);
-    EXPECT_REP_FIELD_EQ(lost_to_host_crashes);
-    EXPECT_REP_FIELD_EQ(availability);
-    EXPECT_REP_FIELD_EQ(recoveries);
-    EXPECT_REP_FIELD_EQ(mttr_mean);
-    EXPECT_REP_FIELD_EQ(mttr_max);
-    EXPECT_REP_FIELD_EQ(reconciler_heals);
-    EXPECT_REP_FIELD_EQ(reconciler_retries);
-    EXPECT_REP_FIELD_EQ(reconciler_aborts);
-    EXPECT_REP_FIELD_EQ(final_instances);
-    EXPECT_REP_FIELD_EQ(slo_response_alerts);
-    EXPECT_REP_FIELD_EQ(slo_rejection_alerts);
-    EXPECT_REP_FIELD_EQ(slo_worst_burn_rate);
-    EXPECT_REP_FIELD_EQ(drift_windows);
-    EXPECT_REP_FIELD_EQ(drift_response_mape);
-    EXPECT_REP_FIELD_EQ(drift_response_bias);
-    EXPECT_REP_FIELD_EQ(spans_traced);
-    EXPECT_REP_FIELD_EQ(billed_cost);
-    EXPECT_REP_FIELD_EQ(on_demand_cost);
-    EXPECT_REP_FIELD_EQ(spot_cost);
-    EXPECT_REP_FIELD_EQ(reserved_cost);
-    EXPECT_REP_FIELD_EQ(on_demand_purchases);
-    EXPECT_REP_FIELD_EQ(spot_purchases);
-    EXPECT_REP_FIELD_EQ(reserved_purchases);
-    EXPECT_REP_FIELD_EQ(spot_revocations);
-    EXPECT_REP_FIELD_EQ(revocation_kills);
-    EXPECT_REP_FIELD_EQ(lost_to_revocations);
-    EXPECT_REP_FIELD_EQ(spot_price_mean);
-    EXPECT_REP_FIELD_EQ(spot_price_max);
-    EXPECT_REP_FIELD_EQ(simulated_events);
+    SCOPED_TRACE("rep " + std::to_string(i));
+    expect_same_metrics(sequential[i], parallel[i], {"wall_seconds"});
   }
-#undef EXPECT_REP_FIELD_EQ
   // Spot must actually have been exercised for the market block to bite.
   EXPECT_GT(sequential[0].spot_purchases, 0u);
+}
+
+TEST(Runner, ReplicationZeroRunsOnceOnTheCallingThread) {
+  // The caller runs replication 0 through the given function, with the
+  // batch's first seed, while two workers take the others. Here replication
+  // 0 carries telemetry, which is output-only, so the batch still equals
+  // the sequential one.
+  const ScenarioConfig config = scientific_scenario(1.0);
+  const auto sequential = run_replications(config, PolicySpec::adaptive(), 4,
+                                           17, {}, /*parallelism=*/1);
+  int calls = 0;
+  std::thread::id ran_on;
+  std::uint64_t seed_given = 0;
+  const auto batch = run_replications(
+      config, PolicySpec::adaptive(), 4, 17, {}, /*parallelism=*/3,
+      [&](std::uint64_t seed) {
+        ++calls;
+        ran_on = std::this_thread::get_id();
+        seed_given = seed;
+        return run_scenario(config, PolicySpec::adaptive(), seed,
+                            TelemetryOptions{})
+            .metrics;
+      });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(seed_given, replication_seeds(4, 17)[0]);
+  ASSERT_EQ(batch.size(), sequential.size());
+  for (std::size_t i = 0; i < sequential.size(); ++i) {
+    SCOPED_TRACE("rep " + std::to_string(i));
+    expect_same_metrics(sequential[i], batch[i], {"wall_seconds"});
+  }
+}
+
+TEST(Runner, ReplicationFailureReachesTheCaller) {
+  const ScenarioConfig config = scientific_scenario(1.0);
+  EXPECT_THROW(run_replications(config, PolicySpec::fixed(15), 3, 5, {},
+                                /*parallelism=*/2,
+                                [](std::uint64_t) -> RunMetrics {
+                                  throw std::runtime_error("replication 0");
+                                }),
+               std::runtime_error);
 }
 
 TEST(Runner, AdaptiveParallelReplicationsMatchSequential) {

@@ -327,6 +327,11 @@ TEST(MultiTenant, ProfiledShardedRunIsNeutralAndAttributed) {
   EXPECT_EQ(
       totals[static_cast<std::size_t>(ProfileCategory::kEngineRun)].count,
       config.tenants * (observed.windows + 1));
+  // Each tenant's finish() is a world.finish scope on its shard's profiler,
+  // which is drained after the tenants finish.
+  EXPECT_EQ(
+      totals[static_cast<std::size_t>(ProfileCategory::kWorldFinish)].count,
+      config.tenants);
   const std::vector<ProfileCategory> decision_path{
       ProfileCategory::kShardRun, ProfileCategory::kEngineRun,
       ProfileCategory::kPolicyDecision};
@@ -388,7 +393,7 @@ TEST(MultiTenant, FleetWindowSeriesSumsToTotalsAcrossShardCounts) {
 }
 
 // Zipf tenants with the cache tier enabled ride the sharded path: specs are
-// deterministic, tier state lives on the shared shard kernels, and per-tenant
+// deterministic, tier state lives on each tenant's own kernel, and per-tenant
 // results (including every cache_* counter) stay bit-identical across shard
 // counts.
 TEST(MultiTenantGolden, TieredZipfTenantsMatchAcrossShardCounts) {

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "util/log.h"
 
@@ -11,7 +12,8 @@ namespace cloudprov {
 namespace {
 
 // The Logger is a process-global singleton; every test restores the default
-// configuration (warn level, stderr sink, no time provider) on exit.
+// configuration (warn level, stderr sink, no time provider on the test
+// thread) on exit.
 class LoggerTest : public ::testing::Test {
  protected:
   void TearDown() override {
@@ -90,6 +92,20 @@ TEST_F(LoggerTest, TimeProviderPrefixesLines) {
   captured.str("");
   CLOUDPROV_LOG(Info) << "tock";
   EXPECT_EQ(captured.str().find("[t="), std::string::npos);
+}
+
+TEST_F(LoggerTest, TimeProviderPrefixesOnlyItsOwnThread) {
+  Logger& logger = Logger::instance();
+  std::ostringstream captured;
+  logger.set_sink(&captured);
+  logger.set_level(LogLevel::kInfo);
+  logger.set_time_provider([] { return 7.5; });
+
+  std::thread([] { CLOUDPROV_LOG(Info) << "worker"; }).join();
+  CLOUDPROV_LOG(Info) << "caller";
+  const std::string text = captured.str();
+  EXPECT_NE(text.find("[INFO] worker"), std::string::npos);
+  EXPECT_NE(text.find("[INFO] [t=7.5] caller"), std::string::npos);
 }
 
 TEST_F(LoggerTest, FileSinkWritesAndTruncates) {
