@@ -2,10 +2,11 @@
 //
 // One datacenter's worth of shared instance capacity, N independent SaaS
 // tenants (mixed web serving and BoT/scientific, jittered QoS targets), one
-// shared spot market. Each tenant runs on its own event kernel, and tenants
-// are partitioned across worker shards; a conservative barrier at every 60 s
-// analysis window runs the deterministic capacity arbiter (ascending
-// tenant-id order), so results are bit-identical for EVERY shard count.
+// shared spot market. Each tenant runs on its own event kernel with a home
+// worker shard, and a shard out of home tenants claims other shards'
+// unfinished ones; a conservative barrier at every 60 s analysis window
+// runs the deterministic capacity arbiter (ascending tenant-id order), so
+// results are bit-identical for EVERY shard count.
 //
 // Two questions, two sections:
 //

@@ -211,11 +211,14 @@ RunOutput run_replication_zero(const ScenarioConfig& config,
     const WorldState state = read_checkpoint_file(restore_path);
     std::cerr << "restored " << restore_path << " at t=" << fmt(state.now, 1)
               << " s (" << state.executed_events << " events executed)\n";
+    // Checkpoint files carry no telemetry, so a restored world has none
+    // and, by ScopedLogTime's rule, logs without the [t=...] prefix.
     World world(config, policy, seed, state, profiler);
     world.run_to(config.horizon);
     return world.finish();
   }
   World world(config, policy, seed, telemetry, profiler);
+  const ScopedLogTime log_time(world);
   world.start();
   world.run_to(checkpoint_at);
   write_checkpoint_file(checkpoint_path, world.snapshot());
@@ -249,9 +252,10 @@ ArgParser make_args() {
                 "<int>");
   args.add_flag("shards", "1",
                 "worker threads for --tenants: each tenant runs on its own "
-                "event kernel, and tenants are partitioned across this many "
-                "workers, barrier-synced every analysis window; results are "
-                "bit-identical for every value",
+                "event kernel with a home worker among this many, and a "
+                "worker out of home tenants claims other workers' unfinished "
+                "ones; workers are barrier-synced every analysis window, and "
+                "results are bit-identical for every value",
                 "<int>");
   args.add_flag("tenant-capacity", "0",
                 "shared instance slots arbitrated across all tenants per "

@@ -89,10 +89,46 @@ void write_scenario(JsonObject& obj, const ScenarioConfig& config) {
   obj.uint("host_count", config.datacenter.host_count);
   obj.num("vm_boot_delay", config.datacenter.vm_boot_delay);
   obj.num("boot_timeout", config.boot_timeout);
+  // Each optional layer writes its settings only when it is on, so two runs
+  // that differ in one of them never share a run identity.
   obj.boolean("fault_enabled", config.fault.enabled());
+  if (config.fault.enabled()) {
+    const FaultPlan& fault = config.fault;
+    obj.num("vm_mtbf", fault.vm_mtbf);
+    obj.num("host_mtbf", fault.host_mtbf);
+    obj.num("boot_fail_prob", fault.boot_fail_prob);
+    obj.num("straggler_prob", fault.straggler_prob);
+    obj.num("degraded_mtbf", fault.degraded_mtbf);
+    obj.num("degraded_factor", fault.degraded_factor);
+    obj.num("degraded_duration", fault.degraded_duration);
+    obj.uint("fault_outages", fault.outages.size());
+    obj.uint("fault_scripted", fault.scripted.size());
+  }
   obj.boolean("reconciler_enabled", config.reconciler.enabled);
+  if (config.reconciler.enabled) {
+    obj.num("reconciler_interval", config.reconciler.interval);
+  }
   obj.boolean("market_enabled", config.market.enabled);
+  if (config.market.enabled) {
+    obj.num("spot_fraction", config.market.acquisition.spot_fraction);
+    obj.num("bid", config.market.acquisition.bid);
+  }
   obj.boolean("resilience_enabled", config.resilience.enabled);
+  if (config.resilience.enabled) {
+    const ResilienceConfig& resilience = config.resilience;
+    obj.num("attempt_timeout", resilience.attempt_timeout);
+    obj.num("request_deadline", resilience.request_deadline);
+    obj.uint("retry_max_attempts", resilience.retry.max_attempts);
+    obj.str("retry_backoff",
+            resilience.retry.backoff == RetryPolicyConfig::Backoff::kFixed
+                ? "fixed"
+                : "expo_jitter");
+    obj.num("retry_base", resilience.retry.base);
+    obj.num("retry_cap", resilience.retry.cap);
+    obj.boolean("retry_budget_enabled", resilience.budget.enabled);
+    obj.boolean("breaker_enabled", resilience.breaker.enabled);
+    obj.boolean("shed_enabled", resilience.shed.enabled());
+  }
   obj.boolean("apptier_enabled", config.apptier.enabled);
   if (config.apptier.enabled) {
     obj.num("cache_ttl", config.apptier.ttl);

@@ -164,36 +164,36 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
   const auto wall_start = std::chrono::steady_clock::now();
   const std::vector<TenantSpec> specs = multi_tenant_specs(config);
   const std::size_t tenant_count = specs.size();
-  const std::size_t shard_count =
+  const std::size_t worker_count =
       std::clamp<std::size_t>(options.shards, 1, tenant_count);
 
-  // One worker (and, when profiling, one private profiler) per shard. The
-  // WallProfiler is single-threaded by design, so every worker samples into
-  // its own instance; the serial commit drains them into the run profiler.
-  struct Shard {
+  // One batch (and, when profiling, one private profiler) per worker
+  // thread. The WallProfiler is single-threaded by design, so every worker
+  // samples into its own instance; the serial commit drains them into the
+  // run profiler.
+  struct Worker {
     std::unique_ptr<WallProfiler> profiler;
-    /// Shard-local telemetry batch: this worker's residents' counter
-    /// deltas for the current window. Written only by the owning worker
-    /// between barriers, drained (and reset) inside the serial commit.
+    /// Worker-local telemetry batch: the counter deltas of the tenants this
+    /// worker advanced in the current window. Written only by the owning
+    /// worker between barriers, drained (and reset) inside the serial
+    /// commit.
     World::Counters batch;
   };
-  std::vector<Shard> shards(shard_count);
+  std::vector<Worker> workers(worker_count);
   if (options.profiler != nullptr) {
-    for (Shard& shard : shards) {
-      shard.profiler = std::make_unique<WallProfiler>(
+    for (Worker& worker : workers) {
+      worker.profiler = std::make_unique<WallProfiler>(
           options.profiler->snapshot_interval());
     }
   }
 
-  // Build every tenant world in ascending id order; residency is
-  // round-robin. A world carries its shard's profiler: its kernel runs are
-  // engine.run scopes, and the policy, market, fault and resilience hooks
-  // open their scopes through it.
+  // Build every tenant world in ascending id order, each on its home
+  // worker's profiler (tenant i's home is worker i % workers), so its
+  // world.build scope lands there.
   std::vector<std::unique_ptr<World>> worlds;
   worlds.reserve(tenant_count);
   const PolicySpec policy = PolicySpec::adaptive();
   for (const TenantSpec& spec : specs) {
-    Shard& home = shards[spec.id % shard_count];
     std::optional<TelemetryOptions> telemetry;
     if (spec.id < options.traced_tenants) {
       TelemetryOptions opts;
@@ -201,8 +201,9 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
       opts.span_seed = spec.seed;
       telemetry = opts;
     }
-    worlds.push_back(std::make_unique<World>(spec.scenario, policy, spec.seed,
-                                             telemetry, home.profiler.get()));
+    worlds.push_back(std::make_unique<World>(
+        spec.scenario, policy, spec.seed, telemetry,
+        workers[spec.id % worker_count].profiler.get()));
   }
   for (std::unique_ptr<World>& world : worlds) world->start();
 
@@ -224,67 +225,70 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
     arbitrate_now();
   }
 
-  // Per-shard telemetry batching: each worker reads each resident's
-  // monotone counters right after advancing its world and accumulates the
-  // deltas into its shard-private batch. Only the serial commit touches the
-  // shared window series, so thousands of tenants add zero lock contention
-  // on any registry. `last_counters[i]` is only ever touched by tenant i's
-  // home-shard worker.
+  // Worker-local telemetry batching: the worker that advances a tenant
+  // reads its monotone counters right after and adds the delta to its own
+  // batch. Only the serial commit touches the shared window series, so
+  // thousands of tenants add zero lock contention on any registry.
+  // `last_counters[i]` is touched only by the worker advancing tenant i in
+  // the current window.
   std::vector<World::Counters> last_counters(tenant_count);
   std::vector<FleetWindowSample> window_series;
-  const auto advance = [&](std::size_t shard, SimTime t) {
-    ProfileScope scope(shards[shard].profiler.get(),
-                       ProfileCategory::kShardRun);
-    for (std::size_t i = shard; i < tenant_count; i += shard_count) {
-      worlds[i]->run_to(t);
-      const World::Counters now = worlds[i]->counters();
-      shards[shard].batch += now - last_counters[i];
-      last_counters[i] = now;
-    }
+  const auto advance = [&](std::size_t self, std::size_t tenant, SimTime t) {
+    Worker& worker = workers[self];
+    World& world = *worlds[tenant];
+    // The world samples into the profiler of the thread running it: its
+    // home worker's or a claimer's, whichever advances it this window.
+    world.set_profiler(worker.profiler.get());
+    ProfileScope scope(worker.profiler.get(), ProfileCategory::kShardRun);
+    world.run_to(t);
+    const World::Counters now = world.counters();
+    worker.batch += now - last_counters[tenant];
+    last_counters[tenant] = now;
   };
-  // Moves every shard's pending batch into one fleet row stamped `t`.
+  // Moves every worker's pending batch into one fleet row stamped `t`.
   const auto drain_batches = [&](SimTime t) {
     FleetWindowSample row;
     row.t = t;
-    for (Shard& shard : shards) {
-      row += shard.batch;
-      shard.batch = {};
+    for (Worker& worker : workers) {
+      row += worker.batch;
+      worker.batch = {};
     }
     window_series.push_back(row);
   };
   const auto commit = [&](SimTime t) {
     // Serial barrier section: every worker is parked (their barrier-enter
-    // scopes happened-before this through the barrier mutex), so reading
+    // scopes happened-before this through the barrier), so reading
     // desires, writing grants, and draining worker batches/profilers is
     // race-free.
     ProfileScope scope(options.profiler, ProfileCategory::kArbiter);
     arbitrate_now();
     drain_batches(t);
     if (options.profiler != nullptr) {
-      for (Shard& shard : shards) {
-        shard.profiler->drain_into(*options.profiler);
+      for (Worker& worker : workers) {
+        worker.profiler->drain_into(*options.profiler);
       }
     }
   };
   ShardExecutorHooks hooks;
-  if (options.profiler != nullptr && shard_count > 1) {
-    hooks.barrier_enter = [&](std::size_t shard) {
-      shards[shard].profiler->begin(ProfileCategory::kShardBarrier);
+  if (options.profiler != nullptr && worker_count > 1) {
+    hooks.barrier_enter = [&](std::size_t self) {
+      workers[self].profiler->begin(ProfileCategory::kShardBarrier);
     };
-    hooks.barrier_leave = [&](std::size_t shard) {
-      shards[shard].profiler->end(ProfileCategory::kShardBarrier);
+    hooks.barrier_leave = [&](std::size_t self) {
+      workers[self].profiler->end(ProfileCategory::kShardBarrier);
     };
   }
 
   MultiTenantResult result;
-  result.windows = run_sharded_windows(shard_count, config.window,
-                                       config.horizon, advance, commit, hooks);
+  result.windows =
+      run_sharded_windows(worker_count, tenant_count, config.window,
+                          config.horizon, advance, commit, hooks);
   // The executor never commits at the horizon itself, so the final
-  // window's shard batches are still pending; workers have joined, making
+  // window's worker batches are still pending; workers have joined, making
   // this tail drain race-free. The series therefore has windows + 1 rows.
   if (config.horizon > 0.0) drain_batches(config.horizon);
   result.window_series = std::move(window_series);
-  result.shards = shard_count;
+  result.shards = worker_count;
   result.capacity = arbiter.capacity();
   result.grant_clips = arbiter.clips();
   result.instances_denied = arbiter.denied();
@@ -306,8 +310,8 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
   // final windows' wait scopes and the world.finish scopes) into the run
   // profiler.
   if (options.profiler != nullptr) {
-    for (Shard& shard : shards) {
-      shard.profiler->drain_into(*options.profiler);
+    for (Worker& worker : workers) {
+      worker.profiler->drain_into(*options.profiler);
     }
   }
   result.wall_seconds = std::chrono::duration<double>(

@@ -12,14 +12,15 @@
 //    (which in turn derives its workload/fault/market/... streams). All of
 //    it is a pure function of MultiTenantConfig, so the tenant population
 //    is reproducible and independent of how the run is sharded.
-//  - Execution: every tenant's World runs on its own event kernel, and
-//    tenants are partitioned round-robin across shards. A shard is one
-//    worker thread: in each window it runs its residents' worlds to the
-//    boundary one after another, reading each one's counters. Shards advance
-//    in lockstep windows under sim/shard_executor; at every window boundary
-//    the serial commit section runs the CapacityArbiter, which reconciles
-//    tenant desires against the shared instance capacity in ascending
-//    tenant-id order.
+//  - Execution: every tenant's World runs on its own event kernel, and a
+//    pool of worker threads (--shards) advances the tenants in lockstep
+//    windows under sim/shard_executor. Tenant i's home is worker
+//    i % shards: in each window a worker runs its home tenants' worlds to
+//    the boundary one after another, then claims the other workers'
+//    unfinished tenants, reading each world's counters after advancing it.
+//    At every window boundary the serial commit section runs the
+//    CapacityArbiter, which reconciles tenant desires against the shared
+//    instance capacity in ascending tenant-id order.
 //
 // Determinism: a tenant's events run in its own kernel's (time, push-seq)
 // order, on a push counter no other tenant touches, and tenants never
@@ -149,8 +150,8 @@ struct TenantResult {
 
 /// One fleet-level telemetry row per barrier window: the sum of every
 /// tenant's counter deltas over that window (cache hits and misses come
-/// from tiered Zipf tenants only). Accumulated shard-locally by each worker
-/// after its window advance and drained into the series inside the serial
+/// from tiered Zipf tenants only). Accumulated worker-locally by whichever
+/// worker advanced the tenant and drained into the series inside the serial
 /// barrier commit — tenants never serialize on a shared registry
 /// mid-window, so the pattern holds at thousands of tenants.
 struct FleetWindowSample : World::Counters {
@@ -201,20 +202,24 @@ struct MultiTenantResult {
 };
 
 struct MultiTenantOptions {
-  /// Worker shards, one thread each; clamped to [1, tenants]. Results are
-  /// bit-identical for every value (see file header).
+  /// Worker threads; clamped to [1, tenants]. Tenant i's home worker is
+  /// i % shards, and a worker out of home tenants claims other workers'
+  /// unfinished ones. Results are bit-identical for every value (see file
+  /// header).
   std::size_t shards = 1;
   /// Tenants [0, traced_tenants) get span tracing at span_sample_rate and
   /// keep their Telemetry in the result.
   std::size_t traced_tenants = 0;
   double span_sample_rate = 1.0;
-  /// Run-level profiler (output-only; may be null). Each shard worker gets
-  /// a private WallProfiler that is drained into this one inside the serial
+  /// Run-level profiler (output-only; may be null). Each worker gets a
+  /// private WallProfiler that is drained into this one inside the serial
   /// barrier section — the per-worker-registry pattern, so --profile works
-  /// sharded instead of being silently sequential-only. A worker's window
-  /// is one shard.run scope around its residents' kernel runs, each an
-  /// engine.run scope on the shard's profiler; a tenant's world.build and
-  /// world.finish scopes land there too.
+  /// sharded instead of being silently sequential-only. Every tenant
+  /// advance is one shard.run scope on the advancing worker's profiler,
+  /// which the world is handed first, so the tenant's engine.run scope and
+  /// its components' scopes nest inside it. A tenant's world.build scope
+  /// lands on its home worker's profiler, its world.finish scope on the
+  /// last worker that advanced it.
   WallProfiler* profiler = nullptr;
 };
 

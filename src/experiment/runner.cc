@@ -12,31 +12,25 @@
 #include "util/log.h"
 
 namespace cloudprov {
-namespace {
 
-// Scoped sim-time log prefix: while a telemetry-instrumented replication
-// runs, the lines its thread logs carry [t=...] so they correlate with trace
-// events. The provider is per-thread, so replications running beside it on
-// other threads log without one.
-class ScopedLogTime {
- public:
-  explicit ScopedLogTime(const Simulation& sim) {
+ScopedLogTime::ScopedLogTime(World& world)
+    : installed_(world.telemetry() != nullptr) {
+  if (installed_) {
+    const Simulation& sim = world.sim();
     Logger::instance().set_time_provider([&sim] { return sim.now(); });
   }
-  ~ScopedLogTime() { Logger::instance().set_time_provider(nullptr); }
-  ScopedLogTime(const ScopedLogTime&) = delete;
-  ScopedLogTime& operator=(const ScopedLogTime&) = delete;
-};
+}
 
-}  // namespace
+ScopedLogTime::~ScopedLogTime() {
+  if (installed_) Logger::instance().set_time_provider(nullptr);
+}
 
 RunOutput run_scenario(const ScenarioConfig& config, const PolicySpec& policy,
                        std::uint64_t seed,
                        const std::optional<TelemetryOptions>& telemetry_opts,
                        WallProfiler* profiler) {
   World world(config, policy, seed, telemetry_opts, profiler);
-  std::optional<ScopedLogTime> log_time;
-  if (world.telemetry() != nullptr) log_time.emplace(world.sim());
+  const ScopedLogTime log_time(world);
   world.start();
   world.run_to(config.horizon);
   return world.finish();

@@ -35,6 +35,22 @@ RunOutput run_scenario(const ScenarioConfig& config, const PolicySpec& policy,
                            std::nullopt,
                        WallProfiler* profiler = nullptr);
 
+/// Scoped sim-time log prefix: while a telemetry-instrumented world runs,
+/// the lines its thread logs carry [t=...] so they correlate with trace
+/// events; a world without telemetry installs none. The provider is
+/// per-thread, so replications running beside it on other threads log
+/// without one. Every path that runs an instrumented World holds one.
+class ScopedLogTime {
+ public:
+  explicit ScopedLogTime(World& world);
+  ~ScopedLogTime();
+  ScopedLogTime(const ScopedLogTime&) = delete;
+  ScopedLogTime& operator=(const ScopedLogTime&) = delete;
+
+ private:
+  bool installed_;
+};
+
 /// Seeds used by run_replications for `replications` runs from `base_seed`
 /// (splitmix64 sequence): lets callers reproduce any single replication
 /// outside the batch.

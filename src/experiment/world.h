@@ -97,6 +97,14 @@ class World final : public WhatIfEngine {
   SimTime now() const;
   const Simulation& sim() const { return sim_; }
   Telemetry* telemetry() { return telemetry_.get(); }
+  /// Re-points the world's profiler (borrowed, output-only; may be null):
+  /// its own scopes and its kernel's, through which every component opens
+  /// its scopes. The multi-tenant executor hands each world the profiler of
+  /// the worker about to advance it.
+  void set_profiler(WallProfiler* profiler) {
+    profiler_ = profiler;
+    sim_.set_profiler(profiler);
+  }
 
   // --- multi-tenant capacity arbitration seam -----------------------------
   /// What this application's policy last asked for, pre-clamp: the arbiter
@@ -106,10 +114,12 @@ class World final : public WhatIfEngine {
   /// pool immediately re-sizes toward min(desire, grant)).
   void apply_capacity_grant(std::size_t grant);
   /// Cheap monotone progress counters, readable mid-run without finalizing
-  /// anything: the shard-local telemetry batches of the multi-tenant
+  /// anything: the worker-local telemetry batches of the multi-tenant
   /// executor read these after every window advance, and finish() reports
   /// them. Tiered worlds fold both pools in (and report the tier's
-  /// end-to-end QoS accounting).
+  /// end-to-end QoS accounting). Every field is an integer, so a sum of
+  /// deltas is exact in any grouping: a fleet window row does not depend
+  /// on which worker advanced which tenant.
   struct Counters {
     std::uint64_t generated = 0;
     std::uint64_t accepted = 0;

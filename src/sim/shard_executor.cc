@@ -1,7 +1,7 @@
 #include "sim/shard_executor.h"
 
-#include <condition_variable>
-#include <mutex>
+#include <atomic>
+#include <barrier>
 #include <thread>
 #include <vector>
 
@@ -11,20 +11,28 @@ namespace cloudprov {
 namespace {
 
 /// Boundary k (1-based) of a window schedule. Multiplication, not
-/// accumulation: every shard and the sequential path compute the exact same
-/// double for boundary k.
+/// accumulation: every worker and the sequential path compute the exact
+/// same double for boundary k.
 SimTime boundary(SimTime window, std::uint64_t k) {
   return window * static_cast<double>(k);
 }
 
+/// One home's claim cursor: how many of the home's units have been claimed
+/// this window. Padded to a cache line of its own, so claims on one home
+/// never contend with claims on another.
+struct alignas(64) ClaimCursor {
+  std::atomic<std::size_t> claimed{0};
+};
+
 }  // namespace
 
 std::uint64_t run_sharded_windows(
-    std::size_t shards, SimTime window, SimTime horizon,
-    const std::function<void(std::size_t shard, SimTime t)>& advance,
+    std::size_t workers, std::size_t units, SimTime window, SimTime horizon,
+    const std::function<void(std::size_t worker, std::size_t unit,
+                             SimTime t)>& advance,
     const std::function<void(SimTime t)>& commit,
     const ShardExecutorHooks& hooks) {
-  ensure_arg(shards >= 1, "run_sharded_windows: shards must be >= 1");
+  ensure_arg(workers >= 1, "run_sharded_windows: workers must be >= 1");
   ensure_arg(window > 0.0, "run_sharded_windows: window must be positive");
   ensure_arg(horizon >= 0.0, "run_sharded_windows: horizon must be >= 0");
 
@@ -34,54 +42,63 @@ std::uint64_t run_sharded_windows(
   std::uint64_t windows = 0;
   for (std::uint64_t k = 1; boundary(window, k) < horizon; ++k) ++windows;
 
-  if (shards == 1) {
+  if (workers == 1) {
+    const auto advance_all = [&](SimTime t) {
+      for (std::size_t unit = 0; unit < units; ++unit) advance(0, unit, t);
+    };
     for (std::uint64_t k = 1; k <= windows; ++k) {
-      advance(0, boundary(window, k));
+      advance_all(boundary(window, k));
       commit(boundary(window, k));
     }
-    advance(0, horizon);
+    advance_all(horizon);
     return windows;
   }
 
-  // Cyclic barrier: the last worker to arrive runs the serial commit under
-  // the mutex (every peer is parked on the condvar), then opens the next
-  // generation. The mutex hand-off gives commit-to-next-window
-  // happens-before edges on every shard.
-  std::mutex mutex;
-  std::condition_variable released;
-  std::size_t waiting = 0;
-  std::uint64_t generation = 0;
-
-  const auto barrier = [&](const std::function<void()>& serial) {
-    std::unique_lock<std::mutex> lock(mutex);
-    const std::uint64_t arrived_generation = generation;
-    if (++waiting == shards) {
-      serial();
-      waiting = 0;
-      ++generation;
-      released.notify_all();
-    } else {
-      released.wait(lock,
-                    [&] { return generation != arrived_generation; });
+  // Home h holds units h, h + workers, h + 2 * workers, ...; one increment
+  // of its cursor claims the next of them (an index past the last unit
+  // means the home is drained). The increment makes each claim unique; the
+  // barrier orders a unit's windows, whichever workers run them.
+  std::vector<ClaimCursor> cursors(workers);
+  const auto claim = [&](std::size_t home) {
+    return home + workers * cursors[home].claimed.fetch_add(1);
+  };
+  // The worker's own home first, then every other home in turn.
+  const auto advance_window = [&](std::size_t self, SimTime t) {
+    for (std::size_t i = 0; i < workers; ++i) {
+      const std::size_t home = (self + i) % workers;
+      for (std::size_t unit = claim(home); unit < units; unit = claim(home)) {
+        advance(self, unit, t);
+      }
     }
   };
 
-  const auto worker = [&](std::size_t shard) {
+  // The barrier's completion step is the serial commit: the last worker to
+  // arrive runs it while every peer is parked, and it happens-before every
+  // worker's next window. An exception from it (or from `advance` on a
+  // worker) ends the process, as any exception escaping a thread does.
+  std::uint64_t committed = 0;
+  const auto on_boundary = [&]() noexcept {
+    for (ClaimCursor& cursor : cursors) cursor.claimed = 0;
+    commit(boundary(window, ++committed));
+  };
+  std::barrier sync(static_cast<std::ptrdiff_t>(workers), on_boundary);
+
+  const auto worker = [&](std::size_t self) {
     for (std::uint64_t k = 1; k <= windows; ++k) {
-      advance(shard, boundary(window, k));
-      if (hooks.barrier_enter) hooks.barrier_enter(shard);
-      barrier([&] { commit(boundary(window, k)); });
-      if (hooks.barrier_leave) hooks.barrier_leave(shard);
+      advance_window(self, boundary(window, k));
+      if (hooks.barrier_enter) hooks.barrier_enter(self);
+      sync.arrive_and_wait();
+      if (hooks.barrier_leave) hooks.barrier_leave(self);
     }
-    advance(shard, horizon);
+    advance_window(self, horizon);
   };
-
-  std::vector<std::thread> threads;
-  threads.reserve(shards);
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    threads.emplace_back(worker, shard);
+  {
+    std::vector<std::jthread> threads;  // joined at the end of this block
+    threads.reserve(workers);
+    for (std::size_t self = 0; self < workers; ++self) {
+      threads.emplace_back(worker, self);
+    }
   }
-  for (std::thread& thread : threads) thread.join();
   return windows;
 }
 

@@ -3,6 +3,9 @@
 #
 #   cmake -DEXPECT_EXIT=2 -DEXPECT_STDERR=<regex> -P expect_exit.cmake \
 #         -- <command> [args...]
+#
+# With -DLOG_FILE=<path> -DLOG_LINE_REGEX=<regex> it also fails unless the
+# command wrote LOG_FILE and every line of it matches LOG_LINE_REGEX.
 math(EXPR last "${CMAKE_ARGC} - 1")
 set(command "")
 set(in_command FALSE)
@@ -14,6 +17,9 @@ foreach(i RANGE ${last})
   endif()
 endforeach()
 
+if(DEFINED LOG_FILE)
+  file(REMOVE "${LOG_FILE}")
+endif()
 execute_process(COMMAND ${command}
   RESULT_VARIABLE status OUTPUT_QUIET ERROR_VARIABLE stderr)
 if(NOT "${status}" STREQUAL "${EXPECT_EXIT}")
@@ -22,4 +28,14 @@ if(NOT "${status}" STREQUAL "${EXPECT_EXIT}")
 endif()
 if(NOT "${stderr}" MATCHES "${EXPECT_STDERR}")
   message(FATAL_ERROR "stderr does not match '${EXPECT_STDERR}':\n${stderr}")
+endif()
+if(DEFINED LOG_FILE)
+  file(STRINGS "${LOG_FILE}" lines)
+  file(STRINGS "${LOG_FILE}" matching REGEX "${LOG_LINE_REGEX}")
+  list(LENGTH lines total)
+  list(LENGTH matching matched)
+  if(total EQUAL 0 OR NOT matched EQUAL total)
+    message(FATAL_ERROR "${matched} of ${total} lines of ${LOG_FILE} match "
+      "'${LOG_LINE_REGEX}'")
+  endif()
 endif()

@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -84,22 +87,25 @@ MultiTenantConfig market_config() {
 // --- shard executor ------------------------------------------------------
 
 TEST(ShardExecutor, CommitScheduleIdenticalAcrossShardCounts) {
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{3}}) {
-    std::vector<std::vector<double>> advances(shards);
+  constexpr std::size_t kUnits = 5;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{3}}) {
+    std::vector<std::vector<double>> advances(kUnits);
     std::vector<double> commits;
     const std::uint64_t windows = run_sharded_windows(
-        shards, 60.0, 450.0,
-        [&](std::size_t shard, SimTime t) { advances[shard].push_back(t); },
+        workers, kUnits, 60.0, 450.0,
+        [&](std::size_t, std::size_t unit, SimTime t) {
+          advances[unit].push_back(t);
+        },
         [&](SimTime t) { commits.push_back(t); });
-    EXPECT_EQ(windows, 7u) << shards;  // boundaries 60..420 are < 450
+    EXPECT_EQ(windows, 7u) << workers;  // boundaries 60..420 are < 450
     const std::vector<double> expected_commits{60,  120, 180, 240,
                                                300, 360, 420};
-    EXPECT_EQ(commits, expected_commits) << shards;
+    EXPECT_EQ(commits, expected_commits) << workers;
     std::vector<double> expected_advances = expected_commits;
     expected_advances.push_back(450.0);  // final segment, no commit
-    for (std::size_t shard = 0; shard < shards; ++shard) {
-      EXPECT_EQ(advances[shard], expected_advances) << shards << "/" << shard;
+    for (std::size_t unit = 0; unit < kUnits; ++unit) {
+      EXPECT_EQ(advances[unit], expected_advances) << workers << "/" << unit;
     }
   }
 }
@@ -107,10 +113,100 @@ TEST(ShardExecutor, CommitScheduleIdenticalAcrossShardCounts) {
 TEST(ShardExecutor, HorizonOnBoundaryCommitsOnlyBelowHorizon) {
   std::vector<double> commits;
   const std::uint64_t windows = run_sharded_windows(
-      1, 60.0, 180.0, [](std::size_t, SimTime) {},
+      1, 1, 60.0, 180.0, [](std::size_t, std::size_t, SimTime) {},
       [&](SimTime t) { commits.push_back(t); });
   EXPECT_EQ(windows, 2u);
   EXPECT_EQ(commits, (std::vector<double>{60, 120}));
+}
+
+// Every unit is advanced exactly once to every boundary and to the horizon,
+// by some worker, and a commit sees every unit already at its boundary —
+// including with more workers than units, where some homes are empty.
+TEST(ShardExecutor, EveryUnitAdvancesOncePerBoundary) {
+  const std::vector<double> expected{60, 120, 180, 240, 300, 360, 420, 450};
+  for (const std::size_t workers : {1u, 2u, 3u, 4u}) {
+    for (const std::size_t units : {1u, 3u, 7u}) {
+      SCOPED_TRACE(std::to_string(workers) + " workers, " +
+                   std::to_string(units) + " units");
+      // Unit u's row is written only by the worker advancing u this window;
+      // the barrier orders it before the commit and the next window.
+      std::vector<std::vector<double>> advances(units);
+      std::vector<std::size_t> bad_workers;  // stays empty
+      std::size_t commits = 0;
+      std::size_t stale_commits = 0;
+      run_sharded_windows(
+          workers, units, 60.0, 450.0,
+          [&](std::size_t worker, std::size_t unit, SimTime t) {
+            if (worker >= workers) bad_workers.push_back(worker);
+            advances[unit].push_back(t);
+          },
+          [&](SimTime t) {
+            ++commits;
+            for (const std::vector<double>& row : advances) {
+              if (row.size() != commits || row.back() != t) ++stale_commits;
+            }
+          });
+      EXPECT_EQ(commits, 7u);
+      EXPECT_EQ(stale_commits, 0u);
+      EXPECT_TRUE(bad_workers.empty());
+      for (std::size_t unit = 0; unit < units; ++unit) {
+        EXPECT_EQ(advances[unit], expected) << "unit " << unit;
+      }
+    }
+  }
+}
+
+// A worker that finished its own units claims the unfinished ones of a
+// worker that is still busy. Unit 1 (worker 1's home) holds its worker until
+// unit 3, also worker 1's, has advanced; only worker 0 can advance unit 3
+// meanwhile. Unit 0 waits until unit 1 has started, so worker 1 has claimed
+// unit 1 before worker 0 runs out of work whichever thread starts first.
+// Every wait is bounded, so an executor without claiming fails instead of
+// hanging.
+TEST(ShardExecutor, IdleWorkerClaimsAnotherWorkersUnit) {
+  constexpr auto kBound = std::chrono::seconds(10);
+  std::mutex mutex;
+  std::condition_variable changed;
+  bool unit1_started = false;
+  bool unit3_advanced = false;
+  const auto wait_for = [&](const bool& flag) {
+    std::unique_lock<std::mutex> lock(mutex);
+    return changed.wait_for(lock, kBound, [&] { return flag; });
+  };
+  const auto raise = [&](bool& flag) {
+    {
+      std::scoped_lock<std::mutex> lock(mutex);
+      flag = true;
+    }
+    changed.notify_all();
+  };
+
+  std::vector<std::vector<std::size_t>> advanced_by(4);  // per unit
+  bool unit0_waited = false;
+  bool unit1_waited = false;
+  run_sharded_windows(
+      2, 4, 60.0, 120.0,
+      [&](std::size_t worker, std::size_t unit, SimTime) {
+        advanced_by[unit].push_back(worker);
+        if (advanced_by[unit].size() > 1) return;  // only the first window
+        if (unit == 0) unit0_waited = wait_for(unit1_started);
+        if (unit == 1) {
+          raise(unit1_started);
+          unit1_waited = wait_for(unit3_advanced);
+        }
+        if (unit == 3) raise(unit3_advanced);
+      },
+      [](SimTime) {});
+
+  EXPECT_TRUE(unit0_waited);
+  EXPECT_TRUE(unit1_waited);
+  ASSERT_EQ(advanced_by[3].size(), 2u);  // the window and the horizon
+  EXPECT_EQ(advanced_by[3].front(), 0u)
+      << "unit 3 waited for its home worker instead of being claimed";
+  EXPECT_EQ(advanced_by[1].front(), 1u);
+  for (const std::vector<std::size_t>& workers : advanced_by) {
+    EXPECT_EQ(workers.size(), 2u);
+  }
 }
 
 // --- capacity arbiter ----------------------------------------------------
@@ -166,6 +262,33 @@ TEST(WallProfilerDrain, MovesTotalsAndPathsThenZeroes) {
   worker.end(ProfileCategory::kShardRun);
   worker.drain_into(run);
   EXPECT_EQ(run.totals()[run_idx].count, 2u);
+}
+
+// A claimed tenant's world runs on the claiming worker's profiler: after
+// set_profiler, the kernel's engine.run scopes and the policy's decision
+// scopes nested in them land on the new profiler only, and handing the
+// world back restores its home profiler.
+TEST(WallProfilerHandOff, WorldScopesFollowSetProfiler) {
+  WallProfiler home(1.0);
+  WallProfiler claimer(1.0);
+  World world(web_scenario(0.002), PolicySpec::adaptive(), 7, std::nullopt,
+              &home);
+  world.start();
+  world.run_to(600.0);
+  world.set_profiler(&claimer);
+  world.run_to(1200.0);
+  world.set_profiler(&home);
+  world.run_to(1800.0);
+
+  const auto count = [](const WallProfiler& profiler,
+                        ProfileCategory category) {
+    return profiler.totals()[static_cast<std::size_t>(category)].count;
+  };
+  EXPECT_EQ(count(home, ProfileCategory::kWorldBuild), 1u);
+  EXPECT_EQ(count(home, ProfileCategory::kEngineRun), 2u);
+  EXPECT_EQ(count(claimer, ProfileCategory::kWorldBuild), 0u);
+  EXPECT_EQ(count(claimer, ProfileCategory::kEngineRun), 1u);
+  EXPECT_GT(count(claimer, ProfileCategory::kPolicyDecision), 0u);
 }
 
 // --- tenant population ---------------------------------------------------

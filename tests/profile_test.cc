@@ -282,5 +282,36 @@ TEST(RunManifest, NullProfilerYieldsEmptyBreakdown) {
   EXPECT_EQ(count_char(json, '{'), count_char(json, '}'));
 }
 
+/// The manifest's flat `scenario` block: what compare_runs.py compares to
+/// decide whether two runs had the same inputs.
+std::string scenario_block(const ScenarioConfig& config) {
+  std::ostringstream out;
+  write_run_manifest(out, config, "Adaptive", 42, 1, RunMetrics{}, nullptr);
+  const std::string json = out.str();
+  const std::size_t begin = json.find("\"scenario\":{");
+  EXPECT_NE(begin, std::string::npos);
+  return json.substr(begin, json.find('}', begin) - begin);
+}
+
+TEST(RunManifest, ScenarioBlockTellsVmMtbfsApart) {
+  ScenarioConfig six_hours = web_scenario(0.002);
+  six_hours.fault.vm_mtbf = 6 * 3600.0;
+  ScenarioConfig twelve_hours = six_hours;
+  twelve_hours.fault.vm_mtbf = 12 * 3600.0;
+  EXPECT_EQ(scenario_block(six_hours), scenario_block(six_hours));
+  EXPECT_NE(scenario_block(six_hours), scenario_block(twelve_hours));
+}
+
+TEST(RunManifest, ScenarioBlockTellsBidsApart) {
+  ScenarioConfig low_bid = web_scenario(0.002);
+  low_bid.market.enabled = true;
+  low_bid.market.acquisition.spot_fraction = 0.5;
+  low_bid.market.acquisition.bid = 0.45;
+  ScenarioConfig high_bid = low_bid;
+  high_bid.market.acquisition.bid = 0.7;
+  EXPECT_EQ(scenario_block(low_bid), scenario_block(low_bid));
+  EXPECT_NE(scenario_block(low_bid), scenario_block(high_bid));
+}
+
 }  // namespace
 }  // namespace cloudprov
